@@ -20,6 +20,7 @@ rational-function arithmetic anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 
@@ -330,45 +331,89 @@ class RootDatum:
         return all(x >= 0 for x in c)
 
 
+def _eliminate(cols, rhs):
+    """Gauss-Jordan elimination of [A | B] over Q.
+
+    A is given by its columns ``cols`` and B by its rows ``rhs``.  Pivots are
+    chosen from the A part alone, so the row operations do not depend on B.
+    Returns (aug, piv): the reduced rows of [A | B] as Fractions and the
+    pivot columns in order; the A part of rows len(piv).. is zero.
+    """
+    rows = len(rhs)
+    ncols = len(cols)
+    aug = [[Fraction(cols[c][r]) for c in range(ncols)] + [Fraction(x) for x in rhs[r]]
+           for r in range(rows)]
+    piv = []
+    r = 0
+    for c in range(ncols):
+        p = next((k for k in range(r, rows) if aug[k][c] != 0), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        inv = aug[r][c]
+        aug[r] = [x / inv for x in aug[r]]
+        for k in range(rows):
+            if k != r and aug[k][c] != 0:
+                f = aug[k][c]
+                aug[k] = [x - f * y for x, y in zip(aug[k], aug[r])]
+        piv.append(c)
+        r += 1
+        if r == rows:
+            break
+    return aug, piv
+
+
 class _RootSolver:
-    """Exact solve of lam = sum c_i alpha_i, allowing the stored quotient."""
+    """Exact solve of lam = sum c_i alpha_i, allowing the stored quotient.
+
+    ``RootDatum.root_coords`` builds the solver on first use, and building
+    factors it once for the datum: elimination of [A | I]
+    gives E with E A reduced, kept as the integer rows of D E over one common
+    denominator D.  Solving for lam is then dot products with lam: the rows
+    past the rank must vanish (consistency), and each node's pivot row must
+    be divisible by D.
+    """
 
     def __init__(self, datum: RootDatum):
-        self.datum = datum
-        cols = [list(datum._simple_roots[i]) for i in datum.nodes]
+        cols = [datum._simple_roots[i] for i in datum.nodes]
         if datum.quotient_vector is not None:
-            cols.append(list(datum.quotient_vector))
+            cols.append(datum.quotient_vector)
         self.cols = cols
+        self.nnodes = len(datum.nodes)
+        rank = datum.rank
+        aug, piv = _eliminate(cols, [[int(r == k) for k in range(rank)]
+                                     for r in range(rank)])
+        factor = [row[len(cols):] for row in aug]
+        self.denom = lcm(*(x.denominator for row in factor for x in row))
+        scaled = [tuple(int(x * self.denom) for x in row) for row in factor]
+        self.consistency = scaled[len(piv):]
+        pivot_row = {c: scaled[k] for k, c in enumerate(piv)}
+        self.node_rows = [pivot_row.get(c) for c in range(self.nnodes)]
 
     def solve(self, coords):
-        rows = len(coords)
-        ncols = len(self.cols)
-        aug = [[Fraction(self.cols[c][r]) for c in range(ncols)] + [Fraction(coords[r])]
-               for r in range(rows)]
-        piv = []
-        r = 0
-        for c in range(ncols):
-            p = next((k for k in range(r, rows) if aug[k][c] != 0), None)
-            if p is None:
+        dot = RootDatum._dot
+        if any(dot(row, coords) for row in self.consistency):
+            return None
+        out = []
+        for row in self.node_rows:
+            if row is None:  # free column: the elimination sets it to 0
+                out.append(0)
                 continue
-            aug[r], aug[p] = aug[p], aug[r]
-            inv = aug[r][c]
-            aug[r] = [x / inv for x in aug[r]]
-            for k in range(rows):
-                if k != r and aug[k][c] != 0:
-                    f = aug[k][c]
-                    aug[k] = [x - f * y for x, y in zip(aug[k], aug[r])]
-            piv.append(c)
-            r += 1
-            if r == rows:
-                break
-        for k in range(r, rows):
-            if aug[k][-1] != 0:
+            q, rem = divmod(dot(row, coords), self.denom)
+            if rem:
                 return None
-        sol = [Fraction(0)] * ncols
+            out.append(q)
+        return tuple(out)
+
+    def solve_by_elimination(self, coords):
+        """Reference for ``solve``: eliminate [A | lam] afresh."""
+        aug, piv = _eliminate(self.cols, [[x] for x in coords])
+        if any(row[-1] != 0 for row in aug[len(piv):]):
+            return None
+        sol = [Fraction(0)] * len(self.cols)
         for ri, c in enumerate(piv):
             sol[c] = aug[ri][-1]
-        out = sol[:len(self.datum.nodes)]
+        out = sol[:self.nnodes]
         if any(x.denominator != 1 for x in out):
             return None
         return tuple(int(x) for x in out)
@@ -493,10 +538,6 @@ class LaurentPoly:
         if k == 0:
             return LaurentPoly.zero(self.datum)
         return LaurentPoly(self.datum, {w: k * c for w, c in self.terms.items()})
-
-    def shifted(self, lam: Weight) -> "LaurentPoly":
-        """Multiply by e^lam."""
-        return LaurentPoly(self.datum, {w + lam: c for w, c in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and self.datum is other.datum

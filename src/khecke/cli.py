@@ -20,8 +20,8 @@ from .grothendieck import GrothendieckEngine
 from .hecke import group_elt_to_T
 from .localization import (PsiEngine, gkm_check_big, small_gkm_check,
                            small_gkm_grassmannian_check)
-from .peterson import (conjecture_scan, cross_k_scan, equivariant_k_sl2,
-                       pieri, structure_d)
+from .peterson import (SupportTruncationError, conjecture_scan, cross_k_scan,
+                       equivariant_k_sl2, pieri, structure_d)
 from .render import (render_hecke, render_int_map, render_poly,
                      render_symfunc, render_tensor)
 from .symfunc import SymFunc, convert
@@ -270,13 +270,17 @@ def _print_table(args, kind, n):
 
 def cmd_check_conjectures(args):
     cache = ResultCache(args.cache_dir)
-    label = f"maxlen{args.max_len}" + ("-cross" if args.cross else "")
+    label = f"maxlen{args.max_len}"
+    if args.cross:
+        cross_degree = args.max_len if args.max_degree is None else \
+            min(args.max_len, args.max_degree)
+        label += f"-cross{cross_degree}"
     payload = cache.load(args.n, "conjectures", label, args.max_len)
     if payload is None:
         report = conjecture_scan(args.n, args.max_len)
         payload = json.loads(report.to_json())
         if args.cross:
-            cross = cross_k_scan(args.n, min(args.max_len, args.max_degree or args.max_len))
+            cross = cross_k_scan(args.n, cross_degree)
             payload["cross"] = json.loads(cross.to_json())
         cache.store(args.n, "conjectures", label, args.max_len, payload)
     if args.format == "json":
@@ -469,7 +473,7 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, SupportTruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return 0

@@ -201,9 +201,6 @@ class GrothendieckEngine:
     def g_in_s_basis(self, lam) -> SymFunc:
         return convert(self.g_of(lam), "s")
 
-    def kschur_in_s_basis(self, lam) -> SymFunc:
-        return convert(self.kschur_of(lam), "s")
-
     def g_in_kschur_basis(self, lam) -> dict:
         return self.expand_in_kschur(self.g_of(lam))
 

@@ -173,13 +173,6 @@ class PsiEngine:
             out = out * (self._one() - LaurentPoly.monomial(alpha))
         return out
 
-    def eval_combination(self, psi_of, terms) -> LaurentPoly:
-        """Evaluate a functional linearly on sum c_w w (terms: {WeylElt: int})."""
-        total = self._zero()
-        for w, c in terms.items():
-            total = total + psi_of(w).scaled(c)
-        return total
-
     def table_json(self, max_len: int) -> list[dict]:
         """All values psi^v(w) for l(v), l(w) <= max_len as JSON records."""
         els = weyl.all_elements(self.datum, max_len)

@@ -6,6 +6,10 @@ permutation window [w(1), ..., w(n)] (entries distinct mod n, summing to
 n(n+1)/2 + 0); products, lengths and descents are O(n) there.  For generic
 data the element's action matrix on the lattice is kept alongside.
 
+Each datum interns its elements by their action (the window, else the
+matrix): a product or inverse is computed in that representation and looked
+up, so an element's canonical word is derived only the first time it is met.
+
 Words in tables and CLI output are read left to right: "210" is r2*r1*r0.
 """
 
@@ -15,6 +19,7 @@ import itertools
 from functools import lru_cache
 
 from .cartan import DatumMismatchError, RootDatum, Weight
+from .symfunc import partitions_of
 
 
 def _mat_identity(r):
@@ -33,7 +38,8 @@ def _mat_apply(m, v):
 
 
 class _DatumOps:
-    """Per-datum cached machinery: reflection matrices, element interning."""
+    """Per-datum cached machinery: reflection matrices, elements interned by
+    action, reflections by root."""
 
     _registry: dict[int, "_DatumOps"] = {}
 
@@ -49,7 +55,10 @@ class _DatumOps:
             self.refl[i] = tuple(tuple(cols[k][r] for k in range(datum.rank))
                                  for r in range(datum.rank))
         self.window_n = datum.window_n
-        self.interned: dict = {}
+        self.identity_action = (_win_identity(self.window_n) if self.window_n
+                                else _mat_identity(datum.rank))
+        self.interned: dict = {}  # action (window or matrix) -> WeylElt
+        self.reflections: dict = {}  # positive real root -> r_alpha
         self.partition_inverse: dict = {}
 
     @classmethod
@@ -94,16 +103,6 @@ def _win_inverse(win):
         q, r = divmod(val - 1, n)
         pos[r + 1] = idx - q * n
     return tuple(pos[r] for r in range(1, n + 1))
-
-
-def _win_length(win):
-    n = len(win)
-    total = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = win[j] - win[i]
-            total += abs(d // n) if d < 0 else d // n
-    return total
 
 
 def _win_right_descent(win, i):
@@ -217,28 +216,51 @@ class WeylElt:
         return out
 
 
-def identity(datum) -> WeylElt:
-    return _intern(datum, (), _win_identity(_window_n(datum)) if _window_n(datum) else None)
-
-
 def _window_n(datum):
     return _DatumOps.of(datum).window_n
 
 
-def _intern(datum, word, window) -> WeylElt:
-    ops = _DatumOps.of(datum)
-    elt = ops.interned.get(word)
+def _interned(datum, action, make) -> WeylElt:
+    """The element of ``datum`` acting by ``action`` (a window or a matrix);
+    ``make()`` builds it the first time that action is met."""
+    interned = _DatumOps.of(datum).interned
+    elt = interned.get(action)
     if elt is None:
-        elt = WeylElt(datum, word, window)
-        ops.interned[word] = elt
+        elt = interned[action] = make()
     return elt
+
+
+def _from_window(datum, win) -> WeylElt:
+    return _interned(datum, win, lambda: WeylElt(datum, _win_canonical_word(win), win))
+
+
+def _from_matrix(datum, matrix, inv_matrix) -> WeylElt:
+    """``inv_matrix()`` gives the inverse action; it runs only on a miss."""
+    def make():
+        mi = inv_matrix()
+        return WeylElt(datum, _canonical_from_matrix(datum, matrix, mi), None,
+                       matrix, mi)
+    return _interned(datum, matrix, make)
+
+
+def _involution(datum, word, action) -> WeylElt:
+    """The identity or a simple reflection: its word is known and it is its
+    own inverse."""
+    window = action if _window_n(datum) else None
+    matrix = None if window else action
+    return _interned(datum, action, lambda: WeylElt(datum, word, window, matrix, matrix))
+
+
+def identity(datum) -> WeylElt:
+    return _involution(datum, (), _DatumOps.of(datum).identity_action)
 
 
 def simple(datum, i) -> WeylElt:
     if i not in datum.nodes:
         raise ValueError(f"{i} is not a node of {datum.name}")
-    n = _window_n(datum)
-    return _intern(datum, (i,), _win_simple(n, i) if n else None)
+    ops = _DatumOps.of(datum)
+    n = ops.window_n
+    return _involution(datum, (i,), _win_simple(n, i) if n else ops.refl[i])
 
 
 def from_word(datum, word) -> WeylElt:
@@ -321,26 +343,15 @@ def multiply(u: WeylElt, v: WeylElt) -> WeylElt:
     if v.is_identity():
         return u
     if u.window is not None:
-        win = _win_compose(u.window, v.window)
-        word = _win_canonical_word(win)
-        return _intern(u.datum, word, win)
-    m = _mat_mul(u.matrix, v.matrix)
-    mi = _mat_mul(v.inv_matrix, u.inv_matrix)
-    word = _canonical_from_matrix(u.datum, m, mi)
-    elt = _intern(u.datum, word, None)
-    if elt._matrix is None:
-        elt._matrix, elt._inv_matrix = m, mi
-    return elt
+        return _from_window(u.datum, _win_compose(u.window, v.window))
+    return _from_matrix(u.datum, _mat_mul(u.matrix, v.matrix),
+                        lambda: _mat_mul(v.inv_matrix, u.inv_matrix))
 
 
 def inverse(w: WeylElt) -> WeylElt:
     if w.window is not None:
-        win = _win_inverse(w.window)
-        return _intern(w.datum, _win_canonical_word(win), win)
-    elt = _intern(w.datum, _canonical_from_matrix(w.datum, w.inv_matrix, w.matrix), None)
-    if elt._matrix is None:
-        elt._matrix, elt._inv_matrix = w.inv_matrix, w.matrix
-    return elt
+        return _from_window(w.datum, _win_inverse(w.window))
+    return _from_matrix(w.datum, w.inv_matrix, lambda: w.matrix)
 
 
 def apply(w: WeylElt, lam: Weight) -> Weight:
@@ -415,7 +426,17 @@ def inversions(v: WeylElt) -> set[Weight]:
 
 
 def reflection_for_root(datum, alpha: Weight) -> WeylElt:
-    """r_alpha for a positive real root alpha = u(alpha_i), as u r_i u^{-1}."""
+    """r_alpha for a positive real root alpha = u(alpha_i), as u r_i u^{-1}.
+
+    Memoised per datum by root."""
+    memo = _DatumOps.of(datum).reflections
+    r_alpha = memo.get(alpha)
+    if r_alpha is None:
+        r_alpha = memo[alpha] = _reflection_for_root(datum, alpha)
+    return r_alpha
+
+
+def _reflection_for_root(datum, alpha: Weight) -> WeylElt:
     coords = datum.root_coords(alpha)
     if coords is None:
         raise ValueError("not in the root lattice")
@@ -466,8 +487,7 @@ def translation(datum, lam) -> WeylElt:
     lam = tuple(lam)
     if len(lam) != n or sum(lam) != 0:
         raise ValueError("translation needs a length-n integer vector summing to 0")
-    win = tuple(i + n * lam[i - 1] for i in range(1, n + 1))
-    return _intern(datum, _win_canonical_word(win), win)
+    return _from_window(datum, tuple(i + n * lam[i - 1] for i in range(1, n + 1)))
 
 
 def is_grassmannian(w: WeylElt) -> bool:
@@ -481,7 +501,7 @@ def grassmannian_part(w: WeylElt):
     """(Grassmannian representative of wW, lam with wW = t_lam W)."""
     n = _require_window(w.datum)
     win = tuple(sorted(w.window))
-    rep = _intern(w.datum, _win_canonical_word(win), win)
+    rep = _from_window(w.datum, win)
     lam = [0] * n
     for val in win:
         q, r = divmod(val - 1, n)
@@ -512,21 +532,6 @@ def grassmannian_from_partition(datum, partition) -> WeylElt:
     return from_word(datum, word)
 
 
-def bounded_partitions(size: int, max_part: int) -> list[tuple]:
-    """Partitions of ``size`` with parts <= max_part, lex-descending."""
-    out = []
-
-    def rec(rem, cap, prefix):
-        if rem == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(cap, rem), 0, -1):
-            rec(rem - p, p, prefix + [p])
-
-    rec(size, max_part, [])
-    return out
-
-
 def partition_of_grassmannian(w: WeylElt):
     """Inverse of grassmannian_from_partition (|partition| = length)."""
     if not is_grassmannian(w):
@@ -534,7 +539,7 @@ def partition_of_grassmannian(w: WeylElt):
     n = _require_window(w.datum)
     cache = _DatumOps.of(w.datum).partition_inverse
     if w not in cache:
-        for lam in bounded_partitions(w.length, n - 1):
+        for lam in partitions_of(w.length, n - 1):
             cache[grassmannian_from_partition(w.datum, lam)] = lam
     if w not in cache:
         raise ValueError("no bounded partition matches this element")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from khecke.cartan import (DatumMismatchError, LaurentPoly, RootDatum,
-                           demazure, divisible_by_one_minus_e, eta,
+                           _RootSolver, demazure, divisible_by_one_minus_e, eta,
                            exact_divide_one_minus_e, level_zero_project, phi0,
                            weyl_reflect_poly)
 
@@ -199,3 +199,56 @@ class TestSerialization:
         assert data == [{"exponent": [-1, 0], "coeff": -1},
                         {"exponent": [2, 0], "coeff": 3}]
         assert LaurentPoly.from_json(sl2, data) == p
+
+
+AFFINE_GCMS = {
+    "A1~": ([[2, -2], [-2, 2]], [1, 1]),
+    "A2~": ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [1, 1, 1]),
+    "C2~": ([[2, -1, 0], [-2, 2, -2], [0, -1, 2]], [1, 2, 1]),
+    "G2~": ([[2, -1, 0], [-1, 2, -1], [0, -3, 2]], [1, 2, 3]),
+}
+SOLVER_DATA = (
+    [RootDatum.affine_sl(n) for n in range(2, 6)]
+    + [RootDatum.of_type(t) for t in ("A1", "A2", "A3", "B2", "C2", "G2")]
+    + [RootDatum.affinize_cartan(m, marks, name=f"gcm-{name}")
+       for name, (m, marks) in AFFINE_GCMS.items()])
+
+
+def lattice_point(datum, combo, noise, scale):
+    """scale * (sum combo_i alpha_i) + noise, cut to the datum's rank."""
+    v = [scale * sum(c * datum.simple_root(i).coords[k]
+                     for c, i in zip(combo, datum.nodes))
+         for k in range(datum.rank)]
+    return datum.weight(tuple(x + e for x, e in zip(v, noise)))
+
+
+class TestRootSolver:
+    """The factored solver against the elimination it was factored from."""
+
+    @given(st.sampled_from(SOLVER_DATA),
+           st.lists(st.integers(-4, 4), min_size=7, max_size=7),
+           st.lists(st.integers(-2, 2), min_size=7, max_size=7),
+           st.sampled_from([0, 1]), st.sampled_from([1, 2, 3]))
+    def test_matches_elimination(self, datum, combo, noise, noisy, scale):
+        noise = [e * noisy for e in noise[:datum.rank]]
+        lam = lattice_point(datum, combo, noise, scale)
+        oracle = _RootSolver(datum).solve_by_elimination(lam.coords)
+        assert datum.root_coords(lam) == oracle
+        if not noisy:
+            want = tuple(scale * c for c in combo[:len(datum.nodes)])
+            assert oracle == want
+
+    def test_none_results_agree(self):
+        # unit vectors off the root lattice: odd level (affine SL_n), or
+        # index > 1 of the root lattice (A1, A2, B2, ...)
+        none_seen = 0
+        for datum in SOLVER_DATA:
+            slow = _RootSolver(datum)
+            for k in range(datum.rank):
+                for c in (1, -1, 2):
+                    lam = datum.weight(tuple(c if t == k else 0
+                                             for t in range(datum.rank)))
+                    got = datum.root_coords(lam)
+                    assert got == slow.solve_by_elimination(lam.coords)
+                    none_seen += got is None
+        assert none_seen > 0

@@ -105,6 +105,12 @@ class TestErrors:
         code, _, err = run(capsys, "k-sl2")
         assert code == 1
 
+    def test_ksl2_cutoff_too_small(self, capsys):
+        code, out, err = run(capsys, "k-sl2", "--r", "3", "--cutoff", "5")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "raise the cutoff" in err
+
 
 class TestTables:
     def test_diff_all(self, capsys):
@@ -146,6 +152,25 @@ class TestConjecturesAndCache:
         assert code1 == code2 == 0
         assert out1 == out2
         assert json.loads(out1)["passed"] is True
+
+    def test_cross_degree_keys_the_cache(self, capsys, tmp_path):
+        def scan(degree, cache_dir):
+            code, out, _ = run(capsys, "check-conjectures", "--n", "2",
+                               "--max-len", "4", "--cross", "--max-degree",
+                               str(degree), "--format", "json",
+                               "--cache-dir", str(cache_dir))
+            assert code == 0
+            return out
+        shared = tmp_path / "shared"
+        scan(2, shared)
+        assert scan(4, shared) == scan(4, tmp_path / "fresh")
+
+    def test_cross_degree_zero_honoured(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "check-conjectures", "--n", "2", "--max-len",
+                           "4", "--cross", "--max-degree", "0", "--format",
+                           "json", "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["cross"]["max_degree"] == 0
 
     def test_cache_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from khecke.cartan import RootDatum
 from khecke import weyl
@@ -224,3 +225,74 @@ class TestSerialization:
         data = t.to_json()
         assert data["word"] == [0, 1]
         assert data["window"] == [3, 0]
+
+
+GENERIC_DATA = [RootDatum.of_type(t) for t in ("A2", "B2", "G2")] + [
+    RootDatum.affinize_cartan([[2, -1, 0], [-2, 2, -2], [0, -1, 2]], [1, 2, 1],
+                              name="generic-C2~")]
+
+
+def random_word(draw, datum, max_len):
+    return tuple(draw(st.lists(st.sampled_from(datum.nodes), max_size=max_len)))
+
+
+class TestInterning:
+    """Interned products against the canonical word computed from scratch."""
+
+    @given(st.integers(2, 5), st.data())
+    def test_window_multiply(self, n, data):
+        datum = RootDatum.affine_sl(n)
+        u = weyl.from_word(datum, random_word(data.draw, datum, 8))
+        v = weyl.from_word(datum, random_word(data.draw, datum, 8))
+        uv = weyl.multiply(u, v)
+        win = weyl._win_compose(u.window, v.window)
+        assert uv.window == win
+        assert uv.word == weyl._win_canonical_word(win)
+        assert uv is weyl.from_word(datum, u.word + v.word)
+        assert weyl.inverse(u) is weyl.from_word(datum, u.word[::-1])
+
+    @given(st.sampled_from(GENERIC_DATA), st.data())
+    def test_matrix_multiply(self, datum, data):
+        u = weyl.from_word(datum, random_word(data.draw, datum, 6))
+        v = weyl.from_word(datum, random_word(data.draw, datum, 6))
+        uv = weyl.multiply(u, v)
+        m = weyl._mat_mul(u.matrix, v.matrix)
+        mi = weyl._mat_mul(v.inv_matrix, u.inv_matrix)
+        assert uv.matrix == m
+        assert uv.word == weyl._canonical_from_matrix(datum, m, mi)
+        assert uv is weyl.from_word(datum, u.word + v.word)
+        assert weyl.inverse(u) is weyl.from_word(datum, u.word[::-1])
+
+    def test_one_element_per_action(self, af3):
+        weyl.all_elements(af3, 5)
+        interned = weyl._DatumOps.of(af3).interned
+        assert len({w.word for w in interned.values()}) == len(interned)
+        assert all(w.window == action for action, w in interned.items())
+
+
+def unmemoised_reflection(datum, alpha):
+    """r_alpha = r_i r_beta r_i with beta = r_i(alpha), recursing to a simple root."""
+    for i in datum.nodes:
+        if alpha == datum.simple_root(i):
+            return weyl.simple(datum, i)
+    i = next(i for i in datum.nodes if datum.pairing(i, alpha) > 0)
+    ri = weyl.simple(datum, i)
+    inner = unmemoised_reflection(datum, datum.reflect(i, alpha))
+    return weyl.multiply(weyl.multiply(ri, inner), ri)
+
+
+class TestReflectionMemo:
+    @pytest.mark.parametrize("typ", ["A2", "B2", "G2", "A2~", "A3~"])
+    def test_memoised_matches_unmemoised(self, typ):
+        datum = RootDatum.of_type(typ)
+        roots = {a for w in weyl.all_elements(datum, 4) for a in weyl.inversions(w)}
+        for alpha in sorted(roots, key=lambda a: a.coords):
+            r_alpha = weyl.reflection_for_root(datum, alpha)
+            assert r_alpha is unmemoised_reflection(datum, alpha)
+            assert weyl.reflection_for_root(datum, alpha) is r_alpha
+            assert weyl.apply(r_alpha, alpha) == -alpha
+
+    def test_rejects_non_roots(self, af2):
+        with pytest.raises(ValueError):
+            weyl.reflection_for_root(af2, af2.fundamental_weight(0))
+        assert af2.fundamental_weight(0) not in weyl._DatumOps.of(af2).reflections
