@@ -8,7 +8,10 @@ k-Schur, the Hopf lift varphi), peterson (phi_0(k_w), Pieri, structure
 constants, conjecture scans), cli / goldens (front end and golden reference tables).
 """
 
-from .cartan import LaurentPoly, RootDatum, Weight, demazure, eta, phi0
+__version__ = "0.1.0"  # keep equal to project.version in pyproject.toml
+
+from .cartan import (LaurentPoly, RootDatum, VerificationError, Weight,
+                     demazure, eta, phi0)
 from .weyl import WeylElt
 from .hecke import HeckeElt, TensorElt
 from .symfunc import SymFunc, TensorSym
@@ -17,9 +20,8 @@ from .grothendieck import GrothendieckEngine
 from .peterson import ConjectureReport
 
 __all__ = [
-    "LaurentPoly", "RootDatum", "Weight", "demazure", "eta", "phi0",
+    "LaurentPoly", "RootDatum", "VerificationError", "Weight", "demazure",
+    "eta", "phi0",
     "WeylElt", "HeckeElt", "TensorElt", "SymFunc", "TensorSym",
     "PsiEngine", "GrothendieckEngine", "ConjectureReport",
 ]
-
-__version__ = "0.1.0"

@@ -1,8 +1,11 @@
 """Checksummed JSON result cache keyed by (n, kind, label, degree).
 
-Entries live under the cache directory as one file each; a sha256 checksum
-over the canonical payload encoding detects corruption, in which case the
-entry is discarded (the caller recomputes and overwrites).
+Entries live under the cache directory as one file each, below a directory
+named for the package version and ``SCHEMA`` (``v0.1.0-schema1/``), so a
+stored result does not outlive a change of code or format; bump ``SCHEMA``
+when a payload format changes.  A sha256 checksum over the canonical payload
+encoding detects corruption, in which case the entry is discarded (the
+caller recomputes and overwrites).
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ import os
 import sys
 from pathlib import Path
 
+from . import __version__
+
 ENV_VAR = "KHECKE_CACHE"
+SCHEMA = 1
 
 
 def default_cache_dir() -> Path:
@@ -33,7 +39,8 @@ class ResultCache:
 
     def path(self, n: int, kind: str, label: str, degree: int) -> Path:
         safe = label if label else "empty"
-        return self.root / f"n{n}" / kind / f"{safe}.d{degree}.json"
+        return (self.root / f"v{__version__}-schema{SCHEMA}" / f"n{n}" / kind
+                / f"{safe}.d{degree}.json")
 
     def store(self, n: int, kind: str, label: str, degree: int, payload) -> Path:
         body = _encode(payload)

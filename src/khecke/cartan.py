@@ -28,6 +28,10 @@ class DatumMismatchError(ValueError):
     """Raised when weights/elements from different root data are mixed."""
 
 
+class VerificationError(RuntimeError):
+    """Two independent computations of one quantity disagree."""
+
+
 class RootDatum:
     """A symmetrizable generalized Cartan matrix embedded in a lattice.
 
@@ -363,6 +367,21 @@ def _eliminate(cols, rhs):
     return aug, piv
 
 
+def solve_exact(cols, rhs):
+    """Solve sum_c x_c cols[c] = rhs over Q by ``_eliminate``.
+
+    Returns (x, unique) with every free unknown of x set to 0 and ``unique``
+    true when there is none, or None when the system is inconsistent.
+    """
+    aug, piv = _eliminate(cols, [[b] for b in rhs])
+    if any(row[-1] != 0 for row in aug[len(piv):]):
+        return None
+    sol = [Fraction(0)] * len(cols)
+    for r, c in enumerate(piv):
+        sol[c] = aug[r][-1]
+    return sol, len(piv) == len(cols)
+
+
 class _RootSolver:
     """Exact solve of lam = sum c_i alpha_i, allowing the stored quotient.
 
@@ -407,13 +426,10 @@ class _RootSolver:
 
     def solve_by_elimination(self, coords):
         """Reference for ``solve``: eliminate [A | lam] afresh."""
-        aug, piv = _eliminate(self.cols, [[x] for x in coords])
-        if any(row[-1] != 0 for row in aug[len(piv):]):
+        found = solve_exact(self.cols, coords)
+        if found is None:
             return None
-        sol = [Fraction(0)] * len(self.cols)
-        for ri, c in enumerate(piv):
-            sol[c] = aug[ri][-1]
-        out = sol[:self.nnodes]
+        out = found[0][:self.nnodes]
         if any(x.denominator != 1 for x in out):
             return None
         return tuple(int(x) for x in out)

@@ -4,7 +4,8 @@ Subcommands: psi, expand-group, kappa, g, G, kschur, pieri, coproduct,
 structure, k-sl2, tables, check-conjectures, gkm-check.  Words are digit
 strings read left to right ("210" = r2 r1 r0); partitions are comma lists
 ("2,1") or digit strings ("21").  Exit codes: 0 success, 1 domain error,
-2 verification failure (conjecture violation or golden-table mismatch).
+2 verification failure (conjecture violation, golden-table mismatch, or a
+library cross-check raising VerificationError).
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import sys
 
 from . import goldens, weyl
 from .cache import ResultCache
-from .cartan import RootDatum
+from .cartan import RootDatum, VerificationError
 from .grothendieck import GrothendieckEngine
 from .hecke import group_elt_to_T
 from .localization import (PsiEngine, gkm_check_big, small_gkm_check,
                            small_gkm_grassmannian_check)
-from .peterson import (SupportTruncationError, conjecture_scan, cross_k_scan,
-                       equivariant_k_sl2, pieri, structure_d)
+from .peterson import (ConjectureReport, SupportTruncationError,
+                       conjecture_scan, cross_k_scan, equivariant_k_sl2, pieri,
+                       structure_d)
 from .render import (render_hecke, render_int_map, render_poly,
                      render_symfunc, render_tensor)
 from .symfunc import SymFunc, convert
@@ -239,7 +241,7 @@ def cmd_tables(args):
             else:
                 _print_table(args, kind, n)
     if failures:
-        raise VerificationFailure(f"{failures} golden-table mismatches")
+        raise VerificationError(f"{failures} golden-table mismatches")
 
 
 def _print_table(args, kind, n):
@@ -283,27 +285,16 @@ def cmd_check_conjectures(args):
             cross = cross_k_scan(args.n, cross_degree)
             payload["cross"] = json.loads(cross.to_json())
         cache.store(args.n, "conjectures", label, args.max_len, payload)
+    reports = [ConjectureReport.from_json(payload)]
+    if "cross" in payload:
+        reports.append(ConjectureReport.from_json(payload["cross"]))
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(_report_text(payload))
-        if "cross" in payload:
-            print(_report_text(payload["cross"]))
-    bad = payload["violations"] or payload.get("cross", {}).get("violations")
-    if bad:
-        raise VerificationFailure("conjecture violations found")
-
-
-def _report_text(payload) -> str:
-    status = "PASS" if payload["passed"] else \
-        f"FAIL ({len(payload['violations'])} violations)"
-    head = (f"conjecture scan n={payload['n']} max_length={payload['max_length']}"
-            + (f" cross_n={payload['cross_n']}" if payload.get("cross_n") else "")
-            + f": {status} [{payload['checked']} values checked]")
-    lines = [head]
-    for v in payload["violations"]:
-        lines.append(f"  {v['conjecture']} at {v['label']}: {v['detail']}")
-    return "\n".join(lines)
+        for report in reports:
+            print(report.summary())
+    if not all(report.passed for report in reports):
+        raise VerificationError("conjecture violations found")
 
 
 def cmd_gkm_check(args):
@@ -343,11 +334,7 @@ def cmd_gkm_check(args):
     _emit(args, f"gkm {args.mode}: {'PASS' if ok else 'FAIL'} [{checked} checks]",
           {"mode": args.mode, "passed": ok, "checked": checked})
     if not ok:
-        raise VerificationFailure("GKM condition violated")
-
-
-class VerificationFailure(RuntimeError):
-    pass
+        raise VerificationError("GKM condition violated")
 
 
 # -- parser ------------------------------------------------------------------------
@@ -470,7 +457,7 @@ def main(argv=None) -> int:
     try:
         _validate_bounds(args)
         args.fn(args)
-    except VerificationFailure as exc:
+    except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     except (DomainError, ValueError, SupportTruncationError) as exc:

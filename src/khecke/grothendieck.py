@@ -11,9 +11,9 @@ homogeneous component is the k-Schur function of v.
 
 from __future__ import annotations
 
-from .cartan import RootDatum
+from .cartan import RootDatum, VerificationError
 from . import weyl
-from .hecke import HeckeElt, t_mul
+from .hecke import HeckeElt, int_mul
 from .symfunc import (SymFunc, TensorSym, convert, coproduct_h, make_partition,
                       multiply, partitions_of, partitions_up_to)
 
@@ -62,8 +62,8 @@ class GrothendieckEngine:
         if not 0 <= i <= self.n - 1:
             raise ValueError("kappa_i needs 0 <= i <= n-1")
         if i not in self._kappa:
-            terms = {w: 1 for w in weyl.cyclically_decreasing(self.datum, i)}
-            self._kappa[i] = HeckeElt.from_int_terms(self.datum, self.fin, terms)
+            self._kappa[i] = HeckeElt.from_int_terms(self.datum, self.fin,
+                                                     self.kappa_product((i,)))
         return self._kappa[i]
 
     def kappa_product(self, lam) -> dict:
@@ -72,10 +72,13 @@ class GrothendieckEngine:
         if lam and lam[0] >= self.n:
             raise ValueError(f"partition must be {self.n - 1}-bounded")
         if lam not in self._kprod:
-            prefix = self.kappa_product(lam[:-1])
-            elt = t_mul(HeckeElt.from_int_terms(self.datum, self.fin, prefix),
-                        self.kappa(lam[-1]))
-            self._kprod[lam] = elt.int_terms()
+            if len(lam) == 1:
+                self._kprod[lam] = {
+                    w: 1 for w in weyl.cyclically_decreasing(self.datum, lam[0])}
+            else:
+                # kappa_{lam_1} (kappa_{lam_2} ...): fold the short words left
+                self._kprod[lam] = int_mul(self.kappa_product(lam[:1]),
+                                           self.kappa_product(lam[1:]))
         return self._kprod[lam]
 
     def g_coeff(self, u: weyl.WeylElt, lam) -> int:
@@ -176,7 +179,7 @@ class GrothendieckEngine:
             if top_only and sum(mu) != ell:
                 continue
             if got != want:
-                raise AssertionError(
+                raise VerificationError(
                     f"duality failed for {lam}: <., {mu}> = {got}, want {want}")
 
     # -- expansions in the dual families -------------------------------------------------------
@@ -286,7 +289,7 @@ class GrothendieckEngine:
                     else:
                         residual.pop(mu, None)
             if any(sum(mu) == d for mu in residual):
-                raise AssertionError("G-basis peel left a degree residue")
+                raise VerificationError("G-basis peel left a degree residue")
         return out
 
     def cauchy_check(self, max_degree: int) -> bool:

@@ -6,6 +6,12 @@ on the left.  Products fold one generator at a time through the two rules
     T_i T_w = T_{r_i w}  (r_i w > w)   or   -T_w  (r_i w < w)
     T_i q   = (T_i . q) + (r_i . q) T_i
 
+The first rule lives only in ``fold_T``; every product of pure T's (the
+right tensor slot, the Pieri rule, structure constants, Graham-Willems
+subwords) goes through it.  ``int_mul`` is the product of integer elements
+{WeylElt: int}, with no LaurentPoly wrapping; ``t_mul`` over R(T) is its
+test oracle.
+
 In affine flavor the coefficient ring defaults to the level-zero R(T)
 (finite weight lattice); pass the affine lattice itself for the big-torus
 variant used by localization.
@@ -150,6 +156,34 @@ class HeckeElt:
 # -- products -------------------------------------------------------------------
 
 
+def fold_T(word, v: WeylElt) -> tuple[int, WeylElt]:
+    """T_{i_1} ... T_{i_k} T_v = sign * T_w for ``word`` = (i_1, ..., i_k),
+    which need not be reduced."""
+    datum = v.datum
+    sign, w = 1, v
+    for i in reversed(word):
+        riw = weyl.multiply(weyl.simple(datum, i), w)
+        if riw.length > w.length:
+            w = riw
+        else:
+            sign = -sign
+    return sign, w
+
+
+def int_mul(a: dict, b: dict) -> dict:
+    """Product of integer elements {WeylElt: int} of the 0-Hecke ring."""
+    out = {}
+    for u, c in a.items():
+        for v, d in b.items():
+            sign, w = fold_T(u.word, v)
+            s = out.get(w, 0) + sign * c * d
+            if s:
+                out[w] = s
+            else:
+                out.pop(w, None)
+    return out
+
+
 def _gen_mul(datum, coeffs, i, a: HeckeElt) -> HeckeElt:
     """T_i * a."""
     out = {}
@@ -162,7 +196,6 @@ def _gen_mul(datum, coeffs, i, a: HeckeElt) -> HeckeElt:
         else:
             out[w] = s
 
-    ri = weyl.simple(datum, i)
     for w, q in a.terms.items():
         if q.is_constant():
             tq, rq = None, q
@@ -171,11 +204,8 @@ def _gen_mul(datum, coeffs, i, a: HeckeElt) -> HeckeElt:
             rq = weyl_reflect_poly(datum, i, q)
         if tq is not None and not tq.is_zero():
             add(w, tq)
-        riw = weyl.multiply(ri, w)
-        if riw.length > w.length:
-            add(riw, rq)
-        else:
-            add(w, -rq)
+        sign, z = fold_T((i,), w)
+        add(z, rq if sign > 0 else -rq)
     return HeckeElt(datum, coeffs, out)
 
 
@@ -321,21 +351,6 @@ class TensorElt:
         return " + ".join(bits) if bits else "0"
 
 
-def _sign_mul_T(u: WeylElt, v: WeylElt) -> tuple[int, WeylElt]:
-    """0-Hecke product of pure T's: T_u T_v = sign * T_w."""
-    sign = 1
-    w = v
-    datum = u.datum
-    for i in reversed(u.word):
-        ri = weyl.simple(datum, i)
-        riw = weyl.multiply(ri, w)
-        if riw.length > w.length:
-            w = riw
-        else:
-            sign = -sign
-    return sign, w
-
-
 def tensor_mul(A: TensorElt, B: TensorElt) -> TensorElt:
     """Componentwise product on canonical left-reduced representatives.
 
@@ -347,7 +362,7 @@ def tensor_mul(A: TensorElt, B: TensorElt) -> TensorElt:
     out = {}
     for (u, v), p in A.terms.items():
         for (u2, v2), q in B.terms.items():
-            s2, vv = _sign_mul_T(v, v2)
+            s2, vv = fold_T(v.word, v2)
             left = t_word_mul(A.datum, A.coeffs,
                               u.word, HeckeElt(A.datum, A.coeffs, {u2: q}))
             for z, c in left.terms.items():

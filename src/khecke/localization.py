@@ -19,6 +19,7 @@ from math import comb
 from .cartan import (LaurentPoly, RootDatum, divisible_by_one_minus_e, eta,
                      exact_divide_one_minus_e, weyl_reflect_poly)
 from . import weyl
+from .hecke import fold_T
 from .weyl import WeylElt
 
 
@@ -126,23 +127,17 @@ class PsiEngine:
         one = self._one()
         total = self._zero()
         n = len(word)
+        e = weyl.identity(datum)
         for mask in range(1 << n):
             # subword's 0-Hecke fold must hit +-T_v; the fold sign
             # (-1)^{|b| - l(v)} is the summand sign
-            sign, elt = 1, weyl.identity(datum)
-            for k in range(n):
-                if mask >> k & 1:
-                    nxt = weyl.multiply(elt, weyl.simple(datum, word[k]))
-                    if nxt.length > elt.length:
-                        elt = nxt
-                    else:
-                        sign = -sign
+            picked = [k for k in range(n) if mask >> k & 1]
+            sign, elt = fold_T([word[k] for k in picked], e)
             if elt != v:
                 continue
             prod = LaurentPoly.const(self.coeffs, sign)
-            for k in range(n):
-                if mask >> k & 1:
-                    prod = prod * (one - betas[k])
+            for k in picked:
+                prod = prod * (one - betas[k])
             total = total + prod
         return total
 

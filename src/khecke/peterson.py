@@ -9,13 +9,12 @@ of g_w); an independent integer linear-system solver is kept as an oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, fields
 
-from .cartan import LaurentPoly, RootDatum
+from .cartan import LaurentPoly, RootDatum, VerificationError, solve_exact
 from . import weyl
 from .grothendieck import GrothendieckEngine
-from .hecke import HeckeElt, phi0_hecke, t_mul
+from .hecke import HeckeElt, int_mul, phi0_hecke, t_mul
 from .localization import (PsiEngine, grassmannian_expansion, sl2_sigma,
                            wrongway)
 from .symfunc import make_partition
@@ -79,7 +78,7 @@ def fomin_stanley_via_linear_system(engine: GrothendieckEngine, lam) -> HeckeElt
     unknowns = [v for v in weyl.all_elements(datum, sum(lam))
                 if not weyl.is_grassmannian(v)]
     # phi_0((T_w0 + sum c_v T_v)(e^mu - 1)) = 0 for mu = +-omega_j
-    rows = []
+    columns = [[] for _ in unknowns]
     rhs = []
     mus = [fin.fundamental_weight(j).scaled(s)
            for j in range(1, n) for s in (1, -1)]
@@ -97,46 +96,19 @@ def fomin_stanley_via_linear_system(engine: GrothendieckEngine, lam) -> HeckeElt
             coeffs = [row.get(vi, 0) - (1 if unknowns[vi - 1] == x else 0)
                       for vi in range(1, len(unknowns) + 1)]
             if any(coeffs) or base:
-                rows.append(coeffs)
+                for col, c in zip(columns, coeffs):
+                    col.append(c)
                 rhs.append(-base)
-    sol = _solve_exact(rows, rhs)
+    sol, unique = solve_exact(columns, rhs) or (None, False)
+    if not unique:
+        raise ValueError("the L_0 conditions have no unique solution")
+    if any(c.denominator != 1 for c in sol):
+        raise ValueError("solution is not integral")
     terms = {w0: 1}
     for v, c in zip(unknowns, sol):
         if c:
-            terms[v] = c
+            terms[v] = int(c)
     return HeckeElt.from_int_terms(datum, fin, terms)
-
-
-def _solve_exact(rows, rhs):
-    """Unique integer solution of an overdetermined consistent system."""
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    piv = []
-    r = 0
-    for c in range(ncols):
-        p = next((k for k in range(r, len(m)) if m[k][c] != 0), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for k in range(len(m)):
-            if k != r and m[k][c] != 0:
-                f = m[k][c]
-                m[k] = [x - f * y for x, y in zip(m[k], m[r])]
-        piv.append(c)
-        r += 1
-    for k in range(r, len(m)):
-        if m[k][-1] != 0:
-            raise ValueError("inconsistent system")
-    if len(piv) != ncols:
-        raise ValueError("system is underdetermined")
-    sol = [0] * ncols
-    for ri, c in enumerate(piv):
-        val = m[ri][-1]
-        if val.denominator != 1:
-            raise ValueError("solution is not integral")
-        sol[c] = int(val)
-    return sol
 
 
 # -- Pieri rule and structure constants ------------------------------------------------
@@ -148,53 +120,28 @@ def pieri(engine: GrothendieckEngine, i: int, lam) -> dict:
     if not 1 <= i <= engine.n - 1:
         raise ValueError("pieri needs 1 <= i <= n-1")
     v = engine.grassmannian(lam)
-    counts: dict = {}
-    for x in weyl.cyclically_decreasing(engine.datum, i):
-        _, w = _fold_T(x, v)
-        if weyl.is_grassmannian(w):
-            counts[w] = counts.get(w, 0) + 1
-    out = {}
-    for w, c in counts.items():
-        sign = -1 if (w.length - v.length - i) % 2 else 1
-        out[engine.partition_of(w)] = sign * c
-    return out
+    return _grassmannian_terms(engine, int_mul(engine.kappa_product((i,)), {v: 1}))
 
 
-def _fold_T(x: weyl.WeylElt, v: weyl.WeylElt):
-    """T_x T_v = sign * T_w."""
-    sign, w = 1, v
-    for j in reversed(x.word):
-        rj = weyl.simple(x.datum, j)
-        nxt = weyl.multiply(rj, w)
-        if nxt.length > w.length:
-            w = nxt
-        else:
-            sign = -sign
-    return sign, w
+def _grassmannian_terms(engine: GrothendieckEngine, terms: dict) -> dict:
+    """{partition of w: c} over the Grassmannian w of {w: c}."""
+    return {engine.partition_of(w): c for w, c in terms.items()
+            if weyl.is_grassmannian(w)}
 
 
 def structure_d(engine: GrothendieckEngine, lam, mu) -> dict:
     """phi_0(d^w_{u v}) for u, v Grassmannian, by two routes that must agree:
     the product expansion and the k^x_u formula over T_x T_v = +-T_w."""
     lam, mu = make_partition(lam), make_partition(mu)
-    fs_u = fomin_stanley_elt(engine, lam)
-    fs_v = fomin_stanley_elt(engine, mu)
-    via_product = expand_in_fs_basis(engine, t_mul(fs_u, fs_v))
-
-    v = engine.grassmannian(mu)
-    via_formula: dict = {}
-    for x, kxu in fs_u.int_terms().items():
-        _, w = _fold_T(x, v)
-        if weyl.is_grassmannian(w):
-            sign = -1 if (w.length - v.length - x.length) % 2 else 1
-            key = engine.partition_of(w)
-            s = via_formula.get(key, 0) + sign * kxu
-            if s:
-                via_formula[key] = s
-            else:
-                del via_formula[key]
+    k_u = fomin_stanley_elt(engine, lam).int_terms()
+    product = int_mul(k_u, fomin_stanley_elt(engine, mu).int_terms())
+    via_product = expand_in_fs_basis(
+        engine, HeckeElt.from_int_terms(engine.datum, engine.fin, product))
+    # d^w_{uv} = sum_x k^x_u [T_w] T_x T_v over Grassmannian w
+    via_formula = _grassmannian_terms(
+        engine, int_mul(k_u, {engine.grassmannian(mu): 1}))
     if via_formula != via_product:
-        raise AssertionError(
+        raise VerificationError(
             f"structure constant routes disagree for {lam} * {mu}: "
             f"{via_formula} vs {via_product}")
     return via_product
@@ -247,7 +194,7 @@ def _check_centralizer(elt: HeckeElt):
     om = LaurentPoly.monomial(fin.fundamental_weight(1))
     scal = HeckeElt.scalar(elt.datum, fin, om)
     if t_mul(elt, scal) != t_mul(scal, elt):
-        raise AssertionError("equivariant element does not centralize R(T)")
+        raise VerificationError("equivariant element does not centralize R(T)")
 
 
 # -- conjecture scans ---------------------------------------------------------------------
@@ -272,6 +219,11 @@ class ConjectureReport:
         self.violations.append(
             {"conjecture": conjecture, "label": label, "detail": detail})
 
+    @classmethod
+    def from_json(cls, data: dict) -> "ConjectureReport":
+        """Inverse of ``to_json`` (after json.loads); extra keys are ignored."""
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
+
     def to_json(self) -> str:
         return json.dumps({
             "conjectures": self.conjectures, "n": self.n,
@@ -283,8 +235,7 @@ class ConjectureReport:
     def summary(self) -> str:
         status = "PASS" if self.passed else f"FAIL ({len(self.violations)} violations)"
         lines = [f"conjecture scan n={self.n} max_length={self.max_length}"
-                 + (f" cross_n={self.cross_n} max_degree={self.max_degree}"
-                    if self.cross_n else "")
+                 + (f" cross_n={self.cross_n}" if self.cross_n else "")
                  + f": {status} [{self.checked} values checked]"]
         for v in self.violations:
             lines.append(f"  {v['conjecture']} at {v['label']}: {v['detail']}")

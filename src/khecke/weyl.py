@@ -55,8 +55,11 @@ class _DatumOps:
             self.refl[i] = tuple(tuple(cols[k][r] for k in range(datum.rank))
                                  for r in range(datum.rank))
         self.window_n = datum.window_n
+        # column k = canon(e_k): the identity of the group the reflection
+        # matrices generate (not _mat_identity when the lattice is a quotient)
+        self.unit_matrix = tuple(zip(*map(datum.canon, _mat_identity(datum.rank))))
         self.identity_action = (_win_identity(self.window_n) if self.window_n
-                                else _mat_identity(datum.rank))
+                                else self.unit_matrix)
         self.interned: dict = {}  # action (window or matrix) -> WeylElt
         self.reflections: dict = {}  # positive real root -> r_alpha
         self.partition_inverse: dict = {}
@@ -186,7 +189,7 @@ class WeylElt:
     def matrix(self):
         if self._matrix is None:
             ops = _DatumOps.of(self.datum)
-            m = _mat_identity(self.datum.rank)
+            m = ops.unit_matrix
             for i in self.word:
                 m = _mat_mul(m, ops.refl[i])
             self._matrix = m
@@ -196,7 +199,7 @@ class WeylElt:
     def inv_matrix(self):
         if self._inv_matrix is None:
             ops = _DatumOps.of(self.datum)
-            m = _mat_identity(self.datum.rank)
+            m = ops.unit_matrix
             for i in reversed(self.word):
                 m = _mat_mul(m, ops.refl[i])
             self._inv_matrix = m
@@ -327,7 +330,7 @@ def _canonical_from_matrix(datum, matrix, inv_matrix):
         word.append(found)
         m = _mat_mul(ops.refl[found], m)
         mi = _mat_mul(mi, ops.refl[found])
-    if m != _mat_identity(datum.rank):
+    if m != ops.unit_matrix:
         raise ValueError("matrix did not reduce to the identity")
     return tuple(word)
 

@@ -1,5 +1,8 @@
 import json
+import tomllib
+from pathlib import Path
 
+import khecke
 from khecke.cache import ResultCache
 from khecke.cli import main
 
@@ -105,6 +108,15 @@ class TestErrors:
         code, _, err = run(capsys, "k-sl2")
         assert code == 1
 
+    def test_cross_check_failure_exits_2(self, capsys, monkeypatch):
+        import khecke.peterson as peterson
+        monkeypatch.setattr(peterson, "expand_in_fs_basis", lambda engine, b: {})
+        code, out, err = run(capsys, "structure", "--n", "3", "--u", "1", "--v", "1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("verification failed: structure constant routes disagree")
+
     def test_ksl2_cutoff_too_small(self, capsys):
         code, out, err = run(capsys, "k-sl2", "--r", "3", "--cutoff", "5")
         assert code == 1
@@ -165,6 +177,16 @@ class TestConjecturesAndCache:
         scan(2, shared)
         assert scan(4, shared) == scan(4, tmp_path / "fresh")
 
+    def test_text_report_cold_and_warm(self, capsys, tmp_path):
+        want = ("conjecture scan n=2 max_length=4: PASS [72 values checked]\n"
+                "conjecture scan n=2 max_length=2 cross_n=3: PASS [4 values checked]\n")
+        for _ in ("cold", "warm"):
+            code, out, _ = run(capsys, "check-conjectures", "--n", "2", "--max-len",
+                               "4", "--cross", "--max-degree", "2",
+                               "--cache-dir", str(tmp_path))
+            assert code == 0
+            assert out == want
+
     def test_cross_degree_zero_honoured(self, capsys, tmp_path):
         code, out, _ = run(capsys, "check-conjectures", "--n", "2", "--max-len",
                            "4", "--cross", "--max-degree", "0", "--format",
@@ -197,6 +219,21 @@ class TestConjecturesAndCache:
         # recomputed value overwrites
         cache.store(3, "g", "21", 3, {"x": 3})
         assert cache.load(3, "g", "21", 3) == {"x": 3}
+
+    def test_other_version_is_a_miss(self, tmp_path, monkeypatch):
+        import khecke.cache
+        monkeypatch.setattr(khecke.cache, "__version__", "0.0.0")
+        old = ResultCache(tmp_path)
+        old.store(3, "g", "21", 3, {"x": 1})
+        monkeypatch.undo()
+        cache = ResultCache(tmp_path)
+        assert cache.load(3, "g", "21", 3) is None
+        assert f"v{khecke.__version__}-schema" in str(cache.path(3, "g", "21", 3))
+
+    def test_version_matches_pyproject(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text("utf-8"))["project"]
+        assert khecke.__version__ == project["version"]
 
     def test_g_command_cached_identical(self, capsys, tmp_path):
         args = ("g", "--n", "3", "--partition", "221", "--basis", "s",

@@ -1,11 +1,13 @@
 import random
 
+from hypothesis import given, strategies as st
+
 from khecke.cartan import LaurentPoly, RootDatum, demazure, phi0
 from khecke import weyl
 from khecke.hecke import (HeckeElt, TensorElt, coefficient_datum, coproduct,
-                          coproduct_T_simple, demazure_act, group_elt_to_T,
-                          phi0_hecke, structure_constants_c, t_mul, tensor_mul,
-                          y_elt)
+                          coproduct_T_simple, demazure_act, fold_T,
+                          group_elt_to_T, int_mul, phi0_hecke,
+                          structure_constants_c, t_mul, tensor_mul, y_elt)
 
 
 def rand_poly(datum, rng, size=2, box=1):
@@ -20,6 +22,45 @@ def rand_poly(datum, rng, size=2, box=1):
 def rand_hecke(datum, coeffs, els, rng, size=2):
     return HeckeElt(datum, coeffs,
                     {rng.choice(els): rand_poly(coeffs, rng) for _ in range(size)})
+
+
+def int_elements(draw, datum, max_len):
+    """A random integer element {WeylElt: nonzero int} of the 0-Hecke ring."""
+    els = weyl.all_elements(datum, max_len)
+    return draw(st.dictionaries(st.sampled_from(els),
+                                st.integers(-3, 3).filter(bool), max_size=4))
+
+
+class TestFold:
+    """fold_T and int_mul against t_mul over R(T)."""
+
+    def test_square_and_identity(self, af2):
+        e, r0 = weyl.identity(af2), weyl.simple(af2, 0)
+        assert fold_T((), r0) == (1, r0)
+        assert fold_T((0,), e) == (1, r0)
+        assert fold_T((0, 0), e) == (-1, r0)
+        assert fold_T((1, 0, 0, 1), e) == (-1, weyl.from_word(af2, (1, 0, 1)))
+
+    @given(st.integers(2, 4), st.data())
+    def test_int_mul_matches_t_mul(self, n, data):
+        datum = RootDatum.affine_sl(n)
+        a = int_elements(data.draw, datum, 3)
+        b = int_elements(data.draw, datum, 3)
+        want = t_mul(HeckeElt.from_int_terms(datum, datum.finite, a),
+                     HeckeElt.from_int_terms(datum, datum.finite, b))
+        assert int_mul(a, b) == want.int_terms()
+
+    @given(st.integers(2, 4), st.data())
+    def test_fold_matches_generator_products(self, n, data):
+        datum = RootDatum.affine_sl(n)
+        fin = datum.finite
+        word = data.draw(st.lists(st.sampled_from(datum.nodes), max_size=6))
+        v = data.draw(st.sampled_from(weyl.all_elements(datum, 3)))
+        acc = HeckeElt.T(v, fin)
+        for i in reversed(word):
+            acc = t_mul(HeckeElt.T(weyl.simple(datum, i), fin), acc)
+        sign, w = fold_T(word, v)
+        assert acc.int_terms() == {w: sign}
 
 
 class TestProduct:

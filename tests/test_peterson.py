@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from khecke.cartan import LaurentPoly
+from khecke.cartan import LaurentPoly, VerificationError
 from khecke import weyl
 from khecke.grothendieck import GrothendieckEngine
 from khecke.hecke import (HeckeElt, coproduct, phi0_hecke, phi0_tensor,
                           t_mul, TensorElt)
 from khecke.localization import sl2_sigma
-from khecke.peterson import (SupportTruncationError, conjecture_scan,
+from khecke.peterson import (ConjectureReport, SupportTruncationError,
+                             _check_centralizer, conjecture_scan,
                              cross_k_scan, equivariant_k_sl2,
                              expand_in_fs_basis, fomin_stanley_elt,
                              fomin_stanley_via_linear_system, l0_membership,
@@ -149,6 +150,12 @@ class TestStructure:
                     assert structure_d(engine, lam, mu) == \
                         engine.g_multiply(lam, mu), (lam, mu)
 
+    def test_disagreeing_routes_raise(self, e3, monkeypatch):
+        import khecke.peterson as peterson
+        monkeypatch.setattr(peterson, "expand_in_fs_basis", lambda engine, b: {})
+        with pytest.raises(VerificationError, match="routes disagree"):
+            structure_d(e3, (1,), (1,))
+
 
 class TestEquivariantSl2:
     def test_k_empty(self):
@@ -181,6 +188,10 @@ class TestEquivariantSl2:
     def test_cutoff_failure_is_loud(self):
         with pytest.raises(SupportTruncationError):
             equivariant_k_sl2(5, cutoff=5)
+
+    def test_non_central_element_rejected(self, af2):
+        with pytest.raises(VerificationError):
+            _check_centralizer(HeckeElt.T(weyl.simple(af2, 0), af2.finite))
 
     def test_phi0_matches_fs(self, e2):
         for r in range(0, 7):
@@ -240,6 +251,17 @@ class TestScans:
         assert data["passed"] is True
         assert data["n"] == 2
         assert "PASS" in rep.summary()
+
+    def test_report_from_json(self):
+        import json
+        rep = cross_k_scan(2, 3)
+        rep.record("C:g3/C:G4", "somewhere", -1)
+        back = ConjectureReport.from_json(json.loads(rep.to_json()))
+        assert back == rep
+        assert back.summary() == rep.summary()
+        assert rep.summary().splitlines()[0] == \
+            "conjecture scan n=2 max_length=3 cross_n=3: FAIL (1 violations) " \
+            f"[{rep.checked} values checked]"
 
     def test_violation_recording(self):
         from khecke.peterson import ConjectureReport

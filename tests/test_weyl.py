@@ -270,6 +270,23 @@ class TestInterning:
         assert all(w.window == action for action, w in interned.items())
 
 
+class TestQuotientLattice:
+    """RootDatum.sl(n) acts on Z^n mod the all-ones vector."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_cartan_type(self, n):
+        top = n * (n - 1) // 2 + 1
+        counts = lambda d: [len(layer) for layer in weyl.elements_up_to_length(d, top)]
+        assert counts(RootDatum.sl(n)) == counts(RootDatum.of_type(f"A{n - 1}"))
+        r1 = weyl.simple(RootDatum.sl(n), 1)
+        assert weyl.multiply(r1, r1) is weyl.identity(RootDatum.sl(n))
+
+    def test_product_of_simples(self, sl3):
+        w = weyl.multiply(weyl.simple(sl3, 1), weyl.simple(sl3, 2))
+        assert w.word == (1, 2)
+        assert weyl.apply(w, sl3.simple_root(1)) == sl3.simple_root(2)
+
+
 def unmemoised_reflection(datum, alpha):
     """r_alpha = r_i r_beta r_i with beta = r_i(alpha), recursing to a simple root."""
     for i in datum.nodes:
