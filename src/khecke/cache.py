@@ -1,11 +1,11 @@
 """Checksummed JSON result cache keyed by (n, kind, label, degree).
 
 Entries live under the cache directory as one file each, below a directory
-named for the package version and ``SCHEMA`` (``v0.1.0-schema1/``), so a
+named for the package version and ``SCHEMA`` (``v0.1.0-schema2/``), so a
 stored result does not outlive a change of code or format; bump ``SCHEMA``
-when a payload format changes.  A sha256 checksum over the canonical payload
-encoding detects corruption, in which case the entry is discarded (the
-caller recomputes and overwrites).
+when a payload or label format changes.  A sha256 checksum over the
+canonical payload encoding detects corruption, in which case the entry is
+discarded (the caller recomputes and overwrites).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 
 ENV_VAR = "KHECKE_CACHE"
-SCHEMA = 1
+SCHEMA = 2
 
 
 def default_cache_dir() -> Path:

@@ -66,7 +66,7 @@ def partition_label(lam) -> str:
 def _validate_bounds(args):
     if getattr(args, "n", None) is not None and args.n < 2:
         raise DomainError("--n must be >= 2")
-    for attr in ("max_len", "max_degree", "max_d", "cutoff"):
+    for attr in ("max_len", "max_degree", "max_d", "cutoff", "r"):
         bound = getattr(args, attr, None)
         if bound is not None and bound < 0:
             raise DomainError(f"--{attr.replace('_', '-')} must be >= 0")
@@ -127,7 +127,7 @@ def cmd_kappa(args):
 
 def _cached_symfunc(args, kind, lam, degree, compute):
     cache = ResultCache(args.cache_dir)
-    label = "".join(map(str, lam)) or "empty"
+    label = partition_label(lam)
     payload = cache.load(args.n, kind, label, degree)
     if payload is not None:
         return SymFunc.from_json(payload)
@@ -245,7 +245,7 @@ def cmd_tables(args):
 
 
 def _print_table(args, kind, n):
-    golden = goldens.load_golden(kind)[str(n)]
+    golden = goldens.golden_rows(kind, n)
     gen = {"bijection": goldens.generate_bijection,
            "k": goldens.generate_k,
            "g": goldens.generate_g,

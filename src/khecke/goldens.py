@@ -13,7 +13,6 @@ from importlib import resources
 
 from . import weyl
 from .grothendieck import GrothendieckEngine
-from .peterson import fomin_stanley_elt
 
 TABLE_KINDS = ("bijection", "k", "g", "coproduct", "G")
 
@@ -29,6 +28,14 @@ _FILES = {
 def load_golden(kind: str) -> dict:
     path = resources.files("khecke.tables").joinpath(_FILES[kind])
     return json.loads(path.read_text("utf-8"))
+
+
+def golden_rows(kind: str, n: int) -> dict:
+    """The golden ``kind`` table for rank n; ValueError if none is shipped."""
+    golden = load_golden(kind).get(str(n))
+    if golden is None:
+        raise ValueError(f"no golden {kind} table for n={n}")
+    return golden
 
 
 def _parse_partition(label: str) -> tuple:
@@ -57,9 +64,8 @@ def generate_k(n: int, labels) -> dict:
     out = {}
     for label in labels:
         w = weyl.from_word(engine.datum, weyl.parse_word(label))
-        lam = engine.partition_of(w)
-        elt = fomin_stanley_elt(engine, lam)
-        out[label] = {weyl.word_str(x.word): c for x, c in elt.int_terms().items()}
+        out[label] = {weyl.word_str(x.word): c for x, c in
+                      engine.varphi_g(engine.partition_of(w)).items()}
     return out
 
 
@@ -118,11 +124,7 @@ def _canon_word_map(datum, table: dict) -> dict:
 
 def diff_table(kind: str, n: int) -> list[str]:
     """Recompute table ``kind`` for rank n and diff; returns mismatch strings."""
-    golden_all = load_golden(kind)
-    key = str(n)
-    if key not in golden_all:
-        raise ValueError(f"no golden {kind} table for n={n}")
-    golden = golden_all[key]
+    golden = golden_rows(kind, n)
     problems = []
     if kind == "bijection":
         got = generate_bijection(n, golden.keys())

@@ -3,10 +3,12 @@ noncommutative lift into the affine 0-Hecke ring.
 
 Everything is driven by the elements kappa_i (sums of T_w over cyclically
 decreasing w of length i) and their products: the coefficient of m_lam in
-G_v is the coefficient of T_v in kappa_{lam_1} kappa_{lam_2} ....  The dual
+G_v is the coefficient of T_v in kappa_{lam_1} kappa_{lam_2} ...; G_v is
+read by element from the same table, indexed one degree at a time.  The dual
 family g_v in Z[h_1, ..., h_{n-1}] is produced by an exact unitriangular
 solve against that pairing, degree by degree from the top; its top
-homogeneous component is the k-Schur function of v.
+homogeneous component is the k-Schur function of v.  The other unitriangular
+systems (m to F, G_w over the G_v) go through ``symfunc.peel``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from __future__ import annotations
 from .cartan import RootDatum, VerificationError
 from . import weyl
 from .hecke import HeckeElt, int_mul
-from .symfunc import (SymFunc, TensorSym, convert, coproduct_h, make_partition,
-                      multiply, partitions_of, partitions_up_to)
+from .symfunc import (SymFunc, TensorSym, convert, coproduct_h, hall_pair,
+                      make_partition, multiply, partitions_of, partitions_up_to,
+                      peel)
 
 
 class GrothendieckEngine:
@@ -31,6 +34,9 @@ class GrothendieckEngine:
         self.fin = self.datum.finite
         self._kappa: dict[int, HeckeElt] = {}
         self._kprod: dict[tuple, dict] = {(): {weyl.identity(self.datum): 1}}
+        self._by_elt: dict[weyl.WeylElt, dict] = {}
+        self._by_elt_degree = -1
+        self._fs: dict[tuple, dict] = {}
         self._g: dict[tuple, SymFunc] = {}
         self._kschur: dict[tuple, SymFunc] = {}
         self._grass: dict[tuple, weyl.WeylElt] = {}
@@ -81,20 +87,26 @@ class GrothendieckEngine:
                                            self.kappa_product(lam[1:]))
         return self._kprod[lam]
 
-    def g_coeff(self, u: weyl.WeylElt, lam) -> int:
-        """[T_u] kappa_lam = coefficient of m_lam in G_u."""
-        return self.kappa_product(lam).get(u, 0)
+    def _row(self, w: weyl.WeylElt, max_degree: int) -> dict:
+        """{lam: [T_w] kappa_lam} by element, complete through |lam| <= max_degree."""
+        while self._by_elt_degree < max_degree:
+            d = self._by_elt_degree + 1
+            for lam in partitions_of(d, self.n - 1):
+                for x, c in self.kappa_product(lam).items():
+                    self._by_elt.setdefault(x, {})[lam] = c
+            self._by_elt_degree = d  # only after degree d is complete
+        return self._by_elt.get(w, {})
+
+    def g_coeff(self, u: weyl.WeylElt, lam: tuple) -> int:
+        """[T_u] kappa_lam = coefficient of m_lam in G_u ((n-1)-bounded lam)."""
+        return self._row(u, sum(lam)).get(lam, 0)
 
     # -- the G / F side ----------------------------------------------------------------
 
     def G_of(self, v: weyl.WeylElt, max_degree: int) -> SymFunc:
         """G_v in the m basis through total degree max_degree."""
-        terms = {}
-        for lam in self.bounded(max_degree):
-            c = self.g_coeff(v, lam)
-            if c:
-                terms[lam] = c
-        return SymFunc("m", terms, self.n)
+        return SymFunc("m", {lam: c for lam, c in self._row(v, max_degree).items()
+                             if sum(lam) <= max_degree}, self.n)
 
     def F_of(self, v: weyl.WeylElt) -> SymFunc:
         """Affine Stanley function: the degree-l(v) part of G_v, in m."""
@@ -104,39 +116,37 @@ class GrothendieckEngine:
         """Rewrite an m-expansion over the affine Schur functions F_u."""
         if f.basis != "m":
             raise ValueError("m_to_F expects the m basis")
-        residual = dict(f.terms)
-        out = {}
-        for d in sorted({sum(lam) for lam in residual}):
-            for lam in sorted(partitions_of(d, self.n - 1), reverse=True):
-                c = residual.get(lam, 0)
-                if not c:
-                    continue
-                out[lam] = c
-                u = self.grassmannian(lam)
-                for mu, a in self.F_of(u).terms.items():
-                    s = residual.get(mu, 0) - c * a
-                    if s:
-                        residual[mu] = s
-                    else:
-                        residual.pop(mu, None)
+        out, residual = self._peel_grassmannian(
+            f.terms, sorted({sum(lam) for lam in f.terms}), self.F_of)
         if residual:
             raise ValueError("expansion left a residue outside the F span")
         return SymFunc("F", out, self.n)
 
+    def _peel_grassmannian(self, terms: dict, degrees, row) -> tuple[dict, dict]:
+        """``peel`` an m-expansion against row(grassmannian(lam)), visiting the
+        bounded lam of ``degrees`` once each, lex-descending within a degree:
+        each row is m_lam + lex-smaller terms of degree |lam| + higher degrees."""
+        order = iter([lam for d in degrees for lam in partitions_of(d, self.n - 1)])
+        return peel(terms, lambda r: next((lam for lam in order if lam in r), None),
+                    lambda lam: row(self.grassmannian(lam)).terms.items())
+
     # -- pairings ------------------------------------------------------------------------
+
+    def _check_h(self, f: SymFunc, who: str):
+        if f.basis != "h":
+            raise ValueError(f"{who} expects the h basis")
+        if any(lam and lam[0] >= self.n for lam in f.terms):
+            raise ValueError(f"{who} needs parts < n")
 
     def pair_with_G(self, f: SymFunc, u: weyl.WeylElt) -> int:
         """<f, G_u> for f in the h basis: sum f_lam [T_u] kappa_lam."""
-        if f.basis != "h":
-            raise ValueError("pair_with_G expects the h basis")
-        return sum(c * self.g_coeff(u, lam) for lam, c in f.terms.items())
+        self._check_h(f, "pair_with_G")
+        return hall_pair(f, self.G_of(u, f.max_degree()))
 
     def pair_with_F(self, f: SymFunc, u: weyl.WeylElt) -> int:
         """<f, F_u>: only the degree-l(u) part of f contributes."""
-        if f.basis != "h":
-            raise ValueError("pair_with_F expects the h basis")
-        return sum(c * self.g_coeff(u, lam) for lam, c in f.terms.items()
-                   if sum(lam) == u.length)
+        self._check_h(f, "pair_with_F")
+        return hall_pair(f, self.F_of(u))
 
     # -- the g / k-Schur side ---------------------------------------------------------------
 
@@ -155,6 +165,8 @@ class GrothendieckEngine:
         return self._kschur[lam]
 
     def _dual_solve(self, lam: tuple, top_only: bool) -> SymFunc:
+        if lam and lam[0] >= self.n:
+            raise ValueError(f"partition must be {self.n - 1}-bounded")
         ell = sum(lam)
         coeffs: dict[tuple, int] = {}
         degrees = [ell] if top_only else range(ell, -1, -1)
@@ -168,35 +180,24 @@ class GrothendieckEngine:
                 if rhs:
                     coeffs[mu] = rhs
         out = SymFunc("h", coeffs, self.n)
-        self._verify_duality(out, lam, ell, top_only)
+        pairings = self.expand_in_kschur(out) if top_only else self.expand_in_g(out)
+        if pairings != {lam: 1}:
+            raise VerificationError(f"duality failed for {lam}: pairings {pairings}")
         return out
-
-    def _verify_duality(self, f: SymFunc, lam, ell, top_only):
-        for mu in self.bounded(ell):
-            u = self.grassmannian(mu)
-            want = 1 if mu == lam else 0
-            got = self.pair_with_F(f, u) if top_only else self.pair_with_G(f, u)
-            if top_only and sum(mu) != ell:
-                continue
-            if got != want:
-                raise VerificationError(
-                    f"duality failed for {lam}: <., {mu}> = {got}, want {want}")
 
     # -- expansions in the dual families -------------------------------------------------------
 
     def expand_in_g(self, f: SymFunc) -> dict:
         """{mu: <f, G_mu>} -- the g-basis coordinates of f in Lambda_(n)."""
-        out = {}
-        for mu in self.bounded(f.max_degree()):
-            c = self.pair_with_G(f, self.grassmannian(mu))
-            if c:
-                out[mu] = c
-        return out
+        return self._expand(f, self.pair_with_G)
 
     def expand_in_kschur(self, f: SymFunc) -> dict:
+        return self._expand(f, self.pair_with_F)
+
+    def _expand(self, f: SymFunc, pair) -> dict:
         out = {}
         for mu in self.bounded(f.max_degree()):
-            c = self.pair_with_F(f, self.grassmannian(mu))
+            c = pair(f, self.grassmannian(mu))
             if c:
                 out[mu] = c
         return out
@@ -251,12 +252,9 @@ class GrothendieckEngine:
 
     def varphi(self, f: SymFunc) -> HeckeElt:
         """h_i -> kappa_i, the Hopf lift Lambda_(n) -> the 0-Hecke ring."""
-        if f.basis != "h":
-            raise ValueError("varphi expects the h basis")
+        self._check_h(f, "varphi")
         total: dict[weyl.WeylElt, int] = {}
         for lam, c in f.terms.items():
-            if lam and lam[0] >= self.n:
-                raise ValueError("varphi needs parts < n")
             for w, a in self.kappa_product(lam).items():
                 s = total.get(w, 0) + c * a
                 if s:
@@ -264,6 +262,14 @@ class GrothendieckEngine:
                 else:
                     del total[w]
         return HeckeElt.from_int_terms(self.datum, self.fin, total)
+
+    def varphi_g(self, lam) -> dict:
+        """{w: int} terms of varphi(g_lam) = phi_0(k_w), w of partition lam,
+        memoised per partition: callers must not mutate the returned dict."""
+        lam = make_partition(lam)
+        if lam not in self._fs:
+            self._fs[lam] = self.varphi(self.g_of(lam)).int_terms()
+        return self._fs[lam]
 
     # -- G-basis expansions ----------------------------------------------------------------------------
 
@@ -274,22 +280,11 @@ class GrothendieckEngine:
         is not visible (degree bookkeeping: coefficients at the top length
         signal possible continuation).
         """
-        residual = dict(self.G_of(w, max_length).terms)
-        out = {}
-        for d in range(w.length, max_length + 1):
-            for lam in sorted(partitions_of(d, self.n - 1), reverse=True):
-                c = residual.get(lam, 0)
-                if not c:
-                    continue
-                out[lam] = c
-                for mu, a in self.G_of(self.grassmannian(lam), max_length).terms.items():
-                    s = residual.get(mu, 0) - c * a
-                    if s:
-                        residual[mu] = s
-                    else:
-                        residual.pop(mu, None)
-            if any(sum(mu) == d for mu in residual):
-                raise VerificationError("G-basis peel left a degree residue")
+        out, residual = self._peel_grassmannian(
+            self.G_of(w, max_length).terms, range(w.length, max_length + 1),
+            lambda v: self.G_of(v, max_length))
+        if residual:
+            raise VerificationError("G-basis peel left a degree residue")
         return out
 
     def cauchy_check(self, max_degree: int) -> bool:

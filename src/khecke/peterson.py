@@ -17,7 +17,7 @@ from .grothendieck import GrothendieckEngine
 from .hecke import HeckeElt, int_mul, phi0_hecke, t_mul
 from .localization import (PsiEngine, grassmannian_expansion, sl2_sigma,
                            wrongway)
-from .symfunc import make_partition
+from .symfunc import make_partition, peel
 
 
 # -- phi_0(k_w) --------------------------------------------------------------------
@@ -25,7 +25,7 @@ from .symfunc import make_partition
 
 def fomin_stanley_elt(engine: GrothendieckEngine, lam) -> HeckeElt:
     """phi_0(k_w) for the Grassmannian w of partition lam: the Hopf lift of g_lam."""
-    return engine.varphi(engine.g_of(lam))
+    return HeckeElt.from_int_terms(engine.datum, engine.fin, engine.varphi_g(lam))
 
 
 def l0_membership(b: HeckeElt, n: int) -> bool:
@@ -46,26 +46,16 @@ def expand_in_fs_basis(engine: GrothendieckEngine, b: HeckeElt) -> dict:
     """Coordinates of b in the phi_0(k_w) basis, by Grassmannian peeling."""
     if not b.is_integer():
         raise ValueError("expansion needs integer coefficients")
-    residual = dict(b.int_terms())
-    out = {}
-    while True:
-        grass = [w for w in residual if weyl.is_grassmannian(w)]
-        if not grass:
-            break
-        w = min(grass, key=lambda w: (w.length, w.word))
-        c = residual[w]
-        lam = engine.partition_of(w)
-        out[lam] = c
-        for x, a in fomin_stanley_elt(engine, lam).int_terms().items():
-            s = residual.get(x, 0) - c * a
-            if s:
-                residual[x] = s
-            else:
-                residual.pop(x, None)
+    # phi_0(k_w) = T_w + non-Grassmannian terms
+    coeffs, residual = peel(
+        b.int_terms(),
+        lambda r: min((w for w in r if weyl.is_grassmannian(w)),
+                      key=lambda w: (w.length, w.word), default=None),
+        lambda w: engine.varphi_g(engine.partition_of(w)).items())
     if residual:
         raise ValueError("element is not in the Fomin-Stanley subalgebra "
                          f"(residue on {sorted(w.word for w in residual)})")
-    return out
+    return {engine.partition_of(w): c for w, c in coeffs.items()}
 
 
 def fomin_stanley_via_linear_system(engine: GrothendieckEngine, lam) -> HeckeElt:
@@ -133,8 +123,8 @@ def structure_d(engine: GrothendieckEngine, lam, mu) -> dict:
     """phi_0(d^w_{u v}) for u, v Grassmannian, by two routes that must agree:
     the product expansion and the k^x_u formula over T_x T_v = +-T_w."""
     lam, mu = make_partition(lam), make_partition(mu)
-    k_u = fomin_stanley_elt(engine, lam).int_terms()
-    product = int_mul(k_u, fomin_stanley_elt(engine, mu).int_terms())
+    k_u = engine.varphi_g(lam)
+    product = int_mul(k_u, engine.varphi_g(mu))
     via_product = expand_in_fs_basis(
         engine, HeckeElt.from_int_terms(engine.datum, engine.fin, product))
     # d^w_{uv} = sum_x k^x_u [T_w] T_x T_v over Grassmannian w
@@ -257,7 +247,7 @@ def conjecture_scan(n: int, max_len: int, include_products: bool = True) -> Conj
     for lam in labels:
         ell = sum(lam)
         # coefficients of phi_0(k_w) alternate: (-1)^{l(x)-l(u)} phi_0(k^x_u) >= 0
-        for x, c in fomin_stanley_elt(engine, lam).int_terms().items():
+        for x, c in engine.varphi_g(lam).items():
             report.checked += 1
             if not _alternating(x.length - ell, c):
                 report.record("CJ:sign-k", f"lam={lam}, x={weyl.word_str(x.word)}", c)

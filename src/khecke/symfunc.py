@@ -242,6 +242,25 @@ def _expand_rows(f: SymFunc, row, target) -> SymFunc:
     return out
 
 
+def peel(terms: Mapping, pivot, row) -> tuple[dict, dict]:
+    """Solve terms = sum c_key * row(key) by unitriangular peeling: while
+    ``pivot(residual)`` names a key, record its residual coefficient c and
+    subtract c * row(key), whose (key', a) pairs hold key with a = 1.
+    Returns the coefficients and the leftover residual."""
+    residual = {key: c for key, c in terms.items() if c}
+    out = {}
+    while (key := pivot(residual)) is not None:
+        c = residual[key]
+        out[key] = c
+        for mu, a in row(key):
+            s = residual.get(mu, 0) - c * a
+            if s:
+                residual[mu] = s
+            else:
+                residual.pop(mu, None)
+    return out, residual
+
+
 def _invert_to(f: SymFunc, row, target, pivot_max: bool) -> SymFunc:
     """Solve f = sum c_lam * row(lam) by unitriangular peeling.
 
@@ -249,19 +268,10 @@ def _invert_to(f: SymFunc, row, target, pivot_max: bool) -> SymFunc:
     maximal residual term), False when row(lam) = lam + dominance-larger
     terms (pick the minimal one).  Lex order refines dominance both ways.
     """
-    residual = dict(f.terms)
-    out = {}
     chooser = max if pivot_max else min
-    while residual:
-        lam = chooser(residual, key=lambda t: (sum(t), t))
-        c = residual[lam]
-        out[lam] = c
-        for mu, a in row(lam):
-            s = residual.get(mu, 0) - c * a
-            if s:
-                residual[mu] = s
-            else:
-                residual.pop(mu, None)
+    out, _ = peel(f.terms,
+                  lambda r: chooser(r, key=lambda t: (sum(t), t)) if r else None,
+                  row)
     return SymFunc(target, out, f.n)
 
 

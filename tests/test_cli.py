@@ -1,10 +1,14 @@
+import argparse
 import json
 import tomllib
 from pathlib import Path
 
+import pytest
+
 import khecke
 from khecke.cache import ResultCache
-from khecke.cli import main
+from khecke.cli import _cached_symfunc, main
+from khecke.symfunc import SymFunc
 
 
 def run(capsys, *argv):
@@ -122,6 +126,29 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and "raise the cutoff" in err
+
+
+    @pytest.mark.parametrize("argv", [
+        ("psi", "--type", "A2", "--v", "1", "--w", "1x2"),
+        ("expand-group", "--type", "A2", "--word", "9"),
+        ("kappa", "--n", "3", "--i", "3"),
+        ("g", "--n", "3", "--partition", "2,3"),
+        ("G", "--n", "3", "--partition", "2", "--max-degree", "1"),
+        ("kschur", "--n", "3", "--partition", "3"),
+        ("pieri", "--n", "3", "--i", "0", "--partition", "1"),
+        ("coproduct", "--n", "3", "--partition", "3"),
+        ("structure", "--n", "3", "--u", "3", "--v", "1"),
+        ("k-sl2", "--r", "-1"),
+        ("tables", "--which", "k", "--n", "7"),
+        ("check-conjectures", "--n", "1"),
+        ("gkm-check", "--mode", "big", "--type", "Q5"),
+    ], ids=lambda argv: argv[0])
+    def test_bad_input_one_line_no_traceback(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 class TestTables:
@@ -243,6 +270,16 @@ class TestConjecturesAndCache:
         assert code1 == code2 == 0
         assert out1 == out2
         assert any(tmp_path.rglob("*.json"))
+
+    def test_symfunc_labels_do_not_collide(self, tmp_path):
+        # (11, 1) and (1, 1, 1) both read "111" as digit strings
+        args = argparse.Namespace(cache_dir=str(tmp_path), n=12)
+        stored = {lam: SymFunc("m", {lam: i + 1}, 12)
+                  for i, lam in enumerate([(1, 1, 1), (11, 1)])}
+        for lam, f in stored.items():
+            assert _cached_symfunc(args, "G", lam, 12, lambda f=f: f) == f
+        for lam, f in stored.items():
+            assert _cached_symfunc(args, "G", lam, 12, lambda: None) == f
 
     def test_env_var_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KHECKE_CACHE", str(tmp_path / "envcache"))

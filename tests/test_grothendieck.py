@@ -112,6 +112,11 @@ class TestgAndKSchur:
         for r in (1, 2):
             assert e3.kschur_of((r,)) == SymFunc("h", {(r,): 1}, 3)
 
+    def test_unbounded_partition_rejected(self, e3):
+        for solve in (e3.g_of, e3.kschur_of):
+            with pytest.raises(ValueError, match="partition must be 2-bounded"):
+                solve((3,))
+
     def test_kschur_n2_column(self, e2):
         assert e2.kschur_of((1, 1)) == SymFunc("h", {(1, 1): 1}, 2)
 
@@ -193,6 +198,26 @@ class TestVarphi:
             for mu in e3.bounded(6):
                 lifted = e3.varphi(e3.g_of(mu))
                 assert lifted.int_terms().get(w, 0) == expansion.get(mu, 0), (w, mu)
+
+
+class TestByElementIndex:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_G_of_matches_partition_scan(self, n):
+        # a fresh engine whose element index grows in an unsorted degree order
+        engine = GrothendieckEngine(n)
+        elements = weyl.all_elements(engine.datum, 5)
+        for d in (3, 1, 5, 0, 4, 2):
+            for w in elements:
+                want = {lam: engine.kappa_product(lam).get(w, 0)
+                        for lam in engine.bounded(d)}
+                assert engine.G_of(w, d).terms == \
+                    {lam: c for lam, c in want.items() if c}, (w.word, d)
+
+    def test_pairings_reject_unbounded_parts(self, e3):
+        u = e3.grassmannian((1,))
+        for pair in (e3.pair_with_G, e3.pair_with_F):
+            with pytest.raises(ValueError):
+                pair(SymFunc("h", {(3,): 1}, 3), u)
 
 
 class TestGInGBasis:

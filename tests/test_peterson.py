@@ -72,6 +72,23 @@ class TestFominStanley:
             assert t_mul(a, b) == t_mul(b, a)
 
 
+class TestFominStanleyMemo:
+    def test_memo_matches_unmemoised_varphi(self, e3, e4):
+        for engine, cap in ((e3, 5), (e4, 4)):
+            for lam in engine.bounded(cap):
+                assert engine.varphi_g(lam) == \
+                    engine.varphi(engine.g_of(lam)).int_terms(), lam
+
+    def test_callers_leave_memo_unchanged(self, e3):
+        labels = e3.bounded(3)
+        before = {lam: dict(e3.varphi_g(lam)) for lam in labels}
+        for lam in labels:
+            for mu in labels:
+                structure_d(e3, lam, mu)
+            expand_in_fs_basis(e3, fomin_stanley_elt(e3, lam))
+        assert {lam: e3.varphi_g(lam) for lam in labels} == before
+
+
 class TestL0Membership:
     def test_one(self, e2):
         assert l0_membership(HeckeElt.one(e2.datum, e2.fin), 2)
@@ -239,6 +256,11 @@ class TestScans:
             rep = conjecture_scan(n, cap)
             assert rep.passed, rep.summary()
             assert rep.checked > 0
+
+    def test_n5_scan_passes(self):
+        rep = conjecture_scan(5, 7)
+        assert rep.passed, rep.summary()
+        assert rep.checked == 5181
 
     def test_cross_scan_passes(self):
         rep = cross_k_scan(2, 5)

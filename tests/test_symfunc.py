@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from khecke.symfunc import (SymFunc, TensorSym, conjugate, convert,
                             coproduct_h, dominates, hall_pair, kostka,
-                            make_partition, multiply, partitions_of, truncate)
+                            make_partition, multiply, partitions_of, peel,
+                            truncate)
 
 
 def rand_symfunc(basis, rng, degree):
@@ -81,6 +82,27 @@ class TestConvert:
             SymFunc.gen("h", (1,)) + SymFunc.gen("m", (1,))
         with pytest.raises(ValueError):
             hall_pair(SymFunc.gen("m", (1,)), SymFunc.gen("m", (1,)))
+
+
+class TestPeel:
+    @given(st.integers(1, 6), st.data())
+    def test_rebuilds_unitriangular_systems(self, k, data):
+        # row(i) = e_i + later keys; key k is never a pivot, so it is leftover
+        rows = {i: {i: 1, **{j: data.draw(st.integers(-3, 3))
+                             for j in range(i + 1, k + 1)}}
+                for i in range(k)}
+        terms = data.draw(st.dictionaries(st.integers(0, k), st.integers(-5, 5)))
+        coeffs, left = peel(terms,
+                            lambda r: min((i for i in r if i < k), default=None),
+                            lambda i: rows[i].items())
+        rebuilt = dict(left)
+        for i, c in coeffs.items():
+            for j, a in rows[i].items():
+                rebuilt[j] = rebuilt.get(j, 0) + c * a
+        assert {j: c for j, c in rebuilt.items() if c} == \
+            {j: c for j, c in terms.items() if c}
+        assert set(left) <= {k}
+        assert all(coeffs.values())
 
 
 class TestHallPairing:
