@@ -219,19 +219,20 @@ class GrothendieckEngine:
             left_rows.setdefault(a, {})[b] = c
         deg = sum(make_partition(lam))
         labels = self.bounded(deg)
-        grass = {mu: self.grassmannian(mu) for mu in labels}
+        # G_mu's coefficients through degree deg: {b: [T_mu] kappa_b}
+        G = {mu: self._row(self.grassmannian(mu), deg) for mu in labels}
         out = {}
         for a, row in left_rows.items():
             # E[nu] = <row, G_nu> over the right slot
             right = {}
             for nu in labels:
-                val = sum(c * self.g_coeff(grass[nu], b) for b, c in row.items())
+                val = sum(c * G[nu].get(b, 0) for b, c in row.items())
                 if val:
                     right[nu] = val
             if not right:
                 continue
             for mu in labels:
-                ca = self.g_coeff(grass[mu], a)
+                ca = G[mu].get(a, 0)
                 if not ca:
                     continue
                 for nu, val in right.items():

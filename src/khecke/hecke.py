@@ -8,9 +8,10 @@ on the left.  Products fold one generator at a time through the two rules
 
 The first rule lives only in ``fold_T``; every product of pure T's (the
 right tensor slot, the Pieri rule, structure constants, Graham-Willems
-subwords) goes through it.  ``int_mul`` is the product of integer elements
-{WeylElt: int}, with no LaurentPoly wrapping; ``t_mul`` over R(T) is its
-test oracle.
+subwords) goes through it, walking the edges r_i w that each Weyl element
+caches (``weyl.left_simple``), so a letter costs one lookup once its edge
+is known.  ``int_mul`` is the product of integer elements {WeylElt: int},
+with no LaurentPoly wrapping; ``t_mul`` over R(T) is its test oracle.
 
 In affine flavor the coefficient ring defaults to the level-zero R(T)
 (finite weight lattice); pass the affine lattice itself for the big-torus
@@ -159,10 +160,9 @@ class HeckeElt:
 def fold_T(word, v: WeylElt) -> tuple[int, WeylElt]:
     """T_{i_1} ... T_{i_k} T_v = sign * T_w for ``word`` = (i_1, ..., i_k),
     which need not be reduced."""
-    datum = v.datum
     sign, w = 1, v
     for i in reversed(word):
-        riw = weyl.multiply(weyl.simple(datum, i), w)
+        riw = weyl.left_simple(i, w)
         if riw.length > w.length:
             w = riw
         else:

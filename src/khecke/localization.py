@@ -93,8 +93,8 @@ class PsiEngine:
             val = self._one() if v.is_identity() else self._zero()
         else:
             i = w.word[0]
-            riw = weyl.multiply(weyl.simple(self.datum, i), w)
-            riv = weyl.multiply(weyl.simple(self.datum, i), v)
+            riw = weyl.left_simple(i, w)
+            riv = weyl.left_simple(i, v)
             if riv.length > v.length:
                 val = self.act(i, self.psi_left(v, riw))
             else:

@@ -157,6 +157,8 @@ def equivariant_k_sl2(lam_or_r, cutoff: int = 8) -> HeckeElt:
         r = len(lam_or_r)
     else:
         r = int(lam_or_r)
+    if r < 0:
+        raise ValueError(f"sigma_r needs r >= 0, got {r}")
     datum = RootDatum.affine_sl(2)
     engine = PsiEngine(datum, "level-zero")
     if cutoff < r + 2:

@@ -236,10 +236,11 @@ def _h_to_s_row(mu: Partition) -> tuple:
 
 
 def _expand_rows(f: SymFunc, row, target) -> SymFunc:
-    out = SymFunc.zero(target, f.n)
+    out = {}
     for lam, c in f.terms.items():
-        out = out + SymFunc(target, dict(row(lam)), f.n).scaled(c)
-    return out
+        for mu, a in row(lam):
+            out[mu] = out.get(mu, 0) + c * a
+    return SymFunc(target, out, f.n)
 
 
 def peel(terms: Mapping, pivot, row) -> tuple[dict, dict]:
@@ -393,7 +394,7 @@ def coproduct_h(f: SymFunc) -> TensorSym:
     extended multiplicatively."""
     if f.basis != "h":
         raise ValueError("coproduct_h expects the h basis")
-    total = TensorSym(("h", "h"), {}, f.n)
+    total = {}
     for lam, c in f.terms.items():
         acc = {((), ()): c}
         for r in lam:
@@ -404,5 +405,6 @@ def coproduct_h(f: SymFunc) -> TensorSym:
                            make_partition(right + ((r - j,) if r - j else ())))
                     nxt[key] = nxt.get(key, 0) + a
             acc = nxt
-        total = total + TensorSym(("h", "h"), acc, f.n)
-    return total
+        for key, a in acc.items():
+            total[key] = total.get(key, 0) + a
+    return TensorSym(("h", "h"), total, f.n)

@@ -9,6 +9,10 @@ data the element's action matrix on the lattice is kept alongside.
 Each datum interns its elements by their action (the window, else the
 matrix): a product or inverse is computed in that representation and looked
 up, so an element's canonical word is derived only the first time it is met.
+Each element also remembers its left edges r_i w (``left_simple``), so the
+0-Hecke fold, the Bruhat recursion and ``psi_left`` multiply once per
+(w, i).  Elements stay immutable values: the memo is derived from the
+element alone, and interning makes each edge one object.
 
 Words in tables and CLI output are read left to right: "210" is r2*r1*r0.
 """
@@ -153,7 +157,8 @@ def _win_canonical_word(win):
 class WeylElt:
     """Immutable Weyl group element (canonical word + faithful key)."""
 
-    __slots__ = ("datum", "word", "window", "_matrix", "_inv_matrix", "_key", "_hash")
+    __slots__ = ("datum", "word", "window", "_matrix", "_inv_matrix", "_key", "_hash",
+                 "_left")
 
     def __init__(self, datum, word, window=None, matrix=None, inv_matrix=None):
         self.datum = datum
@@ -163,6 +168,7 @@ class WeylElt:
         self._inv_matrix = inv_matrix
         self._key = None
         self._hash = hash((id(datum), self.word))
+        self._left = None  # node i -> r_i w, filled by left_simple
 
     # -- identity / generators ------------------------------------------------
 
@@ -351,6 +357,20 @@ def multiply(u: WeylElt, v: WeylElt) -> WeylElt:
                         lambda: _mat_mul(v.inv_matrix, u.inv_matrix))
 
 
+def left_simple(i, w: WeylElt) -> WeylElt:
+    """r_i w, multiplied once per (w, i) and remembered on w.
+
+    Interning makes the edge a pure function of (w, i); two threads racing
+    on a miss store the same element."""
+    edges = w._left
+    if edges is None:
+        edges = w._left = {}
+    riw = edges.get(i)
+    if riw is None:
+        riw = edges[i] = multiply(simple(w.datum, i), w)
+    return riw
+
+
 def inverse(w: WeylElt) -> WeylElt:
     if w.window is not None:
         return _from_window(w.datum, _win_inverse(w.window))
@@ -393,8 +413,8 @@ def _bruhat_leq_cached(v: WeylElt, w: WeylElt) -> bool:
     if v.length == w.length:
         return v == w
     i = w.word[0]  # smallest-left-descent generator of the canonical word
-    rw = multiply(simple(w.datum, i), w)
-    rv = multiply(simple(w.datum, i), v)
+    rw = left_simple(i, w)
+    rv = left_simple(i, v)
     if rv.length < v.length:
         return _bruhat_leq_cached(rv, rw)
     return _bruhat_leq_cached(v, rw)

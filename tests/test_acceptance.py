@@ -25,11 +25,11 @@ class _Timer:
         self.limit = limit
 
     def __enter__(self):
-        self.start = time.time()
+        self.start = time.perf_counter()
         return self
 
     def __exit__(self, *exc):
-        self.elapsed = time.time() - self.start
+        self.elapsed = time.perf_counter() - self.start
         return False
 
 

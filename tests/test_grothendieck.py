@@ -6,7 +6,8 @@ import pytest
 from khecke import weyl
 from khecke.grothendieck import GrothendieckEngine
 from khecke.hecke import t_mul
-from khecke.symfunc import SymFunc, hall_pair, multiply, partitions_up_to
+from khecke.symfunc import (SymFunc, coproduct_h, hall_pair, multiply,
+                            partitions_up_to)
 
 
 class TestKappa:
@@ -172,6 +173,29 @@ class TestCoproductAndProduct:
         for mu, c in e2.g_multiply((1,), (1, 1)).items():
             back = back + e2.g_of(mu).scaled(c)
         assert back == prod
+
+
+def g_coproduct_by_g_coeff(engine, lam):
+    """Oracle for g_coproduct: sum c [T_mu] kappa_a [T_nu] kappa_b over the
+    terms c h_a (x) h_b of Delta(g_lam), one g_coeff per factor."""
+    out = {}
+    labels = engine.bounded(sum(lam))
+    for (a, b), c in coproduct_h(engine.g_of(lam)).terms.items():
+        for mu in labels:
+            ca = engine.g_coeff(engine.grassmannian(mu), a)
+            for nu in labels:
+                cb = engine.g_coeff(engine.grassmannian(nu), b)
+                out[(mu, nu)] = out.get((mu, nu), 0) + c * ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+class TestGCoproductOracle:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_g_coeff_sum(self, n):
+        engine = GrothendieckEngine.get(n)
+        for lam in engine.bounded(4):
+            assert engine.g_coproduct(lam).terms == \
+                g_coproduct_by_g_coeff(engine, lam), lam
 
 
 class TestVarphi:

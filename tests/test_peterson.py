@@ -202,6 +202,10 @@ class TestEquivariantSl2:
         with pytest.raises(ValueError):
             equivariant_k_sl2((2,))
 
+    def test_negative_r_rejected(self):
+        with pytest.raises(ValueError, match="r >= 0"):
+            equivariant_k_sl2(-1)
+
     def test_cutoff_failure_is_loud(self):
         with pytest.raises(SupportTruncationError):
             equivariant_k_sl2(5, cutoff=5)
@@ -261,6 +265,11 @@ class TestScans:
         rep = conjecture_scan(5, 7)
         assert rep.passed, rep.summary()
         assert rep.checked == 5181
+
+    def test_n5_len8_scan_passes(self):
+        rep = conjecture_scan(5, 8)
+        assert rep.passed, rep.summary()
+        assert rep.checked == 9719
 
     def test_cross_scan_passes(self):
         rep = cross_k_scan(2, 5)

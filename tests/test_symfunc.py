@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from khecke import symfunc
 from khecke.symfunc import (SymFunc, TensorSym, conjugate, convert,
                             coproduct_h, dominates, hall_pair, kostka,
-                            make_partition, multiply, partitions_of, peel,
-                            truncate)
+                            make_partition, multiply, partitions_of,
+                            partitions_up_to, peel, truncate)
 
 
 def rand_symfunc(basis, rng, degree):
@@ -82,6 +83,34 @@ class TestConvert:
             SymFunc.gen("h", (1,)) + SymFunc.gen("m", (1,))
         with pytest.raises(ValueError):
             hall_pair(SymFunc.gen("m", (1,)), SymFunc.gen("m", (1,)))
+
+
+def h_expansions(max_degree=5):
+    """Random integer combinations, cancellations included, of low degree."""
+    return st.dictionaries(st.sampled_from(partitions_up_to(max_degree)),
+                           st.integers(-3, 3), max_size=6)
+
+
+def expand_per_term(f, row, target):
+    """Oracle for the row expansions of ``convert``: one SymFunc per term."""
+    out = SymFunc.zero(target, f.n)
+    for lam, c in f.terms.items():
+        out = out + SymFunc(target, dict(row(lam)), f.n).scaled(c)
+    return out
+
+
+class TestExpandRows:
+    @given(st.sampled_from([("h", "m", symfunc._h_to_m_row),
+                            ("s", "m", symfunc._s_to_m_row),
+                            ("h", "s", symfunc._h_to_s_row)]),
+           h_expansions(), st.sampled_from([None, 3]))
+    def test_matches_per_term_sum(self, route, terms, n):
+        source, target, row = route
+        f = SymFunc(source, terms, n)
+        got = convert(f, target)
+        want = expand_per_term(f, row, target)
+        assert got == want
+        assert (got.basis, got.n) == (want.basis, want.n)
 
 
 class TestPeel:
@@ -174,6 +203,32 @@ class TestCoproduct:
             left = SymFunc("h", {mu: c for (lam, mu), c in D.terms.items()
                                  if lam == ()})
             assert left == f
+
+
+def coproduct_h_per_term(f):
+    """Oracle for coproduct_h: one TensorSym per h-term, summed."""
+    total = TensorSym(("h", "h"), {}, f.n)
+    for lam, c in f.terms.items():
+        acc = {((), ()): c}
+        for r in lam:
+            nxt = {}
+            for (left, right), a in acc.items():
+                for j in range(r + 1):
+                    key = (make_partition(left + (j,)), make_partition(right + (r - j,)))
+                    nxt[key] = nxt.get(key, 0) + a
+            acc = nxt
+        total = total + TensorSym(("h", "h"), acc, f.n)
+    return total
+
+
+class TestCoproductOracle:
+    @given(h_expansions(), st.sampled_from([None, 4]))
+    def test_matches_per_term_sum(self, terms, n):
+        f = SymFunc("h", terms, n)
+        got, want = coproduct_h(f), coproduct_h_per_term(f)
+        assert got == want
+        assert got.n == want.n
+        assert all(got.terms.values())
 
 
 class TestCauchy:

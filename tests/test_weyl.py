@@ -270,6 +270,43 @@ class TestInterning:
         assert all(w.window == action for action, w in interned.items())
 
 
+class TestLeftEdges:
+    """left_simple(i, w) against the product it remembers."""
+
+    @staticmethod
+    def check(w, i):
+        riw = weyl.left_simple(i, w)
+        assert riw is weyl.multiply(weyl.simple(w.datum, i), w)
+        assert weyl.left_simple(i, w) is riw
+        assert weyl.left_simple(i, riw) is w
+        assert (riw.length > w.length) == (not weyl.has_left_descent(w, i))
+
+    @given(st.integers(2, 5), st.data())
+    def test_window_path(self, n, data):
+        datum = RootDatum.affine_sl(n)
+        w = weyl.from_word(datum, random_word(data.draw, datum, 8))
+        self.check(w, data.draw(st.sampled_from(datum.nodes)))
+
+    @given(st.sampled_from(GENERIC_DATA), st.data())
+    def test_matrix_path(self, datum, data):
+        w = weyl.from_word(datum, random_word(data.draw, datum, 6))
+        self.check(w, data.draw(st.sampled_from(datum.nodes)))
+
+    @pytest.mark.parametrize("datum", [RootDatum.affine_sl(n) for n in (2, 3, 4, 5)]
+                             + GENERIC_DATA, ids=lambda d: d.name)
+    def test_identity(self, datum):
+        e = weyl.identity(datum)
+        for i in datum.nodes:
+            self.check(e, i)
+            assert weyl.left_simple(i, e) is weyl.simple(datum, i)
+
+    def test_rejects_non_nodes(self, af2):
+        w = weyl.simple(af2, 0)
+        with pytest.raises(ValueError):
+            weyl.left_simple(7, w)
+        assert 7 not in (w._left or {})
+
+
 class TestQuotientLattice:
     """RootDatum.sl(n) acts on Z^n mod the all-ones vector."""
 
