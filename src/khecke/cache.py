@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 from pathlib import Path
 
 from . import __version__
@@ -27,6 +26,16 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path(os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache")) / "khecke"
+
+
+def _warn(message: str):
+    """WARNING on the "khecke" logger.  ``logging`` is imported on the first
+    warning, not with the package: it adds about 10 ms to every CLI start."""
+    import logging
+    log = logging.getLogger("khecke")
+    if not log.handlers:  # print to stderr even when the root logger has handlers
+        log.addHandler(logging.lastResort)
+    log.warning(message)
 
 
 def _encode(payload) -> str:
@@ -57,7 +66,7 @@ class ResultCache:
         return path
 
     def load(self, n: int, kind: str, label: str, degree: int):
-        """Payload, or None when missing/corrupt (corrupt entries warn)."""
+        """Payload, or None when missing/corrupt (corrupt entries log a warning)."""
         path = self.path(n, kind, label, degree)
         if not path.exists():
             return None
@@ -68,10 +77,8 @@ class ResultCache:
                 raise ValueError("checksum mismatch")
             return record["payload"]
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"warning: corrupt cache entry {path} ({exc}); recomputing",
-                  file=sys.stderr)
+            _warn(f"corrupt cache entry {path} ({exc}); recomputing")
             return None
         except OSError as exc:
-            print(f"warning: cannot read cache entry {path}: {exc}",
-                  file=sys.stderr)
+            _warn(f"cannot read cache entry {path}: {exc}")
             return None

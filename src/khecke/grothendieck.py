@@ -105,8 +105,9 @@ class GrothendieckEngine:
 
     def G_of(self, v: weyl.WeylElt, max_degree: int) -> SymFunc:
         """G_v in the m basis through total degree max_degree."""
-        return SymFunc("m", {lam: c for lam, c in self._row(v, max_degree).items()
-                             if sum(lam) <= max_degree}, self.n)
+        row = self._row(v, max_degree)
+        return SymFunc._trusted(
+            "m", {lam: c for lam, c in row.items() if sum(lam) <= max_degree}, self.n)
 
     def F_of(self, v: weyl.WeylElt) -> SymFunc:
         """Affine Stanley function: the degree-l(v) part of G_v, in m."""
@@ -218,31 +219,22 @@ class GrothendieckEngine:
         for (a, b), c in delta.terms.items():
             left_rows.setdefault(a, {})[b] = c
         deg = sum(make_partition(lam))
-        labels = self.bounded(deg)
-        # G_mu's coefficients through degree deg: {b: [T_mu] kappa_b}
-        G = {mu: self._row(self.grassmannian(mu), deg) for mu in labels}
+        # the Grassmannian rows transposed: {b: {mu: [T_mu] kappa_b}}
+        by_b: dict[tuple, dict] = {}
+        for mu in self.bounded(deg):
+            for b, c in self._row(self.grassmannian(mu), deg).items():
+                by_b.setdefault(b, {})[mu] = c
         out = {}
         for a, row in left_rows.items():
             # E[nu] = <row, G_nu> over the right slot
             right = {}
-            for nu in labels:
-                val = sum(c * G[nu].get(b, 0) for b, c in row.items())
-                if val:
-                    right[nu] = val
-            if not right:
-                continue
-            for mu in labels:
-                ca = G[mu].get(a, 0)
-                if not ca:
-                    continue
+            for b, c in row.items():
+                for nu, cb in by_b.get(b, {}).items():
+                    right[nu] = right.get(nu, 0) + c * cb
+            for mu, ca in by_b.get(a, {}).items():
                 for nu, val in right.items():
-                    key = (mu, nu)
-                    s = out.get(key, 0) + ca * val
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-        return TensorSym(("g", "g"), out, self.n)
+                    out[mu, nu] = out.get((mu, nu), 0) + ca * val
+        return TensorSym._trusted(("g", "g"), {k: c for k, c in out.items() if c}, self.n)
 
     def g_multiply(self, lam, mu) -> dict:
         """g_lam g_mu expanded in the g basis."""

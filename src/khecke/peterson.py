@@ -42,15 +42,20 @@ def l0_membership(b: HeckeElt, n: int) -> bool:
     return True
 
 
-def expand_in_fs_basis(engine: GrothendieckEngine, b: HeckeElt) -> dict:
-    """Coordinates of b in the phi_0(k_w) basis, by Grassmannian peeling."""
-    if not b.is_integer():
-        raise ValueError("expansion needs integer coefficients")
-    # phi_0(k_w) = T_w + non-Grassmannian terms
+def expand_in_fs_basis(engine: GrothendieckEngine, b) -> dict:
+    """Coordinates of b ({w: int} or an integer HeckeElt) in the phi_0(k_w)
+    basis, in one pass over b's Grassmannian keys in (length, word) order.
+    Exact because phi_0(k_w) = T_w + non-Grassmannian terms: subtracting a row
+    adds no Grassmannian key (one that did would stay in the residual and
+    raise)."""
+    if isinstance(b, HeckeElt):
+        if not b.is_integer():
+            raise ValueError("expansion needs integer coefficients")
+        b = b.int_terms()
+    order = iter(sorted((w for w in b if weyl.is_grassmannian(w)),
+                        key=lambda w: (w.length, w.word)))
     coeffs, residual = peel(
-        b.int_terms(),
-        lambda r: min((w for w in r if weyl.is_grassmannian(w)),
-                      key=lambda w: (w.length, w.word), default=None),
+        b, lambda r: next((w for w in order if w in r), None),
         lambda w: engine.varphi_g(engine.partition_of(w)).items())
     if residual:
         raise ValueError("element is not in the Fomin-Stanley subalgebra "
@@ -124,9 +129,7 @@ def structure_d(engine: GrothendieckEngine, lam, mu) -> dict:
     the product expansion and the k^x_u formula over T_x T_v = +-T_w."""
     lam, mu = make_partition(lam), make_partition(mu)
     k_u = engine.varphi_g(lam)
-    product = int_mul(k_u, engine.varphi_g(mu))
-    via_product = expand_in_fs_basis(
-        engine, HeckeElt.from_int_terms(engine.datum, engine.fin, product))
+    via_product = expand_in_fs_basis(engine, int_mul(k_u, engine.varphi_g(mu)))
     # d^w_{uv} = sum_x k^x_u [T_w] T_x T_v over Grassmannian w
     via_formula = _grassmannian_terms(
         engine, int_mul(k_u, {engine.grassmannian(mu): 1}))
@@ -182,11 +185,14 @@ def equivariant_k_sl2(lam_or_r, cutoff: int = 8) -> HeckeElt:
 
 
 def _check_centralizer(elt: HeckeElt):
+    """elt commutes with e^{+-omega_j} for every node j of its coefficients."""
     fin = elt.coeffs
-    om = LaurentPoly.monomial(fin.fundamental_weight(1))
-    scal = HeckeElt.scalar(elt.datum, fin, om)
-    if t_mul(elt, scal) != t_mul(scal, elt):
-        raise VerificationError("equivariant element does not centralize R(T)")
+    for j in fin.nodes:
+        for sign in (1, -1):
+            om = LaurentPoly.monomial(fin.fundamental_weight(j).scaled(sign))
+            scal = HeckeElt.scalar(elt.datum, fin, om)
+            if t_mul(elt, scal) != t_mul(scal, elt):
+                raise VerificationError("equivariant element does not centralize R(T)")
 
 
 # -- conjecture scans ---------------------------------------------------------------------

@@ -6,6 +6,11 @@ solves.  The Hall pairing is the h/m duality <h_lam, m_mu> = delta.
 
 The quotient Lambda^(n) kills m_lam with lam_1 >= n; the subalgebra
 Lambda_(n) = Z[h_1, ..., h_{n-1}] uses h_lam with parts < n.
+
+Partitions are enumerated once per (n, cap) and ``partitions_of`` copies
+the memo.  The public ``SymFunc``/``TensorSym`` constructors normalise keys
+through ``make_partition`` and drop zeros; ``_trusted`` keeps a dict whose
+keys are partitions and values nonzero (kappa rows, Delta(h_lam) sums).
 """
 
 from __future__ import annotations
@@ -25,18 +30,15 @@ def make_partition(parts: Iterable[int]) -> Partition:
 
 def partitions_of(n: int, max_part: int | None = None) -> list[Partition]:
     """Partitions of n (parts <= max_part), lex-descending."""
-    cap = n if max_part is None else min(max_part, n)
-    out = []
+    return list(_partitions(n, n if max_part is None else min(max_part, n)))
 
-    def rec(rem, bound, prefix):
-        if rem == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(bound, rem), 0, -1):
-            rec(rem - p, p, prefix + [p])
 
-    rec(n, cap, [])
-    return out
+@lru_cache(maxsize=None)
+def _partitions(n: int, cap: int) -> tuple:
+    if n == 0:
+        return ((),)
+    return tuple((p,) + rest for p in range(min(cap, n), 0, -1)
+                 for rest in _partitions(n - p, p))
 
 
 def partitions_up_to(n: int, max_part: int | None = None) -> list[Partition]:
@@ -118,6 +120,13 @@ class SymFunc:
             for lam, c in terms.items():
                 if c:
                     self.terms[make_partition(lam)] = c
+
+    @classmethod
+    def _trusted(cls, basis: str, terms: dict, n: int | None = None) -> "SymFunc":
+        """Wrap ``terms`` as is: partition keys, no zero values."""
+        f = cls.__new__(cls)
+        f.basis, f.terms, f.n = basis, terms, n
+        return f
 
     @staticmethod
     def zero(basis="m", n=None) -> "SymFunc":
@@ -348,6 +357,13 @@ class TensorSym:
                 if c:
                     self.terms[(make_partition(key[0]), make_partition(key[1]))] = c
 
+    @classmethod
+    def _trusted(cls, bases, terms: dict, n=None) -> "TensorSym":
+        """Wrap ``terms`` as is: partition-pair keys, no zero values."""
+        t = cls.__new__(cls)
+        t.bases, t.terms, t.n = bases, terms, n
+        return t
+
     def __add__(self, other):
         if self.bases != other.bases:
             raise ValueError("tensor basis mismatch")
@@ -389,6 +405,21 @@ class TensorSym:
         return " + ".join(bits) if bits else "0"
 
 
+@lru_cache(maxsize=None)
+def _delta_h(lam: Partition) -> tuple:
+    """Delta(h_lam) as an item tuple of ((left, right), coefficient)."""
+    acc = {((), ()): 1}
+    for r in lam:
+        nxt = {}
+        for (left, right), a in acc.items():
+            for j in range(r + 1):
+                key = (make_partition(left + ((j,) if j else ())),
+                       make_partition(right + ((r - j,) if r - j else ())))
+                nxt[key] = nxt.get(key, 0) + a
+        acc = nxt
+    return tuple(acc.items())
+
+
 def coproduct_h(f: SymFunc) -> TensorSym:
     """Delta on Z[h_1, h_2, ...]: Delta(h_r) = sum_j h_j (x) h_{r-j},
     extended multiplicatively."""
@@ -396,15 +427,6 @@ def coproduct_h(f: SymFunc) -> TensorSym:
         raise ValueError("coproduct_h expects the h basis")
     total = {}
     for lam, c in f.terms.items():
-        acc = {((), ()): c}
-        for r in lam:
-            nxt = {}
-            for (left, right), a in acc.items():
-                for j in range(r + 1):
-                    key = (make_partition(left + ((j,) if j else ())),
-                           make_partition(right + ((r - j,) if r - j else ())))
-                    nxt[key] = nxt.get(key, 0) + a
-            acc = nxt
-        for key, a in acc.items():
-            total[key] = total.get(key, 0) + a
-    return TensorSym(("h", "h"), total, f.n)
+        for key, a in _delta_h(lam):
+            total[key] = total.get(key, 0) + c * a
+    return TensorSym._trusted(("h", "h"), {k: c for k, c in total.items() if c}, f.n)

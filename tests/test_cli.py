@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import tomllib
 from pathlib import Path
 
@@ -246,6 +247,35 @@ class TestConjecturesAndCache:
         # recomputed value overwrites
         cache.store(3, "g", "21", 3, {"x": 3})
         assert cache.load(3, "g", "21", 3) == {"x": 3}
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text.replace('"x": 1', '"x": 2'),  # checksum mismatch
+        lambda text: text[:-5],                         # malformed JSON
+    ], ids=["checksum", "json"])
+    def test_corrupt_entry_logs_one_warning(self, tmp_path, caplog, corrupt):
+        cache = ResultCache(tmp_path)
+        path = cache.store(3, "g", "21", 3, {"x": 1})
+        path.write_text(corrupt(path.read_text("utf-8")), "utf-8")
+        with caplog.at_level(logging.WARNING, logger="khecke"):
+            assert cache.load(3, "g", "21", 3) is None
+        records = [r for r in caplog.records if r.name == "khecke"]
+        assert [r.levelno for r in records] == [logging.WARNING]
+        assert "corrupt cache entry" in records[0].getMessage()
+
+    def test_cli_recomputes_corrupt_entry(self, capsys, tmp_path, caplog):
+        args = ("g", "--n", "3", "--partition", "221", "--basis", "s",
+                "--cache-dir", str(tmp_path))
+        code, cold, _ = run(capsys, *args)
+        assert code == 0
+        entries = {p: p.read_text("utf-8") for p in tmp_path.rglob("*.json")}
+        assert entries
+        for p, text in entries.items():
+            p.write_text(text.replace('"checksum": "', '"checksum": "0'), "utf-8")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out == cold
+        assert {p: p.read_text("utf-8") for p in entries} == entries
+        assert sum(r.levelno == logging.WARNING for r in caplog.records) == len(entries)
 
     def test_other_version_is_a_miss(self, tmp_path, monkeypatch):
         import khecke.cache

@@ -189,6 +189,18 @@ def g_coproduct_by_g_coeff(engine, lam):
     return {key: c for key, c in out.items() if c}
 
 
+class TestGOfTrusted:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_public_constructor(self, n):
+        engine = GrothendieckEngine.get(n)
+        for v in weyl.all_elements(engine.datum, 6):
+            for deg in range(v.length, 7):
+                G = engine.G_of(v, deg)
+                want = SymFunc("m", G.terms, n)
+                assert G == want and G.n == want.n
+                assert list(G.terms.items()) == list(want.terms.items())
+
+
 class TestGCoproductOracle:
     @pytest.mark.parametrize("n", [3, 4])
     def test_matches_g_coeff_sum(self, n):

@@ -1,12 +1,13 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from khecke.cartan import LaurentPoly, VerificationError
 from khecke import weyl
 from khecke.grothendieck import GrothendieckEngine
-from khecke.hecke import (HeckeElt, coproduct, phi0_hecke, phi0_tensor,
-                          t_mul, TensorElt)
+from khecke.hecke import (HeckeElt, coproduct, int_mul, phi0_hecke,
+                          phi0_tensor, t_mul, TensorElt)
 from khecke.localization import sl2_sigma
 from khecke.peterson import (ConjectureReport, SupportTruncationError,
                              _check_centralizer, conjecture_scan,
@@ -14,6 +15,7 @@ from khecke.peterson import (ConjectureReport, SupportTruncationError,
                              expand_in_fs_basis, fomin_stanley_elt,
                              fomin_stanley_via_linear_system, l0_membership,
                              pieri, structure_d)
+from khecke.symfunc import peel
 
 
 def elt(engine, word):
@@ -126,6 +128,74 @@ class TestExpansion:
             expand_in_fs_basis(e2, bad)
 
 
+def expand_by_min_pivot(engine, terms):
+    """Oracle for expand_in_fs_basis: the pivot is the least Grassmannian key
+    of the whole residual, searched again at every step."""
+    coeffs, residual = peel(
+        terms,
+        lambda r: min((w for w in r if weyl.is_grassmannian(w)),
+                      key=lambda w: (w.length, w.word), default=None),
+        lambda w: engine.varphi_g(engine.partition_of(w)).items())
+    assert not residual
+    return {engine.partition_of(w): c for w, c in coeffs.items()}
+
+
+class TestExpansionOracle:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_products_match_min_pivot_peel(self, n):
+        engine = GrothendieckEngine.get(n)
+        labels = engine.bounded(6)
+        for u in labels:
+            for v in labels:
+                if sum(u) + sum(v) > 6:
+                    continue
+                terms = int_mul(engine.varphi_g(u), engine.varphi_g(v))
+                got = expand_in_fs_basis(engine, terms)
+                # same coefficients, pivots visited in the same order
+                assert list(got.items()) == \
+                    list(expand_by_min_pivot(engine, terms).items()), (u, v)
+                as_elt = HeckeElt.from_int_terms(engine.datum, engine.fin, terms)
+                assert expand_in_fs_basis(engine, as_elt) == got
+
+    def test_dict_input_left_unchanged(self, e3):
+        terms = int_mul(e3.varphi_g((1,)), e3.varphi_g((2, 1)))
+        before = dict(terms)
+        expand_in_fs_basis(e3, terms)
+        assert terms == before
+
+    def test_stray_grassmannian_term_raises(self, e3):
+        # T_w alone, w Grassmannian: its row brings non-Grassmannian terms
+        w = e3.grassmannian((2,))
+        assert len(e3.varphi_g((2,))) > 1
+        with pytest.raises(ValueError, match="not in the Fomin-Stanley"):
+            expand_in_fs_basis(e3, {w: 1})
+        # phi_0(k_w) plus a Grassmannian term of no row
+        terms = dict(e3.varphi_g((1,)))
+        terms[e3.grassmannian((2, 2))] = 3
+        with pytest.raises(ValueError, match="not in the Fomin-Stanley"):
+            expand_in_fs_basis(e3, terms)
+
+    def test_row_adding_grassmannian_key_raises(self, e3):
+        # a row that adds a Grassmannian key is left in the residual
+        extra = e3.grassmannian((2, 1))
+
+        def varphi_g(lam):
+            row = dict(e3.varphi_g(lam))
+            if lam == (1,):
+                row[extra] = 1
+            return row
+
+        fake = SimpleNamespace(varphi_g=varphi_g, partition_of=e3.partition_of)
+        with pytest.raises(ValueError, match="not in the Fomin-Stanley"):
+            expand_in_fs_basis(fake, e3.varphi_g((1,)))
+
+    def test_non_integer_rejected(self, e2):
+        fin = e2.fin
+        p = LaurentPoly.monomial(fin.fundamental_weight(1))
+        with pytest.raises(ValueError, match="integer"):
+            expand_in_fs_basis(e2, HeckeElt.scalar(e2.datum, fin, p))
+
+
 class TestPieri:
     def test_identity_gives_sigma_i(self, e3):
         for i in (1, 2):
@@ -220,6 +290,26 @@ class TestEquivariantSl2:
             assert phi0_hecke(k) == fomin_stanley_elt(e2, (1,) * r)
 
 
+class TestCentralizer:
+    def test_every_fundamental_weight_checked(self, af3):
+        fin = af3.finite
+        elt = HeckeElt.T(weyl.simple(af3, 2), fin)
+
+        def commutes(j, sign):
+            om = LaurentPoly.monomial(fin.fundamental_weight(j).scaled(sign))
+            scal = HeckeElt.scalar(af3, fin, om)
+            return t_mul(elt, scal) == t_mul(scal, elt)
+
+        # T_2 commutes with e^{+-omega_1}, not with e^{+-omega_2}
+        assert commutes(1, 1) and commutes(1, -1)
+        assert not commutes(2, 1) and not commutes(2, -1)
+        with pytest.raises(VerificationError, match="centralize"):
+            _check_centralizer(elt)
+
+    def test_identity_accepted(self, af3):
+        _check_centralizer(HeckeElt.one(af3, af3.finite))
+
+
 class TestKappaCoproduct:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_phi0_delta_kappa(self, n):
@@ -270,6 +360,11 @@ class TestScans:
         rep = conjecture_scan(5, 8)
         assert rep.passed, rep.summary()
         assert rep.checked == 9719
+
+    def test_n6_len8_scan_passes(self):
+        rep = conjecture_scan(6, 8)
+        assert rep.passed, rep.summary()
+        assert rep.checked == 23722
 
     def test_cross_scan_passes(self):
         rep = cross_k_scan(2, 5)

@@ -36,6 +36,35 @@ class TestPartitions:
         assert conjugate(()) == ()
 
 
+def partitions_unmemoised(n, max_part=None):
+    """Oracle for partitions_of: the recursive enumeration, no memo."""
+    out = []
+
+    def rec(rem, bound, prefix):
+        if rem == 0:
+            out.append(tuple(prefix))
+            return
+        for p in range(min(bound, rem), 0, -1):
+            rec(rem - p, p, prefix + [p])
+
+    rec(n, n if max_part is None else min(max_part, n), [])
+    return out
+
+
+class TestPartitionMemo:
+    def test_matches_unmemoised(self):
+        for n in range(11):
+            for cap in [None, *range(n + 2)]:
+                assert partitions_of(n, cap) == partitions_unmemoised(n, cap), (n, cap)
+
+    def test_returned_list_is_a_copy(self):
+        first = partitions_of(5, 3)
+        first.append((9,))
+        first[0] = ()
+        assert partitions_of(5, 3) == partitions_unmemoised(5, 3)
+        assert partitions_of(5, 3) is not partitions_of(5, 3)
+
+
 class TestKostka:
     @pytest.mark.parametrize("lam,mu,val", [
         ((2, 1), (1, 1, 1), 2),
@@ -229,6 +258,35 @@ class TestCoproductOracle:
         assert got == want
         assert got.n == want.n
         assert all(got.terms.values())
+
+
+class TestCoproductMemo:
+    @pytest.mark.parametrize("terms", [{(2, 1): 2, (1, 1): -1, (3,): 1},
+                                       {(2, 1): 1}])
+    def test_repeat_calls_equal_and_independent(self, terms):
+        f = SymFunc("h", terms, 4)
+        first, second = coproduct_h(f), coproduct_h(f)
+        assert first == second
+        assert first.terms is not second.terms
+        first.terms.clear()
+        assert coproduct_h(f) == second
+        assert coproduct_h(f) == coproduct_h_per_term(f)
+
+    def test_cancelling_terms_dropped(self):
+        f = SymFunc("h", {(1,): 1}) + SymFunc("h", {(1,): -1})
+        assert coproduct_h(f).is_zero()
+
+
+class TestTrustedConstructors:
+    def test_keeps_dict_as_given(self):
+        terms = {(2, 1): 3}
+        f = SymFunc._trusted("m", terms, 3)
+        assert f.terms is terms
+        assert f == SymFunc("m", terms, 3) and f.n == 3
+        pairs = {((1,), ()): 2}
+        t = TensorSym._trusted(("h", "h"), pairs, 4)
+        assert t.terms is pairs
+        assert t == TensorSym(("h", "h"), pairs, 4) and t.n == 4
 
 
 class TestCauchy:
