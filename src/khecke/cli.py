@@ -107,7 +107,7 @@ def cmd_psi(args):
     fn = {"right": engine.psi_right, "left": engine.psi_left,
           "gw": engine.psi_graham_willems}[args.algorithm]
     val = fn(v, w)
-    _emit(args, render_poly(val, datum), val.to_json())
+    _emit(args, render_poly(val), val.to_json())
 
 
 def cmd_expand_group(args):
@@ -118,10 +118,7 @@ def cmd_expand_group(args):
 
 
 def cmd_kappa(args):
-    engine = _engine(args)
-    if not 0 <= args.i <= engine.n - 1:
-        raise DomainError("kappa index must satisfy 0 <= i <= n-1")
-    elt = engine.kappa(args.i)
+    elt = _engine(args).kappa(args.i)
     _emit(args, render_hecke(elt), elt.to_json())
 
 
@@ -139,57 +136,35 @@ def _cached_symfunc(args, kind, lam, degree, compute):
 def cmd_g(args):
     engine = _engine(args)
     lam = parse_partition(args.partition)
-    if lam and lam[0] >= args.n:
-        raise DomainError(f"partition must be {args.n - 1}-bounded")
     if args.basis == "kschur":
         out = SymFunc("kschur", engine.g_in_kschur_basis(lam), args.n)
-    elif args.basis in ("m", "h", "s"):
+    else:
         g = _cached_symfunc(args, "g", lam, sum(lam), lambda: engine.g_of(lam))
         out = convert(g, args.basis)
-    else:
-        raise DomainError(f"unsupported basis {args.basis!r} for g")
     _emit(args, render_symfunc(out), out.to_json(), render_symfunc(out, latex=True))
 
 
 def cmd_kschur(args):
     engine = _engine(args)
-    lam = parse_partition(args.partition)
-    if lam and lam[0] >= args.n:
-        raise DomainError(f"partition must be {args.n - 1}-bounded")
-    f = engine.kschur_of(lam)
-    basis = args.basis or "s"
-    if basis not in ("m", "h", "s"):
-        raise DomainError("kschur renders in m, h or s")
-    out = convert(f, basis)
+    out = convert(engine.kschur_of(parse_partition(args.partition)), args.basis)
     _emit(args, render_symfunc(out), out.to_json(), render_symfunc(out, latex=True))
 
 
 def cmd_G(args):
     engine = _engine(args)
     lam = parse_partition(args.partition)
-    if lam and lam[0] >= args.n:
-        raise DomainError(f"partition must be {args.n - 1}-bounded")
     degree = args.max_degree
     v = engine.grassmannian(lam)
     if degree < v.length:
         raise DomainError("--max-degree is below the partition size")
     G = _cached_symfunc(args, "G", lam, degree, lambda: engine.G_of(v, degree))
-    basis = args.basis or "F"
-    if basis == "F":
-        out = engine.m_to_F(G)
-    elif basis == "m":
-        out = G
-    else:
-        raise DomainError("G renders in the F or m basis")
+    out = engine.m_to_F(G) if args.basis == "F" else G
     _emit(args, render_symfunc(out), out.to_json(), render_symfunc(out, latex=True))
 
 
 def cmd_pieri(args):
     engine = _engine(args)
-    lam = parse_partition(args.partition)
-    if not 1 <= args.i <= args.n - 1:
-        raise DomainError("pieri needs 1 <= i <= n-1")
-    out = pieri(engine, args.i, lam)
+    out = pieri(engine, args.i, parse_partition(args.partition))
     pairs = sorted(out.items(), key=lambda t: (sum(t[0]), t[0]))
     _emit(args, render_int_map(pairs, partition_label),
           [{"partition": list(k), "coeff": c} for k, c in pairs])
@@ -216,7 +191,7 @@ def cmd_structure(args):
 
 
 def cmd_k_sl2(args):
-    lam = parse_partition(args.partition) if args.partition else (1,) * args.r
+    lam = parse_partition(args.partition) if args.partition is not None else (1,) * args.r
     if any(p != 1 for p in lam):
         raise DomainError("affine SL_2 partitions are columns 1^r")
     elt = equivariant_k_sl2(len(lam), cutoff=args.cutoff)

@@ -4,11 +4,13 @@ noncommutative lift into the affine 0-Hecke ring.
 Everything is driven by the elements kappa_i (sums of T_w over cyclically
 decreasing w of length i) and their products: the coefficient of m_lam in
 G_v is the coefficient of T_v in kappa_{lam_1} kappa_{lam_2} ...; G_v is
-read by element from the same table, indexed one degree at a time.  The dual
-family g_v in Z[h_1, ..., h_{n-1}] is produced by an exact unitriangular
-solve against that pairing, degree by degree from the top; its top
-homogeneous component is the k-Schur function of v.  The other unitriangular
-systems (m to F, G_w over the G_v) go through ``symfunc.peel``.
+read by element from the same table, indexed one degree at a time.  The g
+side reads the pairing <h_nu, G_mu> = [T_{u_mu}] kappa_nu through one table
+of Grassmannian columns, memoised per partition nu: the dual family g_v in
+Z[h_1, ..., h_{n-1}] is peeled against it from the top degree down (its top
+homogeneous component is the k-Schur function of v), and the g/k-Schur
+expansions and the g-coproduct are sparse sums over it.  Every unitriangular
+system goes through ``symfunc.peel``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ class GrothendieckEngine:
         self._kprod: dict[tuple, dict] = {(): {weyl.identity(self.datum): 1}}
         self._by_elt: dict[weyl.WeylElt, dict] = {}
         self._by_elt_degree = -1
+        self._cols: dict[tuple, dict] = {}
         self._fs: dict[tuple, dict] = {}
         self._g: dict[tuple, SymFunc] = {}
         self._kschur: dict[tuple, SymFunc] = {}
@@ -96,6 +99,18 @@ class GrothendieckEngine:
                     self._by_elt.setdefault(x, {})[lam] = c
             self._by_elt_degree = d  # only after degree d is complete
         return self._by_elt.get(w, {})
+
+    def grassmannian_terms(self, terms: dict) -> dict:
+        """{partition of w: c} over the Grassmannian w of {w: c}."""
+        return {self.partition_of(w): c for w, c in terms.items()
+                if weyl.is_grassmannian(w)}
+
+    def _column(self, nu: tuple) -> dict:
+        """{mu: [T_{u_mu}] kappa_nu} = {mu: <h_nu, G_mu>} for a bounded
+        partition nu, memoised: callers must not mutate the returned dict."""
+        if nu not in self._cols:
+            self._cols[nu] = self.grassmannian_terms(self.kappa_product(nu))
+        return self._cols[nu]
 
     def g_coeff(self, u: weyl.WeylElt, lam: tuple) -> int:
         """[T_u] kappa_lam = coefficient of m_lam in G_u ((n-1)-bounded lam)."""
@@ -168,19 +183,14 @@ class GrothendieckEngine:
     def _dual_solve(self, lam: tuple, top_only: bool) -> SymFunc:
         if lam and lam[0] >= self.n:
             raise ValueError(f"partition must be {self.n - 1}-bounded")
+        # column mu holds [T_{u_mu}] kappa_mu = 1; what the peel leaves on
+        # labels already passed is caught by the duality check below
         ell = sum(lam)
-        coeffs: dict[tuple, int] = {}
         degrees = [ell] if top_only else range(ell, -1, -1)
-        for d in degrees:
-            for mu in sorted(partitions_of(d, self.n - 1)):
-                u = self.grassmannian(mu)
-                rhs = 1 if mu == lam else 0
-                for nu, c in coeffs.items():
-                    rhs -= c * self.g_coeff(u, nu)
-                # diagonal coefficient [T_u] kappa_mu is 1
-                if rhs:
-                    coeffs[mu] = rhs
-        out = SymFunc("h", coeffs, self.n)
+        order = iter([mu for d in degrees for mu in sorted(partitions_of(d, self.n - 1))])
+        coeffs, _ = peel({lam: 1}, lambda r: next((mu for mu in order if mu in r), None),
+                         lambda mu: self._column(mu).items())
+        out = SymFunc._trusted("h", coeffs, self.n)
         pairings = self.expand_in_kschur(out) if top_only else self.expand_in_g(out)
         if pairings != {lam: 1}:
             raise VerificationError(f"duality failed for {lam}: pairings {pairings}")
@@ -190,18 +200,24 @@ class GrothendieckEngine:
 
     def expand_in_g(self, f: SymFunc) -> dict:
         """{mu: <f, G_mu>} -- the g-basis coordinates of f in Lambda_(n)."""
-        return self._expand(f, self.pair_with_G)
+        self._check_h(f, "expand_in_g")
+        return self._sum_columns(f.terms)
 
     def expand_in_kschur(self, f: SymFunc) -> dict:
-        return self._expand(f, self.pair_with_F)
+        """{mu: <f, F_mu>}: the degree-|mu| part of f pairs with F_mu."""
+        self._check_h(f, "expand_in_kschur")
+        return self._sum_columns(f.terms, same_degree=True)
 
-    def _expand(self, f: SymFunc, pair) -> dict:
-        out = {}
-        for mu in self.bounded(f.max_degree()):
-            c = pair(f, self.grassmannian(mu))
-            if c:
-                out[mu] = c
-        return out
+    def _sum_columns(self, terms: dict, same_degree: bool = False) -> dict:
+        """sum c * column(nu) over {nu: c}, zeros dropped; ``same_degree``
+        keeps only the entries with |mu| = |nu|."""
+        out: dict[tuple, int] = {}
+        for nu, c in terms.items():
+            d = sum(nu)
+            for mu, a in self._column(nu).items():
+                if not same_degree or sum(mu) == d:
+                    out[mu] = out.get(mu, 0) + c * a
+        return {mu: c for mu, c in out.items() if c}
 
     def g_in_s_basis(self, lam) -> SymFunc:
         return convert(self.g_of(lam), "s")
@@ -212,26 +228,15 @@ class GrothendieckEngine:
     # -- coproduct and product on the g basis ----------------------------------------------------
 
     def g_coproduct(self, lam) -> TensorSym:
-        """Delta(g_lam) expanded over g (x) g."""
-        glam = self.g_of(lam)
-        delta = coproduct_h(glam)
+        """Delta(g_lam) expanded over g (x) g: each left factor h_a spreads over
+        column a, times its right row summed through the columns."""
         left_rows: dict[tuple, dict] = {}
-        for (a, b), c in delta.terms.items():
+        for (a, b), c in coproduct_h(self.g_of(lam)).terms.items():
             left_rows.setdefault(a, {})[b] = c
-        deg = sum(make_partition(lam))
-        # the Grassmannian rows transposed: {b: {mu: [T_mu] kappa_b}}
-        by_b: dict[tuple, dict] = {}
-        for mu in self.bounded(deg):
-            for b, c in self._row(self.grassmannian(mu), deg).items():
-                by_b.setdefault(b, {})[mu] = c
         out = {}
         for a, row in left_rows.items():
-            # E[nu] = <row, G_nu> over the right slot
-            right = {}
-            for b, c in row.items():
-                for nu, cb in by_b.get(b, {}).items():
-                    right[nu] = right.get(nu, 0) + c * cb
-            for mu, ca in by_b.get(a, {}).items():
+            right = self._sum_columns(row)
+            for mu, ca in self._column(a).items():
                 for nu, val in right.items():
                     out[mu, nu] = out.get((mu, nu), 0) + ca * val
         return TensorSym._trusted(("g", "g"), {k: c for k, c in out.items() if c}, self.n)

@@ -7,8 +7,11 @@ from pathlib import Path
 import pytest
 
 import khecke
+from khecke import weyl
 from khecke.cache import ResultCache
+from khecke.cartan import RootDatum
 from khecke.cli import _cached_symfunc, main
+from khecke.localization import PsiEngine
 from khecke.symfunc import SymFunc
 
 
@@ -70,6 +73,28 @@ class TestCommands:
         code, out, _ = run(capsys, "k-sl2", "--r", "2")
         assert code == 0
         assert "T[10]" in out and "T[01]" in out
+
+    @pytest.mark.parametrize("argv", [("--partition", ""), ("--partition", "-"),
+                                      ("--r", "0")])
+    def test_k_sl2_empty_partition(self, capsys, argv):
+        code, out, err = run(capsys, "k-sl2", *argv)
+        assert (code, out, err) == (0, "T[]\n", "")
+
+    def test_psi_level_zero_on_affine_data(self, capsys):
+        code, out, err = run(capsys, "psi", "--n", "3", "--v", "1", "--w", "1")
+        assert (code, out.strip(), err) == (0, "1 - e^(a1)", "")
+        code, out, _ = run(capsys, "psi", "--n", "3", "--v", "1", "--w", "1",
+                           "--format", "json")
+        datum = RootDatum.affine_sl(3)
+        r1 = weyl.from_word(datum, (1,))
+        assert code == 0
+        assert json.loads(out) == PsiEngine(datum, "level-zero").psi_right(r1, r1).to_json()
+
+    @pytest.mark.parametrize("algo", ["right", "left", "gw"])
+    def test_psi_level_zero_algorithms(self, capsys, algo):
+        code, out, _ = run(capsys, "psi", "--n", "2", "--v", "0", "--w", "010",
+                           "--algorithm", algo)
+        assert (code, out.strip()) == (0, "1 - e^(-2a1)")
 
     def test_pieri(self, capsys):
         code, out, _ = run(capsys, "pieri", "--n", "2", "--i", "1",

@@ -2,12 +2,13 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from khecke import weyl
 from khecke.grothendieck import GrothendieckEngine
 from khecke.hecke import t_mul
 from khecke.symfunc import (SymFunc, coproduct_h, hall_pair, multiply,
-                            partitions_up_to)
+                            partitions_of, partitions_up_to)
 
 
 class TestKappa:
@@ -276,3 +277,92 @@ class TestGInGBasis:
         for lam in e3.bounded(5):
             fs = fomin_stanley_elt(e3, lam)
             assert fs.int_terms().get(w, 0) == e3.G_in_G_basis(w, 5).get(lam, 0)
+
+
+def expand_by_pairing(engine, f, pair):
+    """Oracle for expand_in_g / expand_in_kschur: one pairing per bounded label."""
+    out = {}
+    for mu in engine.bounded(f.max_degree()):
+        c = pair(f, engine.grassmannian(mu))
+        if c:
+            out[mu] = c
+    return out
+
+
+@st.composite
+def h_combinations(draw):
+    """(n, f): integer h-terms plus integer g's, whose columns cancel."""
+    n = draw(st.integers(2, 5))
+    engine = GrothendieckEngine.get(n)
+    labels = engine.bounded(4)
+    f = SymFunc("h", draw(st.dictionaries(st.sampled_from(labels),
+                                          st.integers(-3, 3), max_size=4)), n)
+    for lam in draw(st.lists(st.sampled_from(labels), max_size=3)):
+        f = f + engine.g_of(lam).scaled(draw(st.integers(-2, 2)))
+    return n, f
+
+
+class TestColumnExpansions:
+    @given(h_combinations())
+    def test_expand_in_g_matches_pair_with_G(self, case):
+        n, f = case
+        engine = GrothendieckEngine.get(n)
+        assert engine.expand_in_g(f) == expand_by_pairing(engine, f, engine.pair_with_G)
+
+    @given(h_combinations())
+    def test_expand_in_kschur_matches_pair_with_F(self, case):
+        n, f = case
+        engine = GrothendieckEngine.get(n)
+        assert engine.expand_in_kschur(f) == \
+            expand_by_pairing(engine, f, engine.pair_with_F)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_zero_element(self, n):
+        engine = GrothendieckEngine.get(n)
+        zero = SymFunc.zero("h", n)
+        assert engine.expand_in_g(zero) == engine.expand_in_kschur(zero) == {}
+
+    def test_g_combination_reads_back(self, e3):
+        f = e3.g_of((2, 1)).scaled(2) - e3.g_of((1,)) + e3.g_of((2, 2, 1))
+        assert e3.expand_in_g(f) == {(2, 1): 2, (1,): -1, (2, 2, 1): 1}
+
+    def test_rejects_non_h_and_unbounded_parts(self, e3):
+        for expand in (e3.expand_in_g, e3.expand_in_kschur):
+            with pytest.raises(ValueError, match="h basis"):
+                expand(SymFunc("m", {(1,): 1}, 3))
+            with pytest.raises(ValueError, match="parts < n"):
+                expand(SymFunc("h", {(3,): 1}, 3))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_column_matches_g_coeff(self, n):
+        engine = GrothendieckEngine(n)
+        for nu in engine.bounded(5):
+            want = {mu: engine.g_coeff(engine.grassmannian(mu), nu)
+                    for mu in engine.bounded(sum(nu))}
+            assert engine._column(nu) == {mu: c for mu, c in want.items() if c}, nu
+
+
+def dual_solve_by_g_coeff(engine, lam, top_only):
+    """Oracle for g_of / kschur_of: forward substitution, one g_coeff per
+    entry, degrees from |lam| down (|lam| only for k-Schur), lex-ascending."""
+    ell = sum(lam)
+    coeffs = {}
+    for d in ([ell] if top_only else range(ell, -1, -1)):
+        for mu in sorted(partitions_of(d, engine.n - 1)):
+            u = engine.grassmannian(mu)
+            rhs = (1 if mu == lam else 0) - sum(
+                c * engine.g_coeff(u, nu) for nu, c in coeffs.items())
+            if rhs:
+                coeffs[mu] = rhs
+    return SymFunc("h", coeffs, engine.n)
+
+
+class TestDualSolveOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_forward_substitution(self, n):
+        engine = GrothendieckEngine(n)
+        for lam in engine.bounded(6):
+            for solve, top_only in ((engine.g_of, False), (engine.kschur_of, True)):
+                got, want = solve(lam), dual_solve_by_g_coeff(engine, lam, top_only)
+                assert list(got.terms.items()) == list(want.terms.items()), lam
+                assert got.basis == "h" and got.n == n

@@ -309,6 +309,18 @@ class TestCentralizer:
     def test_identity_accepted(self, af3):
         _check_centralizer(HeckeElt.one(af3, af3.finite))
 
+    def test_one_unit_per_node(self, af3, monkeypatch):
+        # commuting with the unit e^{omega_j} implies commuting with its inverse
+        import khecke.peterson as peterson
+        products = []
+
+        def counting(a, b):
+            products.append((a, b))
+            return t_mul(a, b)
+        monkeypatch.setattr(peterson, "t_mul", counting)
+        _check_centralizer(HeckeElt.one(af3, af3.finite))
+        assert len(products) == 2 * len(af3.finite.nodes)
+
 
 class TestKappaCoproduct:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
