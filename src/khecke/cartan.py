@@ -10,11 +10,22 @@ Three kinds of root datum are supported:
   lambda = fin + level*Lambda_0 + degree*delta.
 * ``RootDatum.from_cartan(...)`` -- a generic symmetrizable GCM, weights in
   the fundamental-weight basis (finite), optionally affinized with an extra
-  delta coordinate.
+  delta coordinate (``affinize_cartan``; ``of_type`` names C2~ and G2~).
+
+Every ``Weight`` holds canonical coordinates: the constructor applies
+``RootDatum.canon``, so equal lattice elements compare and hash equal.
+Canonical coordinates have a zero at the last nonzero entry of the quotient
+vector, which is 1; sums, differences, negatives and multiples keep that
+zero, so the weight operations build their results with the private
+``Weight._canonical`` and skip ``canon``.
 
 LaurentPoly is the integer group algebra of the weight lattice: a finitely
-supported map Weight -> nonzero int.  All arithmetic is exact; there is no
-rational-function arithmetic anywhere in the package.
+supported map Weight -> nonzero int.  The public constructor checks each
+term's lattice and drops zeros; the ring operations, ``eta``, ``demazure``,
+``weyl_reflect_poly`` and the exact division build their results with the
+private ``LaurentPoly._trusted``, after checking the lattice once.  All
+arithmetic is exact; there is no rational-function arithmetic anywhere in
+the package.
 """
 
 from __future__ import annotations
@@ -174,9 +185,16 @@ class RootDatum:
         "G2": [[2, -1], [-3, 2]],
     }
 
+    # affine GCMs, node 0 first, with their marks (built by affinize_cartan)
+    _NAMED_AFFINE = {
+        "C2~": ([[2, -1, 0], [-2, 2, -2], [0, -1, 2]], [1, 2, 1]),
+        "G2~": ([[2, -1, 0], [-1, 2, -1], [0, -3, 2]], [1, 2, 3]),
+    }
+
     @staticmethod
     def of_type(typ: str) -> "RootDatum":
-        """Datum by name: 'A2', 'B2', 'G2', ... or 'A2~' for affine SL_3."""
+        """Datum by name: 'A2', 'B2', 'G2', ..., 'A2~' for affine SL_3, or
+        'C2~'/'G2~' (affine GCM data without a finite companion)."""
         typ = typ.strip()
         if typ in RootDatum._type_cache:
             return RootDatum._type_cache[typ]
@@ -190,6 +208,9 @@ class RootDatum:
             base = typ[:-1]
             if base.startswith("A") and base[1:].isdigit():
                 return RootDatum.affine_sl(int(base[1:]) + 1)
+            if typ in RootDatum._NAMED_AFFINE:
+                matrix, marks = RootDatum._NAMED_AFFINE[typ]
+                return RootDatum.affinize_cartan(matrix, marks, name=typ)
             raise ValueError(f"unsupported affine type {typ!r}")
         if typ in RootDatum._NAMED:
             return RootDatum.from_cartan(RootDatum._NAMED[typ], name=typ)
@@ -244,10 +265,10 @@ class RootDatum:
         return tuple(c - t * q for c, q in zip(coords, self.quotient_vector))
 
     def weight(self, coords) -> "Weight":
-        return Weight(self, self.canon(coords))
+        return Weight(self, coords)
 
     def zero(self) -> "Weight":
-        return Weight(self, (0,) * self.rank)
+        return Weight._canonical(self, (0,) * self.rank)
 
     def simple_root(self, i) -> "Weight":
         return self.weight(self._simple_roots[i])
@@ -436,14 +457,29 @@ class _RootSolver:
 
 
 class Weight:
-    """An element of the weight lattice of one RootDatum."""
+    """An element of the weight lattice of one RootDatum.
+
+    ``coords`` are always canonical for the datum (``RootDatum.canon``), so
+    equal lattice elements compare and hash equal.  Sums, differences,
+    negatives and multiples of canonical coordinates are canonical, so the
+    operations below build through ``_canonical``.
+    """
 
     __slots__ = ("datum", "coords", "_hash")
 
     def __init__(self, datum: RootDatum, coords):
         self.datum = datum
-        self.coords = tuple(coords)
-        self._hash = hash((id(datum), self.coords))
+        self.coords = coords = datum.canon(coords)
+        self._hash = hash((id(datum), coords))
+
+    @classmethod
+    def _canonical(cls, datum: RootDatum, coords: tuple) -> "Weight":
+        """Wrap ``coords`` as is: a tuple already canonical for ``datum``."""
+        w = cls.__new__(cls)
+        w.datum = datum
+        w.coords = coords
+        w._hash = hash((id(datum), coords))
+        return w
 
     def __eq__(self, other):
         return (isinstance(other, Weight) and self.datum is other.datum
@@ -458,17 +494,19 @@ class Weight:
 
     def __add__(self, other):
         self._compat(other)
-        return self.datum.weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Weight._canonical(
+            self.datum, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
         self._compat(other)
-        return self.datum.weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Weight._canonical(
+            self.datum, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
-        return self.datum.weight(tuple(-a for a in self.coords))
+        return Weight._canonical(self.datum, tuple(-a for a in self.coords))
 
     def scaled(self, k: int) -> "Weight":
-        return self.datum.weight(tuple(k * a for a in self.coords))
+        return Weight._canonical(self.datum, tuple(k * a for a in self.coords))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -491,6 +529,13 @@ class LaurentPoly:
                     if w.datum is not datum:
                         raise DatumMismatchError("term over a different lattice")
                     self.terms[w] = c
+
+    @classmethod
+    def _trusted(cls, datum: RootDatum, terms: dict) -> "LaurentPoly":
+        """Wrap ``terms`` as is: weights over ``datum``, no zero values."""
+        p = cls.__new__(cls)
+        p.datum, p.terms = datum, terms
+        return p
 
     # -- constructors --------------------------------------------------------
 
@@ -525,35 +570,35 @@ class LaurentPoly:
                 out[w] = s
             else:
                 out.pop(w, None)
-        return LaurentPoly(self.datum, out)
+        return LaurentPoly._trusted(self.datum, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LaurentPoly(self.datum, {w: -c for w, c in self.terms.items()})
+        return LaurentPoly._trusted(self.datum, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scaled(other)
         self._compat(other)
-        out = {}
+        acc = {}
+        rhs = [(w.coords, c) for w, c in other.terms.items()]
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w, 0) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        return LaurentPoly(self.datum, out)
+            x = w1.coords
+            for y, c2 in rhs:
+                key = tuple(a + b for a, b in zip(x, y))
+                acc[key] = acc.get(key, 0) + c1 * c2
+        datum = self.datum
+        return LaurentPoly._trusted(
+            datum, {Weight._canonical(datum, key): c for key, c in acc.items() if c})
 
     __rmul__ = __mul__
 
     def scaled(self, k: int) -> "LaurentPoly":
         if k == 0:
             return LaurentPoly.zero(self.datum)
-        return LaurentPoly(self.datum, {w: k * c for w, c in self.terms.items()})
+        return LaurentPoly._trusted(self.datum, {w: k * c for w, c in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and self.datum is other.datum
@@ -605,7 +650,7 @@ def phi0(p: LaurentPoly) -> int:
 
 def eta(p: LaurentPoly) -> LaurentPoly:
     """The ring involution e^lam -> e^{-lam}."""
-    return LaurentPoly(p.datum, {-w: c for w, c in p.terms.items()})
+    return LaurentPoly._trusted(p.datum, {-w: c for w, c in p.terms.items()})
 
 
 def demazure(datum: RootDatum, i, p: LaurentPoly) -> LaurentPoly:
@@ -647,7 +692,7 @@ def demazure(datum: RootDatum, i, p: LaurentPoly) -> LaurentPoly:
         else:
             for k in range(-m):
                 add(lam + alpha.scaled(k), -c)
-    return LaurentPoly(p.datum, out)
+    return LaurentPoly._trusted(p.datum, out)
 
 
 def weyl_reflect_poly(datum: RootDatum, i, p: LaurentPoly) -> LaurentPoly:
@@ -658,11 +703,8 @@ def weyl_reflect_poly(datum: RootDatum, i, p: LaurentPoly) -> LaurentPoly:
         refl = lambda lam: datum.levelzero_reflect(i, lam)
     else:
         raise DatumMismatchError("polynomial lattice does not match datum")
-    out = {}
-    for lam, c in p.terms.items():
-        w = refl(lam)
-        out[w] = out.get(w, 0) + c
-    return LaurentPoly(p.datum, out)
+    # r_i is a bijection of the lattice: no two terms meet, none cancels
+    return LaurentPoly._trusted(p.datum, {refl(lam): c for lam, c in p.terms.items()})
 
 
 def level_zero_project(p: LaurentPoly, affine_datum: RootDatum) -> LaurentPoly:
@@ -681,21 +723,27 @@ def level_zero_project(p: LaurentPoly, affine_datum: RootDatum) -> LaurentPoly:
 # -- exact divisibility by (1 - e^alpha)^d ------------------------------------
 
 
-def _alpha_lines(p: LaurentPoly, alpha: Weight) -> dict[Weight, dict[int, int]]:
+def _alpha_lines(p: LaurentPoly, alpha: Weight) -> dict[tuple, dict[int, int]]:
     """Split p into cosets lam_0 + Z*alpha; returns {line key: {t: coeff}}.
 
-    The key of a term lam is lam - t*alpha with t chosen so the key's
-    coordinate at the first nonzero position of alpha is the canonical
-    residue; weights share a key iff they differ by a multiple of alpha.
+    The key of a term lam is the coordinate tuple of lam - t*alpha, with t
+    chosen so the key's coordinate at the first nonzero position of alpha
+    is the canonical residue; weights share a key iff they differ by a
+    multiple of alpha.  Keys are canonical, as differences of canonical
+    coordinates.
     """
-    nz = next((k for k, c in enumerate(alpha.coords) if c), None)
+    if alpha.datum is not p.datum:
+        raise DatumMismatchError("weights from different data")
+    step = alpha.coords
+    nz = next((k for k, c in enumerate(step) if c), None)
     if nz is None:
         raise ValueError("cannot slice along the zero weight")
-    a = alpha.coords[nz]
-    lines: dict[Weight, dict[int, int]] = {}
+    a = step[nz]
+    lines: dict[tuple, dict[int, int]] = {}
     for lam, c in p.terms.items():
-        t = lam.coords[nz] // a
-        key = lam - alpha.scaled(t)
+        x = lam.coords
+        t = x[nz] // a
+        key = tuple(xk - t * ak for xk, ak in zip(x, step)) if t else x
         lines.setdefault(key, {})[t] = c
     return lines
 
@@ -739,11 +787,13 @@ def exact_divide_one_minus_e(p: LaurentPoly, alpha: Weight) -> LaurentPoly:
     """Return q with p = (1 - e^alpha) q, or raise ValueError."""
     if p.is_zero():
         return LaurentPoly.zero(p.datum)
+    datum, step = p.datum, alpha.coords
     out = {}
     for key, coeffs in _alpha_lines(p, alpha).items():
         q = _divide_line_once(coeffs)
         if q is None:
             raise ValueError("not divisible by 1 - e^alpha")
         for t, c in q.items():
-            out[key + alpha.scaled(t)] = c
-    return LaurentPoly(p.datum, out)
+            coords = tuple(xk + t * ak for xk, ak in zip(key, step))
+            out[Weight._canonical(datum, coords)] = c
+    return LaurentPoly._trusted(datum, out)

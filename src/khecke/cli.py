@@ -284,6 +284,9 @@ def cmd_gkm_check(args):
                  for v in els)
         checked = len(els) ** 2 * len(roots)
     else:
+        if args.type:
+            raise DomainError("--type is for --mode big; small mode runs on "
+                              "affine SL_n, chosen by --n")
         datum = RootDatum.affine_sl(args.n)
         engine = PsiEngine(datum, "level-zero")
         fin = datum.finite
@@ -411,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gkm-check", help="verify GKM divisibility conditions")
     common(p, n_default=2)
-    p.add_argument("--type", help="Cartan type for big-torus mode")
+    p.add_argument("--type", help="Cartan type for big-torus mode, e.g. A2~ or C2~")
     p.add_argument("--mode", choices=("big", "small"), default="small")
     p.add_argument("--max-len", type=int, default=4)
     p.add_argument("--max-d", type=int, default=3)

@@ -29,8 +29,10 @@ class PsiEngine:
     def __init__(self, datum: RootDatum, flavor: str = "big"):
         if flavor not in ("big", "level-zero"):
             raise ValueError(f"unknown flavor {flavor!r}")
-        if flavor == "level-zero" and datum.flavor != "affine":
-            raise ValueError("level-zero flavor needs an affine datum")
+        if flavor == "level-zero" and datum.finite is None:
+            # only affine data carry one, and affinize_cartan data do not yet
+            raise ValueError(f"level-zero flavor needs an affine datum with a "
+                             f"finite companion; {datum.name} has none")
         self.datum = datum
         self.flavor = flavor
         self.coeffs = datum if flavor == "big" else datum.finite
@@ -76,10 +78,11 @@ class PsiEngine:
             if vri.length > v.length:
                 val = self.psi_right(v, wri)
             else:
-                # (1 - e^{-w(alpha_i)}) psi^{vr_i}(w) + e^{-w(alpha_i)} psi^v(wr_i)
+                # (1 - m) psi^{vr_i}(w) + m psi^v(wr_i), m = e^{-w(alpha_i)},
+                # with one product
                 m = LaurentPoly.monomial(-self.root_image(w, i))
-                val = (self._one() - m) * self.psi_right(vri, w) \
-                    + m * self.psi_right(v, wri)
+                a = self.psi_right(vri, w)
+                val = a + m * (self.psi_right(v, wri) - a)
         self._right[key] = val
         return val
 

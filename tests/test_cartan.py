@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from khecke.cartan import (DatumMismatchError, LaurentPoly, RootDatum,
+from khecke.cartan import (DatumMismatchError, LaurentPoly, RootDatum, Weight,
                            _RootSolver, demazure, divisible_by_one_minus_e, eta,
                            exact_divide_one_minus_e, level_zero_project, phi0,
                            weyl_reflect_poly)
@@ -252,3 +252,201 @@ class TestRootSolver:
                     assert got == slow.solve_by_elimination(lam.coords)
                     none_seen += got is None
         assert none_seen > 0
+
+
+# -- the ring layer's fast paths against plain-coordinate oracles ---------------
+
+RING_DATA = (
+    [RootDatum.sl(n) for n in (2, 3, 4)]
+    + [RootDatum.affine_sl(n) for n in (2, 3)]
+    + [RootDatum.of_type(t) for t in ("B2", "G2", "C2~")]
+    + [RootDatum.affinize_cartan(*AFFINE_GCMS["A2~"], name="gcm-A2~")])
+
+coords_st = st.lists(st.integers(-3, 3), min_size=7, max_size=7)
+# a small box and few coefficient values, so terms collide and cancel
+terms_st = st.dictionaries(st.tuples(*[st.integers(-1, 1)] * 7),
+                           st.integers(-2, 2), max_size=5)
+
+
+def cut(datum, coords):
+    return tuple(coords[:datum.rank])
+
+
+def oracle_terms(datum, raw):
+    """{canonical coords: coeff} from raw coordinates, zeros dropped."""
+    out = {}
+    for x, c in raw.items():
+        key = datum.canon(cut(datum, x))
+        out[key] = out.get(key, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def build(datum, raw):
+    """The public constructor on weights summed by Weight equality."""
+    acc = {}
+    for x, c in raw.items():
+        w = Weight(datum, cut(datum, x))
+        acc[w] = acc.get(w, 0) + c
+    return LaurentPoly(datum, acc)
+
+
+def as_oracle(p):
+    """The poly's terms by coordinates, checking the trusted invariants."""
+    for w, c in p.terms.items():
+        assert c != 0
+        assert w.datum is p.datum
+        assert w.coords == w.datum.canon(w.coords)
+    return {w.coords: c for w, c in p.terms.items()}
+
+
+def oracle_add(a, b, sign=1):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def oracle_mul(datum, a, b):
+    out = {}
+    for x, c in a.items():
+        for y, d in b.items():
+            key = datum.canon(tuple(u + v for u, v in zip(x, y)))
+            out[key] = out.get(key, 0) + c * d
+    return {k: c for k, c in out.items() if c}
+
+
+class TestCanonicalWeights:
+    """Every Weight is canonical, however it was built."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_quotient_equality(self, n):
+        # regression: the Weight constructor once kept (1, ..., 1) as given
+        sl = RootDatum.sl(n)
+        assert Weight(sl, (1,) * n) == sl.zero()
+        assert Weight(sl, (1,) * n).is_zero()
+        assert hash(Weight(sl, (2,) * n)) == hash(sl.zero())
+        af = RootDatum.affine_sl(n)
+        assert Weight(af, (1,) * n + (0, 0)) == af.zero()
+        assert Weight(af, (3,) * n + (1, 2)) == af.weight((0,) * n + (1, 2))
+        assert Weight(af, (1,) * n + (0, 0)) != af.null_root()
+
+    @given(st.sampled_from(RING_DATA), coords_st, coords_st, st.integers(-3, 3))
+    def test_ops_match_datum_weight(self, datum, x, y, k):
+        x, y = cut(datum, x), cut(datum, y)
+        a, b = datum.weight(x), datum.weight(y)
+        assert Weight(datum, x) == a
+        cases = [
+            (a + b, [u + v for u, v in zip(x, y)]),
+            (a - b, [u - v for u, v in zip(x, y)]),
+            (-a, [-u for u in x]),
+            (a.scaled(k), [k * u for u in x]),
+        ]
+        for fast, raw in cases:
+            slow = datum.weight(raw)
+            assert fast == slow and hash(fast) == hash(slow)
+            assert fast.coords == slow.coords == datum.canon(raw)
+
+    def test_datum_checks_kept(self, sl2, sl3):
+        with pytest.raises(DatumMismatchError):
+            Weight(sl3, (1, 2))
+        with pytest.raises(DatumMismatchError):
+            sl3.zero() + sl2.zero()
+
+
+class TestRingOracle:
+    """LaurentPoly's trusted ring operations against {coords: int} sums."""
+
+    @given(st.sampled_from(RING_DATA), terms_st, terms_st, st.integers(-2, 2))
+    def test_ring_ops(self, datum, pt, qt, k):
+        p, q = build(datum, pt), build(datum, qt)
+        po, qo = oracle_terms(datum, pt), oracle_terms(datum, qt)
+        assert as_oracle(p) == po and as_oracle(q) == qo
+        assert as_oracle(p + q) == oracle_add(po, qo)
+        assert as_oracle(p - q) == oracle_add(po, qo, -1)
+        assert as_oracle(-p) == {x: -c for x, c in po.items()}
+        assert as_oracle(p.scaled(k)) == {x: k * c for x, c in po.items() if k}
+        assert as_oracle(k * p) == as_oracle(p * k) == as_oracle(p.scaled(k))
+        assert as_oracle(p * q) == oracle_mul(datum, po, qo)
+        assert as_oracle(eta(p)) == {datum.canon(tuple(-u for u in x)): c
+                                     for x, c in po.items()}
+        assert (p - p).is_zero() and (p + (-p)).is_zero()
+
+    @given(st.sampled_from(RING_DATA), terms_st, terms_st)
+    def test_forced_cancellation(self, datum, pt, qt):
+        # r = q - p cancels every term of p in p + r; the cross terms of
+        # (p + q)(p - q) cancel in the product's own sum; p * (q - q) is 0
+        p, q = build(datum, pt), build(datum, qt)
+        po, qo = as_oracle(p), as_oracle(q)
+        assert as_oracle(p + (q - p)) == qo
+        assert as_oracle((p + q) * (p - q)) == oracle_add(
+            oracle_mul(datum, po, po), oracle_mul(datum, qo, qo), -1)
+        assert (p * (q - q)).is_zero()
+        assert as_oracle(p * q - q * p) == {}
+
+    @given(st.sampled_from(RING_DATA), terms_st, st.data())
+    def test_reflect_and_demazure(self, datum, pt, data):
+        i = data.draw(st.sampled_from(datum.nodes))
+        p = build(datum, pt)
+        want = {}
+        for x, c in as_oracle(p).items():
+            want[datum.reflect(i, datum.weight(x)).coords] = c
+        assert as_oracle(weyl_reflect_poly(datum, i, p)) == want
+        # T_i e^lam for lam = r_i mu in the three cases of the formula
+        alpha = datum.simple_root(i).coords
+        want = {}
+        for x, c in as_oracle(p).items():
+            m = datum.pairing(i, datum.weight(x))
+            ks = range(-m, 0) if m > 0 else range(-m)
+            for k in ks:
+                key = tuple(u + k * a for u, a in zip(x, alpha))
+                want[key] = want.get(key, 0) + (c if m > 0 else -c)
+        assert as_oracle(demazure(datum, i, p)) == {x: c for x, c in want.items() if c}
+
+    def test_public_constructor_checks(self, sl2, sl3):
+        with pytest.raises(DatumMismatchError):
+            LaurentPoly(sl3, {sl2.zero(): 1})
+        assert LaurentPoly(sl3, {sl3.zero(): 0}).terms == {}
+
+
+def root_direction(datum, combo):
+    return datum.weight(tuple(
+        sum(c * datum.simple_root(i).coords[k] for c, i in zip(combo, datum.nodes))
+        for k in range(datum.rank)))
+
+
+class TestDivisibilityOracle:
+    """Line-by-line divisibility against q * (1 - e^alpha)^d."""
+
+    @given(st.sampled_from(RING_DATA), terms_st,
+           st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+           st.integers(1, 3), st.tuples(*[st.integers(-2, 2)] * 7),
+           st.integers(1, 3))
+    def test_multiples_and_perturbations(self, datum, qt, combo, d, mu, c):
+        alpha = root_direction(datum, combo)
+        if alpha.is_zero():
+            return
+        one = LaurentPoly.one(datum)
+        binom = one - LaurentPoly.monomial(alpha)
+        q = build(datum, qt)
+        p = q
+        for _ in range(d):
+            p = p * binom
+        for k in range(1, d + 1):
+            assert divisible_by_one_minus_e(p, alpha, k)
+        # one extra term makes one alpha-line's coefficient sum nonzero
+        bad = p + LaurentPoly.monomial(datum.weight(cut(datum, mu)), c)
+        assert not divisible_by_one_minus_e(bad, alpha, 1)
+        with pytest.raises(ValueError):
+            exact_divide_one_minus_e(bad, alpha)
+        back = p
+        for _ in range(d):
+            back = exact_divide_one_minus_e(back, alpha)
+            as_oracle(back)
+        assert back == q
+
+    def test_mixed_data_rejected(self, sl2, sl3):
+        p = LaurentPoly.one(sl3)
+        with pytest.raises(DatumMismatchError):
+            divisible_by_one_minus_e(p, sl2.simple_root(1))
+        with pytest.raises(DatumMismatchError):
+            exact_divide_one_minus_e(p, sl2.simple_root(1))

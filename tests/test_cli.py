@@ -354,3 +354,30 @@ class TestGkmCheck:
                            "--max-len", "3")
         assert code == 0
         assert "PASS" in out
+
+    @pytest.mark.parametrize("typ,checks", [("C2~", 10192), ("G2~", 8125)])
+    def test_big_mode_named_affine_gcm(self, capsys, typ, checks):
+        # 28 and 25 elements of length <= 4, 13 positive roots among their
+        # inversions: checks = elements^2 * roots
+        code, out, err = run(capsys, "gkm-check", "--mode", "big", "--type", typ,
+                             "--max-len", "4")
+        assert code == 0 and err == ""
+        assert out == f"gkm big: PASS [{checks} checks]\n"
+
+    def test_small_mode_rejects_type(self, capsys):
+        # small mode runs on affine SL_n from --n; --type once was ignored
+        code, out, err = run(capsys, "gkm-check", "--mode", "small", "--type", "A2")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "--type" in err
+
+    def test_psi_level_zero_needs_finite_companion(self, capsys):
+        code, out, err = run(capsys, "psi", "--type", "C2~", "--v", "0", "--w", "01")
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        code, out, _ = run(capsys, "psi", "--type", "C2~", "--v", "0", "--w", "01",
+                           "--flavor", "big")
+        assert code == 0 and out.strip()

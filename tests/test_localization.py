@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from khecke.cartan import LaurentPoly, eta, level_zero_project
+from khecke.cartan import LaurentPoly, RootDatum, eta, level_zero_project
 from khecke import weyl
 from khecke.hecke import group_elt_to_T
 from khecke.localization import (PsiEngine, gkm_check_big,
@@ -300,3 +301,60 @@ class TestWrongWay:
         coeffs = grassmannian_expansion(lz2, ww, 5)
         assert coeffs  # nonzero
         assert all(sl2_index(u) >= 1 for u in coeffs)
+
+
+# -- psi_right's one-product step against its slow paths ---------------------------
+
+
+def psi_right_two_products(engine, v, w, memo):
+    """The right recurrence with the step (1 - m) psi^{vr_i}(w) + m psi^v(wr_i)."""
+    key = (v, w)
+    if key in memo:
+        return memo[key]
+    if w.is_identity():
+        val = engine._one() if v.is_identity() else engine._zero()
+    else:
+        datum = engine.datum
+        i = next(i for i in datum.nodes if weyl.has_right_descent(w, i))
+        wri = weyl.multiply(w, weyl.simple(datum, i))
+        vri = weyl.multiply(v, weyl.simple(datum, i))
+        if vri.length > v.length:
+            val = psi_right_two_products(engine, v, wri, memo)
+        else:
+            m = LaurentPoly.monomial(-engine.root_image(w, i))
+            val = (engine._one() - m) * psi_right_two_products(engine, vri, w, memo) \
+                + m * psi_right_two_products(engine, v, wri, memo)
+    memo[key] = val
+    return val
+
+
+PSI_CASES = [(RootDatum.affine_sl(3), "big", 4), (RootDatum.affine_sl(3), "level-zero", 4),
+             (RootDatum.of_type("B2"), "big", 4), (RootDatum.of_type("G2"), "big", 6)]
+PSI_ENGINES = [(PsiEngine(d, flavor), weyl.all_elements(d, cap), {})
+               for d, flavor, cap in PSI_CASES]
+
+
+class TestPsiRightStep:
+    @given(st.sampled_from(range(len(PSI_ENGINES))), st.data())
+    def test_matches_two_product_step_and_other_algorithms(self, case, data):
+        engine, els, memo = PSI_ENGINES[case]
+        v = data.draw(st.sampled_from(els))
+        w = data.draw(st.sampled_from(els))
+        got = engine.psi_right(v, w)
+        assert got == psi_right_two_products(engine, v, w, memo)
+        assert got == engine.psi_left(v, w)
+        assert got == engine.psi_graham_willems(v, w)
+
+
+class TestLevelZeroNeedsCompanion:
+    def test_affinized_gcm_rejected_at_construction(self):
+        for datum in (RootDatum.of_type("C2~"),
+                      RootDatum.affinize_cartan([[2, -2], [-2, 2]], [1, 1])):
+            with pytest.raises(ValueError, match="finite companion"):
+                PsiEngine(datum, "level-zero")
+            assert PsiEngine(datum, "big").psi_right(
+                weyl.identity(datum), weyl.simple(datum, 0)) == LaurentPoly.one(datum)
+
+    def test_finite_datum_rejected(self, A2):
+        with pytest.raises(ValueError):
+            PsiEngine(A2, "level-zero")
