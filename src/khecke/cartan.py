@@ -720,17 +720,24 @@ def level_zero_project(p: LaurentPoly, affine_datum: RootDatum) -> LaurentPoly:
     return LaurentPoly(affine_datum.finite, out)
 
 
-# -- exact divisibility by (1 - e^alpha)^d ------------------------------------
+# -- residues and divisibility modulo (1 - e^alpha) ----------------------------
+#
+# The kernel of Z[P] -> Z[P/Z alpha] is the ideal (1 - e^alpha), so p lies in
+# it exactly when every coset lam_0 + Z alpha of p's support (an alpha-line)
+# has coefficient sum 0: ``residue_mod_one_minus_e`` is that image, and two
+# polynomials agree mod (1 - e^alpha) iff their residues are equal.  On one
+# line, sum c_t z^t with z = e^alpha, (1 - z)^d divides exactly when the
+# moments sum c_t t^k vanish for k < d (the derivatives (z d/dz)^k at z = 1);
+# (1 - z)^d is monic up to sign, so division over Q is division over Z.
 
 
-def _alpha_lines(p: LaurentPoly, alpha: Weight) -> dict[tuple, dict[int, int]]:
-    """Split p into cosets lam_0 + Z*alpha; returns {line key: {t: coeff}}.
+def _line_terms(p: LaurentPoly, alpha: Weight):
+    """Yield (key, t, c) for each term c e^lam of p, lam = key + t*alpha.
 
-    The key of a term lam is the coordinate tuple of lam - t*alpha, with t
-    chosen so the key's coordinate at the first nonzero position of alpha
-    is the canonical residue; weights share a key iff they differ by a
-    multiple of alpha.  Keys are canonical, as differences of canonical
-    coordinates.
+    The key is the coordinate tuple of lam - t*alpha, with t chosen so the
+    key's coordinate at the first nonzero position of alpha is the canonical
+    residue; weights share a key iff they differ by a multiple of alpha.
+    Keys are canonical, as differences of canonical coordinates.
     """
     if alpha.datum is not p.datum:
         raise DatumMismatchError("weights from different data")
@@ -739,13 +746,30 @@ def _alpha_lines(p: LaurentPoly, alpha: Weight) -> dict[tuple, dict[int, int]]:
     if nz is None:
         raise ValueError("cannot slice along the zero weight")
     a = step[nz]
-    lines: dict[tuple, dict[int, int]] = {}
     for lam, c in p.terms.items():
         x = lam.coords
         t = x[nz] // a
-        key = tuple(xk - t * ak for xk, ak in zip(x, step)) if t else x
+        yield (tuple([xk - t * ak for xk, ak in zip(x, step)]) if t else x), t, c
+
+
+def _alpha_lines(p: LaurentPoly, alpha: Weight) -> dict[tuple, dict[int, int]]:
+    """Split p into cosets lam_0 + Z*alpha; returns {line key: {t: coeff}}."""
+    lines: dict[tuple, dict[int, int]] = {}
+    for key, t, c in _line_terms(p, alpha):
         lines.setdefault(key, {})[t] = c
     return lines
+
+
+def residue_mod_one_minus_e(p: LaurentPoly, alpha: Weight) -> dict[tuple, int]:
+    """The image of p in Z[P]/(1 - e^alpha) = Z[P/Z alpha].
+
+    Returns {line key: coefficient sum of p on that alpha-line}, zero sums
+    dropped; the keys are those of ``_alpha_lines``.
+    """
+    sums: dict[tuple, int] = {}
+    for key, _, c in _line_terms(p, alpha):
+        sums[key] = sums.get(key, 0) + c
+    return {key: s for key, s in sums.items() if s}
 
 
 def _divide_line_once(coeffs: dict[int, int]) -> dict[int, int] | None:
@@ -770,17 +794,22 @@ def _divide_line_once(coeffs: dict[int, int]) -> dict[int, int] | None:
 
 
 def divisible_by_one_minus_e(p: LaurentPoly, alpha: Weight, d: int = 1) -> bool:
-    """Exact membership test p in (1 - e^alpha)^d Z[P]."""
+    """Exact membership test p in (1 - e^alpha)^d Z[P], by line moments."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if p.is_zero():
         return True
-    for coeffs in _alpha_lines(p, alpha).values():
-        for _ in range(d):
-            coeffs = _divide_line_once(coeffs)
-            if coeffs is None:
-                return False
-    return True
+    if d == 1:
+        return not residue_mod_one_minus_e(p, alpha)
+    moments: dict[tuple, list[int]] = {}
+    for key, t, c in _line_terms(p, alpha):
+        m = moments.get(key)
+        if m is None:
+            m = moments[key] = [0] * d
+        for k in range(d):
+            m[k] += c
+            c *= t
+    return not any(any(m) for m in moments.values())
 
 
 def exact_divide_one_minus_e(p: LaurentPoly, alpha: Weight) -> LaurentPoly:

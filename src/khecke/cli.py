@@ -99,8 +99,8 @@ def _datum_for(args) -> RootDatum:
 def cmd_psi(args):
     datum = _datum_for(args)
     flavor = args.flavor
-    if datum.flavor == "finite":
-        flavor = "big"
+    if flavor is None:
+        flavor = "big" if datum.flavor == "finite" else "level-zero"
     engine = PsiEngine(datum, flavor)
     v = weyl.from_word(datum, parse_word_arg(args.v))
     w = weyl.from_word(datum, parse_word_arg(args.w))
@@ -273,8 +273,14 @@ def cmd_check_conjectures(args):
 
 
 def cmd_gkm_check(args):
+    n = 2 if args.n is None else args.n
     if args.mode == "big":
-        datum = _datum_for(args)
+        if args.max_d is not None:
+            raise DomainError("--max-d is for --mode small; big mode checks "
+                              "divisibility by (1 - e^alpha) alone")
+        if args.type and args.n is not None:
+            raise DomainError("give --type or --n, not both")
+        datum = RootDatum.of_type(args.type) if args.type else RootDatum.affine_sl(n)
         engine = PsiEngine(datum, "big")
         els = weyl.all_elements(datum, args.max_len)
         roots = sorted({a for v in els for a in weyl.inversions(v)},
@@ -287,7 +293,7 @@ def cmd_gkm_check(args):
         if args.type:
             raise DomainError("--type is for --mode big; small mode runs on "
                               "affine SL_n, chosen by --n")
-        datum = RootDatum.affine_sl(args.n)
+        datum = RootDatum.affine_sl(n)
         engine = PsiEngine(datum, "level-zero")
         fin = datum.finite
         ok = True
@@ -295,13 +301,14 @@ def cmd_gkm_check(args):
         els = weyl.all_elements(datum, args.max_len)
         grass = [v for v in els if weyl.is_grassmannian(v)]
         roots = [(tuple((1 if t == i else 0) - (1 if t == j else 0)
-                        for t in range(args.n)), i, j)
-                 for i in range(args.n) for j in range(args.n) if i != j]
+                        for t in range(n)), i, j)
+                 for i in range(n) for j in range(n) if i != j]
+        max_d = 3 if args.max_d is None else args.max_d
         for v in grass:
             psi_of = lambda x, v=v: engine.psi_right(v, x)
             for avee, i, j in roots:
                 alpha = fin.weight(avee)
-                for d in range(1, args.max_d + 1):
+                for d in range(1, max_d + 1):
                     for w in els:
                         checked += 1
                         if not small_gkm_grassmannian_check(psi_of, datum, avee,
@@ -338,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", required=True, help="word for v")
     p.add_argument("--w", required=True, help="word for w")
     p.add_argument("--algorithm", choices=("right", "left", "gw"), default="right")
-    p.add_argument("--flavor", choices=("big", "level-zero"), default="level-zero")
+    p.add_argument("--flavor", choices=("big", "level-zero"), default=None,
+                   help="default: level-zero on affine data, big on finite data")
     p.set_defaults(fn=cmd_psi)
 
     p = sub.add_parser("expand-group", help="expand a group element over T_v")
@@ -413,11 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check_conjectures)
 
     p = sub.add_parser("gkm-check", help="verify GKM divisibility conditions")
-    common(p, n_default=2)
+    common(p)
     p.add_argument("--type", help="Cartan type for big-torus mode, e.g. A2~ or C2~")
     p.add_argument("--mode", choices=("big", "small"), default="small")
     p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--max-d", type=int, default=3)
+    p.add_argument("--max-d", type=int, default=None,
+                   help="small mode: largest power d of (1 - e^alpha) (default 3)")
     p.set_defaults(fn=cmd_gkm_check)
 
     return ap

@@ -5,7 +5,13 @@ group element w localizes the structure sheaf of the codimension-l(v)
 Schubert variety at the fixed point w.  Three independent algorithms are
 provided (right recurrence, left recurrence, reduced-word sum) plus the
 Kostant-Kumar variant by Moebius inversion, big- and small-torus GKM
-divisibility checks, closed forms for affine SL_2, and the wrong-way map.
+checks, closed forms for affine SL_2, and the wrong-way map.
+
+The big-torus GKM condition psi(r_alpha w) = psi(w) mod (1 - e^alpha) is
+tested by comparing residues in Z[P]/(1 - e^alpha) = Z[P/Z alpha]
+(``cartan.residue_mod_one_minus_e``): each psi value is reduced once per
+root and no difference is formed.  The small-torus conditions, modulo
+(1 - e^alpha)^d, test line moments (``cartan.divisible_by_one_minus_e``).
 
 Flavors: "big" works over the datum's own lattice (R(T) or R(T_af));
 "level-zero" (affine data only) projects every root to the finite lattice
@@ -17,7 +23,8 @@ from __future__ import annotations
 from math import comb
 
 from .cartan import (LaurentPoly, RootDatum, divisible_by_one_minus_e, eta,
-                     exact_divide_one_minus_e, weyl_reflect_poly)
+                     exact_divide_one_minus_e, residue_mod_one_minus_e,
+                     weyl_reflect_poly)
 from . import weyl
 from .hecke import fold_T
 from .weyl import WeylElt
@@ -73,8 +80,8 @@ class PsiEngine:
             val = self._one() if v.is_identity() else self._zero()
         else:
             i = next(i for i in self.datum.nodes if weyl.has_right_descent(w, i))
-            wri = weyl.multiply(w, weyl.simple(self.datum, i))
-            vri = weyl.multiply(v, weyl.simple(self.datum, i))
+            wri = weyl.right_simple(w, i)
+            vri = weyl.right_simple(v, i)
             if vri.length > v.length:
                 val = self.psi_right(v, wri)
             else:
@@ -192,12 +199,23 @@ def gkm_check_big(psi_of, datum: RootDatum, pairs) -> bool:
     """Big-torus GKM: psi(r_alpha w) - psi(w) in (1 - e^alpha) R(T).
 
     ``pairs`` iterates over (alpha: Weight, w: WeylElt) with alpha a positive
-    real root of ``datum``; psi_of maps WeylElt -> LaurentPoly.
+    real root of ``datum`` and w an element of its Weyl group; psi_of maps
+    WeylElt -> LaurentPoly.  The difference lies in the ideal exactly when
+    psi(r_alpha w) and psi(w) have the same residue in Z[P/Z alpha]; the
+    residues are memoised per (x, alpha) within the call, and r_alpha w is
+    the edge remembered on w (``weyl.left_reflection``).
     """
+    residues = {}
+
+    def residue(x, alpha):
+        key = (x, alpha)
+        r = residues.get(key)
+        if r is None:
+            r = residues[key] = residue_mod_one_minus_e(psi_of(x), alpha)
+        return r
+
     for alpha, w in pairs:
-        r_alpha = weyl.reflection_for_root(datum, alpha)
-        diff = psi_of(weyl.multiply(r_alpha, w)) - psi_of(w)
-        if not divisible_by_one_minus_e(diff, alpha, 1):
+        if residue(weyl.left_reflection(alpha, w), alpha) != residue(w, alpha):
             return False
     return True
 

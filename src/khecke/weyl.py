@@ -9,10 +9,13 @@ data the element's action matrix on the lattice is kept alongside.
 Each datum interns its elements by their action (the window, else the
 matrix): a product or inverse is computed in that representation and looked
 up, so an element's canonical word is derived only the first time it is met.
-Each element also remembers its left edges r_i w (``left_simple``), so the
-0-Hecke fold, the Bruhat recursion and ``psi_left`` multiply once per
-(w, i).  Elements stay immutable values: the memo is derived from the
-element alone, and interning makes each edge one object.
+Each element also remembers its edges: the left edges r_i w
+(``left_simple``), so the 0-Hecke fold, the Bruhat recursion and
+``psi_left`` multiply once per (w, i); the right edges w r_i
+(``right_simple``) for ``psi_right``; and the root edges r_alpha w
+(``left_reflection``) for the big-torus GKM check.  Elements stay immutable
+values: the memo is derived from the element alone, and interning makes each
+edge one object.
 
 Words in tables and CLI output are read left to right: "210" is r2*r1*r0.
 """
@@ -65,6 +68,7 @@ class _DatumOps:
         self.identity_action = (_win_identity(self.window_n) if self.window_n
                                 else self.unit_matrix)
         self.interned: dict = {}  # action (window or matrix) -> WeylElt
+        self.simples: dict = {}  # node -> r_i
         self.reflections: dict = {}  # positive real root -> r_alpha
         self.partition_inverse: dict = {}
 
@@ -158,7 +162,7 @@ class WeylElt:
     """Immutable Weyl group element (canonical word + faithful key)."""
 
     __slots__ = ("datum", "word", "window", "_matrix", "_inv_matrix", "_key", "_hash",
-                 "_left")
+                 "_left", "_right", "_roots")
 
     def __init__(self, datum, word, window=None, matrix=None, inv_matrix=None):
         self.datum = datum
@@ -169,6 +173,8 @@ class WeylElt:
         self._key = None
         self._hash = hash((id(datum), self.word))
         self._left = None  # node i -> r_i w, filled by left_simple
+        self._right = None  # node i -> w r_i, filled by right_simple
+        self._roots = None  # positive real root alpha -> r_alpha w, by left_reflection
 
     # -- identity / generators ------------------------------------------------
 
@@ -265,11 +271,16 @@ def identity(datum) -> WeylElt:
 
 
 def simple(datum, i) -> WeylElt:
-    if i not in datum.nodes:
-        raise ValueError(f"{i} is not a node of {datum.name}")
+    """r_i, read from a per-datum table filled on first use."""
     ops = _DatumOps.of(datum)
-    n = ops.window_n
-    return _involution(datum, (i,), _win_simple(n, i) if n else ops.refl[i])
+    ri = ops.simples.get(i)
+    if ri is None:
+        if i not in datum.nodes:
+            raise ValueError(f"{i} is not a node of {datum.name}")
+        n = ops.window_n
+        ri = ops.simples[i] = _involution(datum, (i,),
+                                          _win_simple(n, i) if n else ops.refl[i])
+    return ri
 
 
 def from_word(datum, word) -> WeylElt:
@@ -369,6 +380,30 @@ def left_simple(i, w: WeylElt) -> WeylElt:
     if riw is None:
         riw = edges[i] = multiply(simple(w.datum, i), w)
     return riw
+
+
+def right_simple(w: WeylElt, i) -> WeylElt:
+    """w r_i, multiplied once per (w, i) and remembered on w, as in
+    ``left_simple``."""
+    edges = w._right
+    if edges is None:
+        edges = w._right = {}
+    wri = edges.get(i)
+    if wri is None:
+        wri = edges[i] = multiply(w, simple(w.datum, i))
+    return wri
+
+
+def left_reflection(alpha: Weight, w: WeylElt) -> WeylElt:
+    """r_alpha w for a positive real root alpha, multiplied once per
+    (w, alpha) and remembered on w, as in ``left_simple``."""
+    edges = w._roots
+    if edges is None:
+        edges = w._roots = {}
+    r_alpha_w = edges.get(alpha)
+    if r_alpha_w is None:
+        r_alpha_w = edges[alpha] = multiply(reflection_for_root(w.datum, alpha), w)
+    return r_alpha_w
 
 
 def inverse(w: WeylElt) -> WeylElt:

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from khecke.cartan import (DatumMismatchError, LaurentPoly, RootDatum, Weight,
-                           _RootSolver, demazure, divisible_by_one_minus_e, eta,
-                           exact_divide_one_minus_e, level_zero_project, phi0,
+                           _RootSolver, _alpha_lines, _divide_line_once, demazure,
+                           divisible_by_one_minus_e, eta, exact_divide_one_minus_e,
+                           level_zero_project, phi0, residue_mod_one_minus_e,
                            weyl_reflect_poly)
 
 
@@ -450,3 +451,67 @@ class TestDivisibilityOracle:
             divisible_by_one_minus_e(p, sl2.simple_root(1))
         with pytest.raises(DatumMismatchError):
             exact_divide_one_minus_e(p, sl2.simple_root(1))
+
+
+def iterated_division(p, alpha, d):
+    """p in (1 - e^alpha)^d Z[P] by dividing each alpha-line d times."""
+    if p.is_zero():
+        return True
+    for coeffs in _alpha_lines(p, alpha).values():
+        for _ in range(d):
+            coeffs = _divide_line_once(coeffs)
+            if coeffs is None:
+                return False
+    return True
+
+
+RESIDUE_DATA = (RootDatum.sl(3), RootDatum.of_type("B2"), RootDatum.of_type("G2"),
+                RootDatum.affine_sl(3), RootDatum.of_type("C2~"))
+combo_st = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+
+
+class TestResidues:
+    """Residues mod (1 - e^alpha) and line moments against line division."""
+
+    @given(st.sampled_from(RESIDUE_DATA), terms_st, terms_st, terms_st, combo_st,
+           st.booleans())
+    def test_residue_equality_is_divisibility(self, datum, ft, gt, qt, combo, planted):
+        alpha = root_direction(datum, combo)
+        if alpha.is_zero():
+            return
+        f, g = build(datum, ft), build(datum, gt)
+        if planted:
+            binom = LaurentPoly.one(datum) - LaurentPoly.monomial(alpha)
+            g = f + build(datum, qt) * binom
+        same = residue_mod_one_minus_e(f, alpha) == residue_mod_one_minus_e(g, alpha)
+        assert same == divisible_by_one_minus_e(f - g, alpha, 1)
+        assert same == iterated_division(f - g, alpha, 1)
+        if planted:
+            assert same
+        # the residue is the line sums of _alpha_lines, zero sums dropped
+        sums = {key: sum(line.values()) for key, line in _alpha_lines(f, alpha).items()}
+        assert residue_mod_one_minus_e(f, alpha) == {k: c for k, c in sums.items() if c}
+
+    @given(st.sampled_from(RING_DATA), terms_st, terms_st, combo_st,
+           st.integers(0, 3), st.integers(1, 3), st.booleans())
+    def test_moments_match_iterated_division(self, datum, qt, rt, combo, k, d, perturb):
+        alpha = root_direction(datum, combo)
+        if alpha.is_zero():
+            return
+        binom = LaurentPoly.one(datum) - LaurentPoly.monomial(alpha)
+        p = build(datum, qt)
+        for _ in range(k):
+            p = p * binom
+        if perturb:
+            p = p + build(datum, rt)
+        assert divisible_by_one_minus_e(p, alpha, d) == iterated_division(p, alpha, d)
+        if not perturb and k >= d:
+            assert divisible_by_one_minus_e(p, alpha, d)
+
+    def test_residue_rejects(self, sl2, sl3):
+        p = LaurentPoly.one(sl3)
+        with pytest.raises(DatumMismatchError):
+            residue_mod_one_minus_e(p, sl2.simple_root(1))
+        with pytest.raises(ValueError):
+            residue_mod_one_minus_e(p, sl3.zero())
+        assert residue_mod_one_minus_e(LaurentPoly.zero(sl3), sl3.simple_root(1)) == {}

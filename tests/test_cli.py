@@ -364,6 +364,47 @@ class TestGkmCheck:
         assert code == 0 and err == ""
         assert out == f"gkm big: PASS [{checks} checks]\n"
 
+    def test_big_mode_golden_a2_affine(self, capsys):
+        # 36 elements of length <= 4, 9 positive roots among their inversions
+        code, out, err = run(capsys, "gkm-check", "--mode", "big", "--type", "A2~",
+                             "--max-len", "4")
+        assert code == 0 and err == ""
+        assert out == "gkm big: PASS [11532 checks]\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("--type", "A2", "--max-len", "2", "--max-d", "7"),
+        ("--type", "A2", "--max-len", "2", "--n", "9"),
+        ("--type", "A2", "--max-len", "2", "--max-d", "7", "--n", "9"),
+        ("--n", "2", "--max-len", "2", "--max-d", "1"),
+    ])
+    def test_big_mode_rejects_ignored_options(self, capsys, argv):
+        # big mode once printed PASS and ignored --max-d, and --n next to --type
+        code, out, err = run(capsys, "gkm-check", "--mode", "big", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_defaults_without_n(self, capsys):
+        # no --n: affine SL_2 in both modes, and --max-d 3 in small mode
+        for mode, explicit in (("big", ("--n", "2")),
+                               ("small", ("--n", "2", "--max-d", "3"))):
+            code, out, _ = run(capsys, "gkm-check", "--mode", mode, "--max-len", "2")
+            assert code == 0
+            assert run(capsys, "gkm-check", "--mode", mode, "--max-len", "2",
+                       *explicit) == (0, out, "")
+
+    def test_psi_flavor_default_and_explicit(self, capsys):
+        # the default flavor is big on finite data; an explicit level-zero
+        # request there is refused instead of being turned into big
+        base = ("psi", "--type", "A2", "--v", "1", "--w", "121")
+        assert run(capsys, *base) == run(capsys, *base, "--flavor", "big")
+        code, out, err = run(capsys, *base, "--flavor", "level-zero")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        affine = ("psi", "--n", "2", "--v", "0", "--w", "010")
+        assert run(capsys, *affine) == run(capsys, *affine, "--flavor", "level-zero")
+
     def test_small_mode_rejects_type(self, capsys):
         # small mode runs on affine SL_n from --n; --type once was ignored
         code, out, err = run(capsys, "gkm-check", "--mode", "small", "--type", "A2")

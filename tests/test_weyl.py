@@ -307,6 +307,49 @@ class TestLeftEdges:
         assert 7 not in (w._left or {})
 
 
+class TestRightAndRootEdges:
+    """right_simple(w, i) and left_reflection(alpha, w) against the products
+    they remember."""
+
+    @staticmethod
+    def check(draw, datum):
+        w = weyl.from_word(datum, random_word(draw, datum, 8))
+        i = draw(st.sampled_from(datum.nodes))
+        wri = weyl.right_simple(w, i)
+        assert wri is weyl.multiply(w, weyl.simple(datum, i))
+        assert weyl.right_simple(w, i) is wri
+        assert weyl.right_simple(wri, i) is w
+        assert (wri.length < w.length) == weyl.has_right_descent(w, i)
+        u = weyl.from_word(datum, random_word(draw, datum, 6))
+        roots = sorted(weyl.inversions(u), key=lambda a: a.coords)
+        if not roots:
+            return
+        alpha = draw(st.sampled_from(roots))
+        r_alpha_w = weyl.left_reflection(alpha, w)
+        assert r_alpha_w is weyl.multiply(weyl.reflection_for_root(datum, alpha), w)
+        assert weyl.left_reflection(alpha, w) is r_alpha_w
+        assert weyl.left_reflection(alpha, r_alpha_w) is w
+
+    @given(st.integers(2, 5), st.data())
+    def test_window_path(self, n, data):
+        self.check(data.draw, RootDatum.affine_sl(n))
+
+    @given(st.sampled_from(GENERIC_DATA), st.data())
+    def test_matrix_path(self, datum, data):
+        self.check(data.draw, datum)
+
+    def test_simple_table(self, af2):
+        r0 = weyl.simple(af2, 0)
+        assert weyl.simple(af2, 0) is r0 and r0.word == (0,)
+        with pytest.raises(ValueError):
+            weyl.simple(af2, 7)
+        assert 7 not in weyl._DatumOps.of(af2).simples
+        w = weyl.simple(af2, 1)
+        with pytest.raises(ValueError):
+            weyl.left_reflection(af2.fundamental_weight(0), w)
+        assert af2.fundamental_weight(0) not in (w._roots or {})
+
+
 class TestQuotientLattice:
     """RootDatum.sl(n) acts on Z^n mod the all-ones vector."""
 
