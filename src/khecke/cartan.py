@@ -794,13 +794,15 @@ def _divide_line_once(coeffs: dict[int, int]) -> dict[int, int] | None:
 
 
 def divisible_by_one_minus_e(p: LaurentPoly, alpha: Weight, d: int = 1) -> bool:
-    """Exact membership test p in (1 - e^alpha)^d Z[P], by line moments."""
+    """Exact membership test p in (1 - e^alpha)^d Z[P], by line moments.
+
+    Moment 0 of a line is its coefficient sum, so for d = 1 this is
+    ``not residue_mod_one_minus_e(p, alpha)``.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
     if p.is_zero():
         return True
-    if d == 1:
-        return not residue_mod_one_minus_e(p, alpha)
     moments: dict[tuple, list[int]] = {}
     for key, t, c in _line_terms(p, alpha):
         m = moments.get(key)

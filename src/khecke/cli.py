@@ -88,12 +88,13 @@ def _emit(args, text_value, json_value, latex_value=None):
 # -- subcommand bodies --------------------------------------------------------------
 
 
-def _datum_for(args) -> RootDatum:
+def _datum_for(args, default_n=None) -> RootDatum:
     if args.type:
         return RootDatum.of_type(args.type)
-    if args.n is None:
+    n = default_n if args.n is None else args.n
+    if n is None:
         raise DomainError("need --type or --n")
-    return RootDatum.affine_sl(args.n)
+    return RootDatum.affine_sl(n)
 
 
 def cmd_psi(args):
@@ -273,27 +274,27 @@ def cmd_check_conjectures(args):
 
 
 def cmd_gkm_check(args):
-    n = 2 if args.n is None else args.n
     if args.mode == "big":
         if args.max_d is not None:
             raise DomainError("--max-d is for --mode small; big mode checks "
                               "divisibility by (1 - e^alpha) alone")
         if args.type and args.n is not None:
             raise DomainError("give --type or --n, not both")
-        datum = RootDatum.of_type(args.type) if args.type else RootDatum.affine_sl(n)
+        datum = _datum_for(args, default_n=2)
         engine = PsiEngine(datum, "big")
         els = weyl.all_elements(datum, args.max_len)
         roots = sorted({a for v in els for a in weyl.inversions(v)},
                        key=lambda a: a.coords)
         pairs = [(a, w) for a in roots for w in els]
-        ok = all(gkm_check_big(lambda x, v=v: engine.psi_right(v, x), datum, pairs)
+        ok = all(gkm_check_big(lambda x, v=v: engine.psi_right(v, x), pairs)
                  for v in els)
         checked = len(els) ** 2 * len(roots)
     else:
         if args.type:
             raise DomainError("--type is for --mode big; small mode runs on "
                               "affine SL_n, chosen by --n")
-        datum = RootDatum.affine_sl(n)
+        datum = _datum_for(args, default_n=2)
+        n = len(datum.nodes)
         engine = PsiEngine(datum, "level-zero")
         fin = datum.finite
         ok = True

@@ -195,11 +195,11 @@ class PsiEngine:
 # -- GKM conditions ------------------------------------------------------------------
 
 
-def gkm_check_big(psi_of, datum: RootDatum, pairs) -> bool:
+def gkm_check_big(psi_of, pairs) -> bool:
     """Big-torus GKM: psi(r_alpha w) - psi(w) in (1 - e^alpha) R(T).
 
     ``pairs`` iterates over (alpha: Weight, w: WeylElt) with alpha a positive
-    real root of ``datum`` and w an element of its Weyl group; psi_of maps
+    real root and w an element of the same Weyl group; psi_of maps
     WeylElt -> LaurentPoly.  The difference lies in the ideal exactly when
     psi(r_alpha w) and psi(w) have the same residue in Z[P/Z alpha]; the
     residues are memoised per (x, alpha) within the call, and r_alpha w is

@@ -68,7 +68,6 @@ class _DatumOps:
         self.identity_action = (_win_identity(self.window_n) if self.window_n
                                 else self.unit_matrix)
         self.interned: dict = {}  # action (window or matrix) -> WeylElt
-        self.simples: dict = {}  # node -> r_i
         self.reflections: dict = {}  # positive real root -> r_alpha
         self.partition_inverse: dict = {}
 
@@ -271,16 +270,11 @@ def identity(datum) -> WeylElt:
 
 
 def simple(datum, i) -> WeylElt:
-    """r_i, read from a per-datum table filled on first use."""
+    if i not in datum.nodes:
+        raise ValueError(f"{i} is not a node of {datum.name}")
     ops = _DatumOps.of(datum)
-    ri = ops.simples.get(i)
-    if ri is None:
-        if i not in datum.nodes:
-            raise ValueError(f"{i} is not a node of {datum.name}")
-        n = ops.window_n
-        ri = ops.simples[i] = _involution(datum, (i,),
-                                          _win_simple(n, i) if n else ops.refl[i])
-    return ri
+    n = ops.window_n
+    return _involution(datum, (i,), _win_simple(n, i) if n else ops.refl[i])
 
 
 def from_word(datum, word) -> WeylElt:

@@ -338,12 +338,7 @@ class TestRightAndRootEdges:
     def test_matrix_path(self, datum, data):
         self.check(data.draw, datum)
 
-    def test_simple_table(self, af2):
-        r0 = weyl.simple(af2, 0)
-        assert weyl.simple(af2, 0) is r0 and r0.word == (0,)
-        with pytest.raises(ValueError):
-            weyl.simple(af2, 7)
-        assert 7 not in weyl._DatumOps.of(af2).simples
+    def test_non_root_rejected(self, af2):
         w = weyl.simple(af2, 1)
         with pytest.raises(ValueError):
             weyl.left_reflection(af2.fundamental_weight(0), w)
