@@ -10,7 +10,6 @@ discarded (the caller recomputes and overwrites).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -42,6 +41,13 @@ def _encode(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _checksum(body: str) -> str:
+    """sha256 of ``body``.  ``hashlib`` is imported on first use, as ``logging``
+    in ``_warn``: it loads OpenSSL, about 3 MB and a few ms in every process."""
+    import hashlib
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
 class ResultCache:
     def __init__(self, root: Path | str | None = None):
         self.root = Path(root) if root else default_cache_dir()
@@ -53,8 +59,7 @@ class ResultCache:
 
     def store(self, n: int, kind: str, label: str, degree: int, payload) -> Path:
         body = _encode(payload)
-        record = {"checksum": hashlib.sha256(body.encode()).hexdigest(),
-                  "payload": payload}
+        record = {"checksum": _checksum(body), "payload": payload}
         path = self.path(n, kind, label, degree)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -73,7 +78,7 @@ class ResultCache:
         try:
             record = json.loads(path.read_text("utf-8"))
             body = _encode(record["payload"])
-            if hashlib.sha256(body.encode()).hexdigest() != record["checksum"]:
+            if _checksum(body) != record["checksum"]:
                 raise ValueError("checksum mismatch")
             return record["payload"]
         except (ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -11,7 +11,8 @@ right tensor slot, the Pieri rule, structure constants, Graham-Willems
 subwords) goes through it, walking the edges r_i w that each Weyl element
 caches (``weyl.left_simple``), so a letter costs one lookup once its edge
 is known.  ``int_mul`` is the product of integer elements {WeylElt: int},
-with no LaurentPoly wrapping; ``t_mul`` over R(T) is its test oracle.
+with no LaurentPoly wrapping, and folds each pair (u, v) once; ``t_mul``
+over R(T) is its test oracle.
 
 In affine flavor the coefficient ring defaults to the level-zero R(T)
 (finite weight lattice); pass the affine lattice itself for the big-torus
@@ -171,11 +172,18 @@ def fold_T(word, v: WeylElt) -> tuple[int, WeylElt]:
 
 
 def int_mul(a: dict, b: dict) -> dict:
-    """Product of integer elements {WeylElt: int} of the 0-Hecke ring."""
+    """Product of integer elements {WeylElt: int} of the 0-Hecke ring.
+
+    Each fold T_u T_v = sign T_w is remembered on the interned left factor u,
+    as ``weyl.left_simple`` remembers edges, so a pair is folded once."""
     out = {}
     for u, c in a.items():
+        folds = u._folds = u._folds or {}
         for v, d in b.items():
-            sign, w = fold_T(u.word, v)
+            sign_w = folds.get(v)
+            if sign_w is None:
+                sign_w = folds[v] = fold_T(u.word, v)
+            sign, w = sign_w
             s = out.get(w, 0) + sign * c * d
             if s:
                 out[w] = s

@@ -79,7 +79,7 @@ class PsiEngine:
         if w.is_identity():
             val = self._one() if v.is_identity() else self._zero()
         else:
-            i = next(i for i in self.datum.nodes if weyl.has_right_descent(w, i))
+            i = weyl.smallest_right_descent(w)
             wri = weyl.right_simple(w, i)
             vri = weyl.right_simple(v, i)
             if vri.length > v.length:
@@ -261,8 +261,7 @@ def _finite_reflection(datum: RootDatum, alpha_vee) -> WeylElt:
     j = next(k for k, c in enumerate(alpha_vee) if c == -1)
     win = list(range(1, n + 1))
     win[i], win[j] = win[j], win[i]
-    word = weyl._win_canonical_word(tuple(win))
-    return weyl.from_word(datum, word)
+    return weyl._from_window(datum, tuple(win))
 
 
 # -- affine SL_2 closed forms -------------------------------------------------------

@@ -8,14 +8,15 @@ data the element's action matrix on the lattice is kept alongside.
 
 Each datum interns its elements by their action (the window, else the
 matrix): a product or inverse is computed in that representation and looked
-up, so an element's canonical word is derived only the first time it is met.
+up.  The first time an action is met its word is derived by walking down
+smallest left descents only as far as the first interned element.
 Each element also remembers its edges: the left edges r_i w
 (``left_simple``), so the 0-Hecke fold, the Bruhat recursion and
 ``psi_left`` multiply once per (w, i); the right edges w r_i
-(``right_simple``) for ``psi_right``; and the root edges r_alpha w
-(``left_reflection``) for the big-torus GKM check.  Elements stay immutable
-values: the memo is derived from the element alone, and interning makes each
-edge one object.
+(``right_simple``) and the smallest right descent for ``psi_right``; and the
+root edges r_alpha w (``left_reflection``) for the big-torus GKM check.
+Elements stay immutable values: the memo is derived from the element alone,
+and interning makes each edge one object.
 
 Words in tables and CLI output are read left to right: "210" is r2*r1*r0.
 """
@@ -61,13 +62,19 @@ class _DatumOps:
             # matrix with column k = r_i(e_k); stored row-major
             self.refl[i] = tuple(tuple(cols[k][r] for k in range(datum.rank))
                                  for r in range(datum.rank))
-        self.window_n = datum.window_n
         # column k = canon(e_k): the identity of the group the reflection
         # matrices generate (not _mat_identity when the lattice is a quotient)
         self.unit_matrix = tuple(zip(*map(datum.canon, _mat_identity(datum.rank))))
-        self.identity_action = (_win_identity(self.window_n) if self.window_n
-                                else self.unit_matrix)
         self.interned: dict = {}  # action (window or matrix) -> WeylElt
+        n = datum.window_n
+
+        def involution(word, action):  # interned with its greedy word
+            window, matrix = (action, None) if n else (None, action)
+            elt = self.interned[action] = WeylElt(datum, word, window, matrix, matrix)
+            return elt
+        self.identity = involution((), _win_identity(n) if n else self.unit_matrix)
+        self.simples = {i: involution((i,), _win_simple(n, i) if n else self.refl[i])
+                        for i in datum.nodes}
         self.reflections: dict = {}  # positive real root -> r_alpha
         self.partition_inverse: dict = {}
 
@@ -161,7 +168,7 @@ class WeylElt:
     """Immutable Weyl group element (canonical word + faithful key)."""
 
     __slots__ = ("datum", "word", "window", "_matrix", "_inv_matrix", "_key", "_hash",
-                 "_left", "_right", "_roots")
+                 "_left", "_right", "_roots", "_rdesc", "_folds")
 
     def __init__(self, datum, word, window=None, matrix=None, inv_matrix=None):
         self.datum = datum
@@ -174,6 +181,8 @@ class WeylElt:
         self._left = None  # node i -> r_i w, filled by left_simple
         self._right = None  # node i -> w r_i, filled by right_simple
         self._roots = None  # positive real root alpha -> r_alpha w, by left_reflection
+        self._rdesc = None  # smallest right descent, by smallest_right_descent
+        self._folds = None  # v -> (sign, z) with T_w T_v = sign T_z, by hecke.int_mul
 
     # -- identity / generators ------------------------------------------------
 
@@ -230,51 +239,62 @@ class WeylElt:
         return out
 
 
-def _window_n(datum):
-    return _DatumOps.of(datum).window_n
+def _word_via_interned(interned, state, down):
+    """Canonical word of the element whose action is ``state[0]``.
+
+    Walks down smallest left descents, ``down(*state) -> (j, state of r_j x)``,
+    to the first interned element and appends that element's word.  This is
+    the greedy word: the identity and the simple reflections are interned
+    with theirs, and every other element is built by this rule."""
+    word = []
+    while state[0] not in interned:
+        step = down(*state)
+        if step is None:
+            raise ValueError("action did not reduce to the identity")
+        word.append(step[0])
+        state = step[1]
+    return tuple(word) + interned[state[0]].word
 
 
-def _interned(datum, action, make) -> WeylElt:
-    """The element of ``datum`` acting by ``action`` (a window or a matrix);
-    ``make()`` builds it the first time that action is met."""
-    interned = _DatumOps.of(datum).interned
-    elt = interned.get(action)
-    if elt is None:
-        elt = interned[action] = make()
-    return elt
+def _win_down(win):
+    """(j, (r_j x,)) for the smallest left descent j of the window x."""
+    inv = _win_inverse(win)
+    j = next((i for i in range(len(win)) if _win_right_descent(inv, i)), None)
+    return None if j is None else (j, (_win_mult_simple_left(win, j),))
 
 
 def _from_window(datum, win) -> WeylElt:
-    return _interned(datum, win, lambda: WeylElt(datum, _win_canonical_word(win), win))
+    interned = _DatumOps.of(datum).interned
+    elt = interned.get(win)
+    if elt is None:
+        word = _word_via_interned(interned, (win,), _win_down)
+        elt = interned[win] = WeylElt(datum, word, win)
+    return elt
 
 
 def _from_matrix(datum, matrix, inv_matrix) -> WeylElt:
     """``inv_matrix()`` gives the inverse action; it runs only on a miss."""
-    def make():
+    ops = _DatumOps.of(datum)
+    elt = ops.interned.get(matrix)
+    if elt is None:
+        def down(m, mi):
+            for i in datum.nodes:
+                if _negates(datum, mi, i):
+                    return i, (_mat_mul(ops.refl[i], m), _mat_mul(mi, ops.refl[i]))
         mi = inv_matrix()
-        return WeylElt(datum, _canonical_from_matrix(datum, matrix, mi), None,
-                       matrix, mi)
-    return _interned(datum, matrix, make)
-
-
-def _involution(datum, word, action) -> WeylElt:
-    """The identity or a simple reflection: its word is known and it is its
-    own inverse."""
-    window = action if _window_n(datum) else None
-    matrix = None if window else action
-    return _interned(datum, action, lambda: WeylElt(datum, word, window, matrix, matrix))
+        elt = ops.interned[matrix] = WeylElt(
+            datum, _word_via_interned(ops.interned, (matrix, mi), down), None, matrix, mi)
+    return elt
 
 
 def identity(datum) -> WeylElt:
-    return _involution(datum, (), _DatumOps.of(datum).identity_action)
+    return _DatumOps.of(datum).identity
 
 
 def simple(datum, i) -> WeylElt:
     if i not in datum.nodes:
         raise ValueError(f"{i} is not a node of {datum.name}")
-    ops = _DatumOps.of(datum)
-    n = ops.window_n
-    return _involution(datum, (i,), _win_simple(n, i) if n else ops.refl[i])
+    return _DatumOps.of(datum).simples[i]
 
 
 def from_word(datum, word) -> WeylElt:
@@ -303,25 +323,31 @@ def word_str(word) -> str:
 # -- descents ------------------------------------------------------------------
 
 
+def _negates(datum, m, i) -> bool:
+    """True iff the action matrix m sends alpha_i to a negative root."""
+    v = _mat_apply(m, datum.simple_root(i).coords)
+    return any(x < 0 for x in datum.root_coords(datum.weight(v)))
+
+
 def has_left_descent(w: WeylElt, i) -> bool:
     """True iff l(r_i w) < l(w), i.e. w^{-1}(alpha_i) < 0."""
     if w.window is not None:
         return _win_left_descent(w.window, i)
-    if not w.word:
-        return False
-    v = _mat_apply(w.inv_matrix, w.datum.simple_root(i).coords)
-    c = w.datum.root_coords(w.datum.weight(v))
-    return any(x < 0 for x in c)
+    return bool(w.word) and _negates(w.datum, w.inv_matrix, i)
 
 
 def has_right_descent(w: WeylElt, i) -> bool:
     if w.window is not None:
         return _win_right_descent(w.window, i)
-    if not w.word:
-        return False
-    v = _mat_apply(w.matrix, w.datum.simple_root(i).coords)
-    c = w.datum.root_coords(w.datum.weight(v))
-    return any(x < 0 for x in c)
+    return bool(w.word) and _negates(w.datum, w.matrix, i)
+
+
+def smallest_right_descent(w: WeylElt):
+    """The smallest i with l(w r_i) < l(w) (None for the identity), searched
+    once per w and remembered on it."""
+    if w._rdesc is None:
+        w._rdesc = next((i for i in w.datum.nodes if has_right_descent(w, i)), None)
+    return w._rdesc
 
 
 def _canonical_from_matrix(datum, matrix, inv_matrix):
@@ -329,13 +355,7 @@ def _canonical_from_matrix(datum, matrix, inv_matrix):
     word = []
     m, mi = matrix, inv_matrix
     while True:
-        found = None
-        for i in datum.nodes:
-            v = _mat_apply(mi, datum.simple_root(i).coords)
-            c = datum.root_coords(datum.weight(v))
-            if any(x < 0 for x in c):
-                found = i
-                break
+        found = next((i for i in datum.nodes if _negates(datum, mi, i)), None)
         if found is None:
             break
         word.append(found)
@@ -528,9 +548,9 @@ def all_elements(datum, max_len: int) -> list[WeylElt]:
 
 
 def _require_window(datum):
-    if _window_n(datum) is None:
+    if datum.window_n is None:
         raise ValueError("operation needs an affine type A (window) datum")
-    return _window_n(datum)
+    return datum.window_n
 
 
 def translation(datum, lam) -> WeylElt:

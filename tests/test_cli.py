@@ -1,6 +1,8 @@
 import argparse
 import json
 import logging
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -311,6 +313,13 @@ class TestConjecturesAndCache:
         cache = ResultCache(tmp_path)
         assert cache.load(3, "g", "21", 3) is None
         assert f"v{khecke.__version__}-schema" in str(cache.path(3, "g", "21", 3))
+
+    def test_import_leaves_hashlib_unloaded(self):
+        src = Path(khecke.__file__).resolve().parents[1]
+        probe = "import sys, khecke.cli; print('hashlib' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True, env={"PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
     def test_version_matches_pyproject(self):
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

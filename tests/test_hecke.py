@@ -51,6 +51,17 @@ class TestFold:
         assert int_mul(a, b) == want.int_terms()
 
     @given(st.integers(2, 4), st.data())
+    def test_remembered_folds_match_t_mul(self, n, data):
+        datum = RootDatum.affine_sl(n)
+        a = int_elements(data.draw, datum, 4)
+        b = int_elements(data.draw, datum, 4)
+        want = t_mul(HeckeElt.from_int_terms(datum, datum.finite, a),
+                     HeckeElt.from_int_terms(datum, datum.finite, b)).int_terms()
+        assert int_mul(a, b) == want
+        assert all(v in u._folds for u in a for v in b)
+        assert int_mul(a, b) == want
+
+    @given(st.integers(2, 4), st.data())
     def test_fold_matches_generator_products(self, n, data):
         datum = RootDatum.affine_sl(n)
         fin = datum.finite

@@ -378,6 +378,11 @@ class TestScans:
         assert rep.passed, rep.summary()
         assert rep.checked == 23722
 
+    def test_n6_len9_scan_passes(self):
+        rep = conjecture_scan(6, 9)
+        assert rep.passed, rep.summary()
+        assert rep.checked == 45473
+
     def test_cross_scan_passes(self):
         rep = cross_k_scan(2, 5)
         assert rep.passed

@@ -270,6 +270,53 @@ class TestInterning:
         assert all(w.window == action for action, w in interned.items())
 
 
+def fresh_datum(typ):
+    """A new datum of type ``typ``, with nothing interned yet."""
+    if typ.startswith("A"):
+        n = int(typ[1:-1]) + 1
+        cached = RootDatum._affine_cache.pop(n, None)
+        try:
+            return RootDatum.affine_sl(n)
+        finally:
+            if cached is not None:
+                RootDatum._affine_cache[n] = cached
+    return RootDatum._of_type_uncached(typ)
+
+
+class TestCanonicalWords:
+    """Words built from interned neighbours against the greedy reduction
+    from scratch, with elements met in random order on a fresh datum."""
+
+    @given(st.sampled_from(["A1~", "A2~", "A3~", "A4~"]), st.data())
+    def test_window_path(self, typ, data):
+        datum = fresh_datum(typ)
+        for word in data.draw(st.lists(st.lists(st.sampled_from(datum.nodes),
+                                                max_size=9), max_size=12)):
+            w = weyl.from_word(datum, word)
+            assert w.word == weyl._win_canonical_word(w.window)
+
+    @given(st.sampled_from(["B2", "G2", "C2~"]), st.data())
+    def test_matrix_path(self, typ, data):
+        datum = fresh_datum(typ)
+        for word in data.draw(st.lists(st.lists(st.sampled_from(datum.nodes),
+                                                max_size=7), max_size=8)):
+            w = weyl.from_word(datum, word)
+            assert w.word == weyl._canonical_from_matrix(datum, w.matrix, w.inv_matrix)
+
+
+class TestRightDescent:
+    """smallest_right_descent against the has_right_descent search."""
+
+    @given(st.sampled_from(["A1~", "A2~", "A3~", "B2", "G2", "C2~"]), st.data())
+    def test_memo_matches_search(self, typ, data):
+        datum = RootDatum.of_type(typ)
+        w = weyl.from_word(datum, random_word(data.draw, datum, 7))
+        want = next((i for i in datum.nodes if weyl.has_right_descent(w, i)), None)
+        assert weyl.smallest_right_descent(w) == want
+        assert weyl.smallest_right_descent(w) == want
+        assert want is None or weyl.right_simple(w, want).length < w.length
+
+
 class TestLeftEdges:
     """left_simple(i, w) against the product it remembers."""
 
