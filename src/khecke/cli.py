@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import goldens, weyl
@@ -445,6 +446,11 @@ def main(argv=None) -> int:
     try:
         _validate_bounds(args)
         args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader left early (``| head``): send the final flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return USAGE_ERROR
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR

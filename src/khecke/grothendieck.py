@@ -250,6 +250,10 @@ class GrothendieckEngine:
 
     def varphi(self, f: SymFunc) -> HeckeElt:
         """h_i -> kappa_i, the Hopf lift Lambda_(n) -> the 0-Hecke ring."""
+        return HeckeElt.from_int_terms(self.datum, self.fin, self._varphi_int(f))
+
+    def _varphi_int(self, f: SymFunc) -> dict:
+        """{w: int} terms of varphi(f), zeros dropped."""
         self._check_h(f, "varphi")
         total: dict[weyl.WeylElt, int] = {}
         for lam, c in f.terms.items():
@@ -259,14 +263,15 @@ class GrothendieckEngine:
                     total[w] = s
                 else:
                     del total[w]
-        return HeckeElt.from_int_terms(self.datum, self.fin, total)
+        return total
 
     def varphi_g(self, lam) -> dict:
         """{w: int} terms of varphi(g_lam) = phi_0(k_w), w of partition lam,
         memoised per partition: callers must not mutate the returned dict."""
         lam = make_partition(lam)
         if lam not in self._fs:
-            self._fs[lam] = self.varphi(self.g_of(lam)).int_terms()
+            # a copy, because the sum's deletions leave its table with slack
+            self._fs[lam] = dict(self._varphi_int(self.g_of(lam)))
         return self._fs[lam]
 
     # -- G-basis expansions ----------------------------------------------------------------------------

@@ -18,6 +18,12 @@ root edges r_alpha w (``left_reflection``) for the big-torus GKM check.
 Elements stay immutable values: the memo is derived from the element alone,
 and interning makes each edge one object.
 
+Equality is identity.  ``_DatumOps.__init__``, ``_from_window`` and
+``_from_matrix`` are the only places a ``WeylElt`` is constructed, and each
+looks the action up in its datum's table first, so equal elements are the same
+object; ``_DatumOps._registry`` keeps every datum alive, so no ``id`` is
+reused.  Dicts and sets keyed by elements therefore hash in C.
+
 Words in tables and CLI output are read left to right: "210" is r2*r1*r0.
 """
 
@@ -149,53 +155,32 @@ def _win_mult_simple_left(win, i):
     return tuple(out)
 
 
-def _win_canonical_word(win):
-    word = []
-    win = tuple(win)
-    n = len(win)
-    while True:
-        i = next((i for i in range(n) if _win_left_descent(win, i)), None)
-        if i is None:
-            break
-        word.append(i)
-        win = _win_mult_simple_left(win, i)
-    if win != _win_identity(n):
-        raise ValueError("window did not reduce to the identity")
-    return tuple(word)
-
-
 class WeylElt:
-    """Immutable Weyl group element (canonical word + faithful key)."""
+    """Immutable Weyl group element (canonical word + faithful key).
 
-    __slots__ = ("datum", "word", "window", "_matrix", "_inv_matrix", "_key", "_hash",
-                 "_left", "_right", "_roots", "_rdesc", "_folds")
+    Compared and hashed by identity, which is equality because elements are
+    interned: construct them only at the three interning sites named in the
+    module docstring, never directly, by copying or by unpickling."""
+
+    __slots__ = ("datum", "word", "length", "window", "_matrix", "_inv_matrix", "_key",
+                 "_left", "_right", "_roots", "_rdesc", "_grass", "_folds")
 
     def __init__(self, datum, word, window=None, matrix=None, inv_matrix=None):
         self.datum = datum
         self.word = tuple(word)
+        self.length = len(self.word)
         self.window = window
         self._matrix = matrix
         self._inv_matrix = inv_matrix
         self._key = None
-        self._hash = hash((id(datum), self.word))
         self._left = None  # node i -> r_i w, filled by left_simple
         self._right = None  # node i -> w r_i, filled by right_simple
         self._roots = None  # positive real root alpha -> r_alpha w, by left_reflection
         self._rdesc = None  # smallest right descent, by smallest_right_descent
+        self._grass = None  # minimal in wW, by is_grassmannian
         self._folds = None  # v -> (sign, z) with T_w T_v = sign T_z, by hecke.int_mul
 
     # -- identity / generators ------------------------------------------------
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    def __eq__(self, other):
-        return (isinstance(other, WeylElt) and self.datum is other.datum
-                and self.word == other.word)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"W[{''.join(map(str, self.word)) or 'id'}]"
@@ -348,22 +333,6 @@ def smallest_right_descent(w: WeylElt):
     if w._rdesc is None:
         w._rdesc = next((i for i in w.datum.nodes if has_right_descent(w, i)), None)
     return w._rdesc
-
-
-def _canonical_from_matrix(datum, matrix, inv_matrix):
-    ops = _DatumOps.of(datum)
-    word = []
-    m, mi = matrix, inv_matrix
-    while True:
-        found = next((i for i in datum.nodes if _negates(datum, mi, i)), None)
-        if found is None:
-            break
-        word.append(found)
-        m = _mat_mul(ops.refl[found], m)
-        mi = _mat_mul(mi, ops.refl[found])
-    if m != ops.unit_matrix:
-        raise ValueError("matrix did not reduce to the identity")
-    return tuple(word)
 
 
 # -- group operations ----------------------------------------------------------
@@ -563,10 +532,15 @@ def translation(datum, lam) -> WeylElt:
 
 
 def is_grassmannian(w: WeylElt) -> bool:
-    """Minimal in its coset wW: no right descent at a finite node."""
-    if w.window is not None:
-        return all(w.window[i] < w.window[i + 1] for i in range(len(w.window) - 1))
-    return not any(has_right_descent(w, i) for i in w.datum.nodes if i != 0)
+    """Minimal in its coset wW: no right descent at a finite node.  Tested
+    once per w and remembered on it, as in ``smallest_right_descent``."""
+    if w._grass is None:
+        if w.window is not None:
+            win = w.window
+            w._grass = all(win[i] < win[i + 1] for i in range(len(win) - 1))
+        else:
+            w._grass = not any(has_right_descent(w, i) for i in w.datum.nodes if i != 0)
+    return w._grass
 
 
 def grassmannian_part(w: WeylElt):

@@ -387,6 +387,11 @@ class TestScans:
         rep = cross_k_scan(2, 5)
         assert rep.passed
 
+    def test_cross_scan_n4_deg10_passes(self):
+        rep = cross_k_scan(4, 10)
+        assert rep.passed, rep.summary()
+        assert rep.checked == 277
+
     def test_report_roundtrip(self):
         import json
         rep = conjecture_scan(2, 4)

@@ -236,6 +236,39 @@ def random_word(draw, datum, max_len):
     return tuple(draw(st.lists(st.sampled_from(datum.nodes), max_size=max_len)))
 
 
+def win_canonical_word(win):
+    """Greedy smallest-left-descent word of a window, reduced from scratch."""
+    word = []
+    win = tuple(win)
+    n = len(win)
+    while True:
+        i = next((i for i in range(n) if weyl._win_left_descent(win, i)), None)
+        if i is None:
+            break
+        word.append(i)
+        win = weyl._win_mult_simple_left(win, i)
+    if win != weyl._win_identity(n):
+        raise ValueError("window did not reduce to the identity")
+    return tuple(word)
+
+
+def canonical_from_matrix(datum, matrix, inv_matrix):
+    """Greedy smallest-left-descent word of an action matrix, reduced from scratch."""
+    ops = weyl._DatumOps.of(datum)
+    word = []
+    m, mi = matrix, inv_matrix
+    while True:
+        found = next((i for i in datum.nodes if weyl._negates(datum, mi, i)), None)
+        if found is None:
+            break
+        word.append(found)
+        m = weyl._mat_mul(ops.refl[found], m)
+        mi = weyl._mat_mul(mi, ops.refl[found])
+    if m != ops.unit_matrix:
+        raise ValueError("matrix did not reduce to the identity")
+    return tuple(word)
+
+
 class TestInterning:
     """Interned products against the canonical word computed from scratch."""
 
@@ -247,7 +280,7 @@ class TestInterning:
         uv = weyl.multiply(u, v)
         win = weyl._win_compose(u.window, v.window)
         assert uv.window == win
-        assert uv.word == weyl._win_canonical_word(win)
+        assert uv.word == win_canonical_word(win)
         assert uv is weyl.from_word(datum, u.word + v.word)
         assert weyl.inverse(u) is weyl.from_word(datum, u.word[::-1])
 
@@ -259,7 +292,7 @@ class TestInterning:
         m = weyl._mat_mul(u.matrix, v.matrix)
         mi = weyl._mat_mul(v.inv_matrix, u.inv_matrix)
         assert uv.matrix == m
-        assert uv.word == weyl._canonical_from_matrix(datum, m, mi)
+        assert uv.word == canonical_from_matrix(datum, m, mi)
         assert uv is weyl.from_word(datum, u.word + v.word)
         assert weyl.inverse(u) is weyl.from_word(datum, u.word[::-1])
 
@@ -293,7 +326,7 @@ class TestCanonicalWords:
         for word in data.draw(st.lists(st.lists(st.sampled_from(datum.nodes),
                                                 max_size=9), max_size=12)):
             w = weyl.from_word(datum, word)
-            assert w.word == weyl._win_canonical_word(w.window)
+            assert w.word == win_canonical_word(w.window)
 
     @given(st.sampled_from(["B2", "G2", "C2~"]), st.data())
     def test_matrix_path(self, typ, data):
@@ -301,7 +334,75 @@ class TestCanonicalWords:
         for word in data.draw(st.lists(st.lists(st.sampled_from(datum.nodes),
                                                 max_size=7), max_size=8)):
             w = weyl.from_word(datum, word)
-            assert w.word == weyl._canonical_from_matrix(datum, w.matrix, w.inv_matrix)
+            assert w.word == canonical_from_matrix(datum, w.matrix, w.inv_matrix)
+
+
+class TestIdentityEquality:
+    """Equal elements are one object, so identity equality and hashing agree
+    with equality of canonical words.  Elements are met on a fresh datum."""
+
+    @staticmethod
+    def check(datum, draw, max_len):
+        u = weyl.from_word(datum, random_word(draw, datum, max_len))
+        v = weyl.from_word(datum, random_word(draw, datum, max_len))
+        uv = weyl.multiply(u, v)
+        assert weyl.from_word(datum, u.word + v.word) is uv
+        assert weyl.from_word(datum, uv.word) is uv
+        assert weyl.inverse(weyl.inverse(u)) is u
+        assert weyl.inverse(u) is weyl.from_word(datum, u.word[::-1])
+        assert weyl.multiply(uv, weyl.inverse(v)) is u
+        i = draw(st.sampled_from(datum.nodes))
+        ri = weyl.simple(datum, i)
+        assert weyl.left_simple(i, u) is weyl.from_word(datum, (i,) + u.word)
+        assert weyl.right_simple(u, i) is weyl.from_word(datum, u.word + (i,))
+        assert weyl.multiply(ri, weyl.right_simple(u, i)) is \
+            weyl.right_simple(weyl.left_simple(i, u), i)
+        for alpha in sorted(weyl.inversions(v), key=lambda a: a.coords):
+            r_alpha = weyl.reflection_for_root(datum, alpha)
+            assert weyl.left_reflection(alpha, u) is weyl.multiply(r_alpha, u)
+            assert weyl.left_reflection(alpha, v) is \
+                weyl.from_word(datum, r_alpha.word + v.word)
+        assert (u == v) == (u.word == v.word)
+        assert len({u, v, uv, weyl.from_word(datum, u.word)}) == \
+            len({u.word, v.word, uv.word})
+
+    @given(st.sampled_from(["A1~", "A2~", "A3~", "A4~"]), st.data())
+    def test_window_path(self, typ, data):
+        self.check(fresh_datum(typ), data.draw, 8)
+
+    @given(st.sampled_from(["B2", "G2", "C2~"]), st.data())
+    def test_matrix_path(self, typ, data):
+        self.check(fresh_datum(typ), data.draw, 6)
+
+
+def grassmannian_oracle(w):
+    """is_grassmannian recomputed: the window test, else the descent test."""
+    if w.window is not None:
+        return list(w.window) == sorted(w.window)
+    return not any(weyl.has_right_descent(w, i) for i in w.datum.nodes if i != 0)
+
+
+class TestGrassmannianFlag:
+    """The flag remembered on w against the test it replaces, asked twice so
+    both the first (computing) and the second (remembered) answer are checked."""
+
+    @given(st.sampled_from(["A1~", "A2~", "A3~", "A4~", "B2", "G2", "C2~"]),
+           st.data())
+    def test_memo_matches_oracle(self, typ, data):
+        datum = RootDatum.of_type(typ)
+        w = weyl.from_word(datum, random_word(data.draw, datum, 8))
+        want = grassmannian_oracle(w)
+        assert weyl.is_grassmannian(w) is want
+        assert weyl.is_grassmannian(w) is want
+
+    @pytest.mark.parametrize("typ", ["A2~", "C2~"])
+    def test_fresh_elements(self, typ):
+        datum = fresh_datum(typ)
+        els = weyl.all_elements(datum, 4)
+        assert all(w._grass is None for w in els)
+        for w in els:
+            assert [weyl.is_grassmannian(w), weyl.is_grassmannian(w)] == \
+                [grassmannian_oracle(w)] * 2
 
 
 class TestRightDescent:
