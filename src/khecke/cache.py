@@ -57,7 +57,8 @@ class ResultCache:
         return (self.root / f"v{__version__}-schema{SCHEMA}" / f"n{n}" / kind
                 / f"{safe}.d{degree}.json")
 
-    def store(self, n: int, kind: str, label: str, degree: int, payload) -> Path:
+    def store(self, n: int, kind: str, label: str, degree: int, payload) -> Path | None:
+        """Path of the written entry, or None (with a warning) if it cannot be written."""
         body = _encode(payload)
         record = {"checksum": _checksum(body), "payload": payload}
         path = self.path(n, kind, label, degree)
@@ -67,7 +68,8 @@ class ResultCache:
             tmp.write_text(json.dumps(record, sort_keys=True), "utf-8")
             tmp.replace(path)
         except OSError as exc:
-            raise OSError(f"cache write failed at {path}: {exc}") from exc
+            _warn(f"cannot write cache entry {path}: {exc}")
+            return None
         return path
 
     def load(self, n: int, kind: str, label: str, degree: int):

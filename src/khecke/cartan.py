@@ -319,6 +319,17 @@ class RootDatum:
         self._own(lam)
         return self.finite.weight(lam.coords[:-2])
 
+    def to_lattice(self, beta: "Weight", lattice: "RootDatum") -> "Weight":
+        """``beta``, a weight of this datum, in the coefficient ``lattice``:
+        itself for this datum (big torus), its level-zero projection for the
+        finite companion, and DatumMismatchError for any other lattice."""
+        if lattice is self:
+            return beta
+        if lattice is not None and lattice is self.finite:
+            return self.project(beta)
+        raise DatumMismatchError(f"{getattr(lattice, 'name', lattice)} is not "
+                                 f"a coefficient lattice of {self.name}")
+
     def projected_root(self, i) -> "Weight":
         """Image of alpha_i in finite P (alpha_0 -> -theta)."""
         return self.project(self.simple_root(i))

@@ -116,7 +116,7 @@ def cmd_expand_group(args):
     datum = _datum_for(args)
     w = weyl.from_word(datum, parse_word_arg(args.word))
     elt = group_elt_to_T(w)
-    _emit(args, render_hecke(elt, elt.coeffs), elt.to_json())
+    _emit(args, render_hecke(elt), elt.to_json())
 
 
 def cmd_kappa(args):
@@ -193,11 +193,9 @@ def cmd_structure(args):
 
 
 def cmd_k_sl2(args):
-    lam = parse_partition(args.partition) if args.partition is not None else (1,) * args.r
-    if any(p != 1 for p in lam):
-        raise DomainError("affine SL_2 partitions are columns 1^r")
-    elt = equivariant_k_sl2(len(lam), cutoff=args.cutoff)
-    _emit(args, render_hecke(elt, elt.coeffs), elt.to_json())
+    lam_or_r = parse_partition(args.partition) if args.partition is not None else args.r
+    elt = equivariant_k_sl2(lam_or_r, cutoff=args.cutoff)
+    _emit(args, render_hecke(elt), elt.to_json())
 
 
 def cmd_tables(args):

@@ -126,7 +126,9 @@ class GrothendieckEngine:
 
     def F_of(self, v: weyl.WeylElt) -> SymFunc:
         """Affine Stanley function: the degree-l(v) part of G_v, in m."""
-        return self.G_of(v, v.length).degree_part(v.length)
+        d = v.length
+        return SymFunc._trusted(
+            "m", {lam: c for lam, c in self._row(v, d).items() if sum(lam) == d}, self.n)
 
     def m_to_F(self, f: SymFunc) -> SymFunc:
         """Rewrite an m-expansion over the affine Schur functions F_u."""

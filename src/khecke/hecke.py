@@ -254,15 +254,10 @@ def group_elt_to_T(w: WeylElt, coeffs=None) -> HeckeElt:
         coeffs = coefficient_datum(datum)
     acc = HeckeElt.one(datum, coeffs)
     for i in reversed(w.word):
-        factor = LaurentPoly.one(coeffs) - _alpha_poly(datum, coeffs, i)
+        factor = LaurentPoly.one(coeffs) - LaurentPoly.monomial(
+            datum.to_lattice(datum.simple_root(i), coeffs))
         acc = acc + _gen_mul(datum, coeffs, i, acc).scaled(factor)
     return acc
-
-
-def _alpha_poly(datum, coeffs, i) -> LaurentPoly:
-    if coeffs is datum:
-        return LaurentPoly.monomial(datum.simple_root(i))
-    return LaurentPoly.monomial(datum.projected_root(i))
 
 
 def y_elt(w: WeylElt, coeffs=None) -> HeckeElt:
@@ -393,7 +388,8 @@ def coproduct_T_simple(datum, coeffs, i) -> TensorElt:
     return TensorElt(datum, coeffs, {
         (e, ri): one,
         (ri, e): one,
-        (ri, ri): one - _alpha_poly(datum, coeffs, i),
+        (ri, ri): one - LaurentPoly.monomial(
+            datum.to_lattice(datum.simple_root(i), coeffs)),
     })
 
 

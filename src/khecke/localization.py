@@ -5,7 +5,9 @@ group element w localizes the structure sheaf of the codimension-l(v)
 Schubert variety at the fixed point w.  Three independent algorithms are
 provided (right recurrence, left recurrence, reduced-word sum) plus the
 Kostant-Kumar variant by Moebius inversion, big- and small-torus GKM
-checks, closed forms for affine SL_2, and the wrong-way map.
+checks, closed forms for affine SL_2, and the wrong-way map with the
+Grassmannian expansion, whose pivot psi^u(u) = prod_{beta in Inv(u)}
+(1 - e^beta) is divided out one binomial at a time.
 
 The big-torus GKM condition psi(r_alpha w) = psi(w) mod (1 - e^alpha) is
 tested by comparing residues in Z[P]/(1 - e^alpha) = Z[P/Z alpha]
@@ -16,6 +18,7 @@ root and no difference is formed.  The small-torus conditions, modulo
 Flavors: "big" works over the datum's own lattice (R(T) or R(T_af));
 "level-zero" (affine data only) projects every root to the finite lattice
 before exponentiating, which commutes with the division-free recurrences.
+Both maps are ``RootDatum.to_lattice`` into the engine's ``coeffs``.
 """
 
 from __future__ import annotations
@@ -56,9 +59,8 @@ class PsiEngine:
 
     def root_image(self, w: WeylElt, i) -> "Weight":
         """w(alpha_i) in the coefficient lattice."""
-        if self.flavor == "big":
-            return weyl.apply(w, self.datum.simple_root(i))
-        return weyl.apply(w, self.datum.projected_root(i))
+        datum = self.datum
+        return weyl.apply(w, datum.to_lattice(datum.simple_root(i), self.coeffs))
 
     def act(self, i, p: LaurentPoly) -> LaurentPoly:
         return weyl_reflect_poly(self.datum, i, p)
@@ -108,9 +110,8 @@ class PsiEngine:
             if riv.length > v.length:
                 val = self.act(i, self.psi_left(v, riw))
             else:
-                alpha = self.datum.simple_root(i) if self.flavor == "big" \
-                    else self.datum.projected_root(i)
-                ea = LaurentPoly.monomial(alpha)
+                ea = LaurentPoly.monomial(
+                    self.datum.to_lattice(self.datum.simple_root(i), self.coeffs))
                 val = ea * self.act(i, self.psi_left(v, riw)) \
                     + (self._one() - ea) * self.act(i, self.psi_left(riv, riw))
         self._left[key] = val
@@ -125,15 +126,9 @@ class PsiEngine:
             if weyl.from_word(self.datum, word) != w or len(word) != w.length:
                 raise ValueError("word is not a reduced word for w")
         datum = self.datum
-        # beta_k = r_{i_1}...r_{i_{k-1}}(alpha_{i_k}), independent of the subword
-        betas = []
-        for k in range(len(word)):
-            beta = datum.simple_root(word[k])
-            for j in range(k - 1, -1, -1):
-                beta = datum.reflect(word[j], beta)
-            if self.flavor == "level-zero":
-                beta = datum.project(beta)
-            betas.append(LaurentPoly.monomial(beta))
+        # the prefix roots of the word, independent of the subword
+        betas = [LaurentPoly.monomial(datum.to_lattice(beta, self.coeffs))
+                 for beta in weyl.prefix_roots(datum, word)]
         one = self._one()
         total = self._zero()
         n = len(word)
@@ -173,8 +168,7 @@ class PsiEngine:
         """psi^v(v) = prod over Inv(v) of (1 - e^alpha)."""
         out = self._one()
         for alpha in weyl.inversions(v):
-            if self.flavor == "level-zero":
-                alpha = self.datum.project(alpha)
+            alpha = self.datum.to_lattice(alpha, self.coeffs)
             out = out * (self._one() - LaurentPoly.monomial(alpha))
         return out
 
@@ -340,7 +334,7 @@ def sl2_psi_closed(m: int, j: int, fin: RootDatum | None = None) -> LaurentPoly:
 # -- wrong-way map -------------------------------------------------------------------
 
 
-def wrongway(psi_of, datum: RootDatum):
+def wrongway(psi_of):
     """varpi(psi)(w) = psi(t_lam) where wW = t_lam W; constant on cosets."""
     def value(w: WeylElt) -> LaurentPoly:
         return psi_of(weyl.translation_of_coset(w))
@@ -350,9 +344,11 @@ def wrongway(psi_of, datum: RootDatum):
 def grassmannian_expansion(engine: PsiEngine, psi_of, max_len: int):
     """Expand a coset-constant function over {psi^u : u Grassmannian}.
 
-    Solves triangularly on Grassmannian points by increasing length, using
-    exact division by psi^u(u); raises if a division fails.  Returns
-    {u: LaurentPoly} for l(u) <= max_len.
+    Solves triangularly on Grassmannian points by increasing length.  The
+    pivot psi^u(u) is the product of (1 - e^beta) over beta in Inv(u)
+    (``PsiEngine.diagonal``), so each nonzero residual is divided exactly by
+    those binomials, one root at a time; raises ValueError if a division
+    fails.  Returns {u: LaurentPoly} for l(u) <= max_len.
     """
     datum = engine.datum
     grass = [u for u in weyl.all_elements(datum, max_len) if weyl.is_grassmannian(u)]
@@ -362,40 +358,10 @@ def grassmannian_expansion(engine: PsiEngine, psi_of, max_len: int):
         residual = psi_of(u)
         for v, c in coeffs.items():
             residual = residual - c * engine.psi_right(v, u)
-        diag = engine.psi_right(u, u)
-        q = _exact_quotient(residual, diag)
-        if not q.is_zero():
-            coeffs[u] = q
+        if residual.is_zero():
+            continue
+        for beta in weyl.inversions(u):
+            residual = exact_divide_one_minus_e(
+                residual, datum.to_lattice(beta, engine.coeffs))
+        coeffs[u] = residual
     return coeffs
-
-
-def _exact_quotient(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    """Exact division p / d when d factors as monomial * prod (1 - e^alpha)."""
-    if p.is_zero():
-        return p
-    # peel factors of d: repeatedly divide by (1 - e^alpha) read off from d
-    # d is a product of such binomials times a unit monomial; recover it by
-    # factoring: divide p and d in lockstep by each binomial of d.
-    q, rem_d = p, d
-    while len(rem_d.terms) > 1:
-        alpha = _binomial_direction(rem_d)
-        q = exact_divide_one_minus_e(q, alpha)
-        rem_d = exact_divide_one_minus_e(rem_d, alpha)
-    [(mu, c)] = rem_d.terms.items()
-    if c not in (1, -1):
-        raise ValueError("denominator is not a unit times cyclotomic binomials")
-    return LaurentPoly(p.datum, {w - mu: cc * c for w, cc in q.terms.items()})
-
-
-def _binomial_direction(d: LaurentPoly):
-    """A direction alpha with (1 - e^alpha) dividing d, found from d's support."""
-    terms = d.sorted_terms()
-    base = terms[0][0]
-    for w, _ in terms[1:]:
-        alpha = w - base
-        if divisible_by_one_minus_e(d, alpha, 1):
-            return alpha
-        alpha = base - w
-        if divisible_by_one_minus_e(d, alpha, 1):
-            return alpha
-    raise ValueError("no binomial factor found")

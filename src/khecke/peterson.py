@@ -162,7 +162,7 @@ def equivariant_k_sl2(lam_or_r, cutoff: int = 8) -> HeckeElt:
     w = sl2_sigma(datum, r)
     terms = {}
     for x in weyl.all_elements(datum, cutoff):
-        pw = wrongway(lambda y, x=x: engine.psi_right(x, y), datum)
+        pw = wrongway(lambda y, x=x: engine.psi_right(x, y))
         coeffs = grassmannian_expansion(engine, pw, r)
         c = coeffs.get(w)
         if c is not None:
@@ -238,8 +238,8 @@ def _alternating(sign_exponent: int, value: int) -> bool:
     return value * (-1 if sign_exponent % 2 else 1) >= 0
 
 
-def conjecture_scan(n: int, max_len: int, include_products: bool = True) -> ConjectureReport:
-    """Scan CJ:sign, C:g(1)(2), C:G(1)(2) (and products = C:G(3)) up to max_len."""
+def conjecture_scan(n: int, max_len: int) -> ConjectureReport:
+    """Scan CJ:sign, C:g(1)(2), C:G(1)(2) and products (C:G(3)) up to max_len."""
     engine = GrothendieckEngine.get(n)
     report = ConjectureReport(
         conjectures=["CJ:sign-k", "CJ:sign-d/C:G3", "C:g1", "C:g2", "C:G1", "C:G2"],
@@ -279,17 +279,15 @@ def conjecture_scan(n: int, max_len: int, include_products: bool = True) -> Conj
             if not _alternating(sum(lam) - w.length, c):
                 report.record("C:G1", f"w={weyl.word_str(w.word)}, lam={lam}", c)
 
-    if include_products:
-        # CJ first statement = C:G(3): signs of phi_0(d^w_{uv})
-        for i, lam in enumerate(labels):
-            for mu in labels[i:]:
-                if sum(lam) + sum(mu) > max_len:
-                    continue
-                for nu, c in structure_d(engine, lam, mu).items():
-                    report.checked += 1
-                    if not _alternating(sum(nu) - sum(lam) - sum(mu), c):
-                        report.record("CJ:sign-d/C:G3",
-                                      f"u={lam}, v={mu}, w={nu}", c)
+    # CJ first statement = C:G(3): signs of phi_0(d^w_{uv})
+    for i, lam in enumerate(labels):
+        for mu in labels[i:]:
+            if sum(lam) + sum(mu) > max_len:
+                continue
+            for nu, c in structure_d(engine, lam, mu).items():
+                report.checked += 1
+                if not _alternating(sum(nu) - sum(lam) - sum(mu), c):
+                    report.record("CJ:sign-d/C:G3", f"u={lam}, v={mu}, w={nu}", c)
     return report
 
 

@@ -27,17 +27,16 @@ def render_exponent(datum: RootDatum, w) -> str:
     return "".join(bits) if bits else "0"
 
 
-def render_poly(p: LaurentPoly, datum: RootDatum | None = None) -> str:
+def render_poly(p: LaurentPoly) -> str:
     if p.is_zero():
         return "0"
-    datum = datum or p.datum
     bits = []
     for w, c in sorted(p.terms.items(), key=lambda t: (not t[0].is_zero(), t[0].coords)):
         if w.is_zero():
             term = str(abs(c))
         else:
             mag = "" if abs(c) == 1 else f"{abs(c)}"
-            term = f"{mag}e^({render_exponent(datum, w)})"
+            term = f"{mag}e^({render_exponent(p.datum, w)})"
         if not bits:
             bits.append(("-" if c < 0 else "") + term)
         else:
@@ -45,7 +44,7 @@ def render_poly(p: LaurentPoly, datum: RootDatum | None = None) -> str:
     return " ".join(bits)
 
 
-def render_hecke(a, poly_datum=None) -> str:
+def render_hecke(a) -> str:
     if a.is_zero():
         return "0"
     bits = []
@@ -56,7 +55,7 @@ def render_hecke(a, poly_datum=None) -> str:
             mag = "" if abs(c) == 1 else f"{abs(c)}*"
             term, neg = f"{mag}{label}", c < 0
         else:
-            term, neg = f"({render_poly(p, poly_datum)})*{label}", False
+            term, neg = f"({render_poly(p)})*{label}", False
         if not bits:
             bits.append(("-" if neg else "") + term)
         else:
@@ -90,13 +89,14 @@ def render_symfunc(f: SymFunc, latex: bool = False) -> str:
     return " ".join(bits)
 
 
-def render_tensor(t: TensorSym, basis: str = "g", latex: bool = False) -> str:
+def render_tensor(t: TensorSym, latex: bool = False) -> str:
+    """A tensor of g's (the g-coproduct)."""
     if t.is_zero():
         return "0"
     otimes = " \\otimes " if latex else "(x)"
     bits = []
     for (mu, nu), c in t.sorted_terms():
-        lab = (_label(basis, mu, latex) or "1") + otimes + (_label(basis, nu, latex) or "1")
+        lab = _label("g", mu, latex) + otimes + _label("g", nu, latex)
         term = lab if abs(c) == 1 else f"{abs(c)} {lab}"
         if not bits:
             bits.append(("-" if c < 0 else "") + term)

@@ -218,18 +218,6 @@ class SymFunc:
 
 
 @lru_cache(maxsize=None)
-def _h_to_m_row(mu: Partition) -> tuple:
-    """h_mu = sum_nu (sum_lam K_{lam mu} K_{lam nu}) m_nu, as item tuple."""
-    d = sum(mu)
-    out = {}
-    for nu in partitions_of(d):
-        c = sum(kostka(lam, mu) * kostka(lam, nu) for lam in partitions_of(d))
-        if c:
-            out[nu] = c
-    return tuple(sorted(out.items()))
-
-
-@lru_cache(maxsize=None)
 def _s_to_m_row(lam: Partition) -> tuple:
     d = sum(lam)
     return tuple(sorted((mu, kostka(lam, mu)) for mu in partitions_of(d)
@@ -292,7 +280,7 @@ def convert(f: SymFunc, target: str) -> SymFunc:
     if f.basis == target:
         return f
     if f.basis == "h" and target == "m":
-        return _expand_rows(f, _h_to_m_row, "m")
+        return convert(convert(f, "s"), "m")
     if f.basis == "s" and target == "m":
         return _expand_rows(f, _s_to_m_row, "m")
     if f.basis == "h" and target == "s":

@@ -156,13 +156,13 @@ def _win_mult_simple_left(win, i):
 
 
 class WeylElt:
-    """Immutable Weyl group element (canonical word + faithful key).
+    """Immutable Weyl group element: canonical word plus its action.
 
     Compared and hashed by identity, which is equality because elements are
     interned: construct them only at the three interning sites named in the
     module docstring, never directly, by copying or by unpickling."""
 
-    __slots__ = ("datum", "word", "length", "window", "_matrix", "_inv_matrix", "_key",
+    __slots__ = ("datum", "word", "length", "window", "_matrix", "_inv_matrix",
                  "_left", "_right", "_roots", "_rdesc", "_grass", "_folds")
 
     def __init__(self, datum, word, window=None, matrix=None, inv_matrix=None):
@@ -172,7 +172,6 @@ class WeylElt:
         self.window = window
         self._matrix = matrix
         self._inv_matrix = inv_matrix
-        self._key = None
         self._left = None  # node i -> r_i w, filled by left_simple
         self._right = None  # node i -> w r_i, filled by right_simple
         self._roots = None  # positive real root alpha -> r_alpha w, by left_reflection
@@ -209,13 +208,6 @@ class WeylElt:
                 m = _mat_mul(m, ops.refl[i])
             self._inv_matrix = m
         return self._inv_matrix
-
-    @property
-    def key(self):
-        """Image of rho (rho_af in affine flavor) under the element."""
-        if self._key is None:
-            self._key = apply(self, self.datum.rho).coords
-        return self._key
 
     def to_json(self) -> dict:
         out = {"word": list(self.word)}
@@ -454,16 +446,22 @@ def bruhat_ideal(w: WeylElt) -> list[WeylElt]:
     return sorted(seen, key=lambda v: (v.length, v.word))
 
 
-def inversions(v: WeylElt) -> set[Weight]:
-    """Inv(v) = {alpha > 0 : r_alpha v < v} via prefix roots of the word."""
-    out = set()
-    datum = v.datum
-    for k in range(v.length):
-        beta = datum.simple_root(v.word[k])
-        for j in range(k - 1, -1, -1):
-            beta = datum.reflect(v.word[j], beta)
-        out.add(beta)
+def prefix_roots(datum, word) -> list[Weight]:
+    """beta_k = r_{i_1} ... r_{i_{k-1}}(alpha_{i_k}) for each letter i_k of word.
+
+    For a reduced word of w these are the l(w) distinct roots of Inv(w)."""
+    out = []
+    for k, i in enumerate(word):
+        beta = datum.simple_root(i)
+        for j in reversed(word[:k]):
+            beta = datum.reflect(j, beta)
+        out.append(beta)
     return out
+
+
+def inversions(v: WeylElt) -> set[Weight]:
+    """Inv(v) = {alpha > 0 : r_alpha v < v}, the prefix roots of its word."""
+    return set(prefix_roots(v.datum, v.word))
 
 
 def reflection_for_root(datum, alpha: Weight) -> WeylElt:

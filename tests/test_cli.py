@@ -314,6 +314,28 @@ class TestConjecturesAndCache:
         assert cache.load(3, "g", "21", 3) is None
         assert f"v{khecke.__version__}-schema" in str(cache.path(3, "g", "21", 3))
 
+    @pytest.mark.parametrize("argv", [
+        ("g", "--n", "3", "--partition", "21"),
+        ("check-conjectures", "--n", "2", "--max-len", "2"),
+    ], ids=["g", "check-conjectures"])
+    def test_unwritable_cache_warns_once(self, tmp_path, argv):
+        # the cache directory lies below a regular file, so no entry can be written
+        (tmp_path / "file").write_text("", "utf-8")
+        src = Path(khecke.__file__).resolve().parents[1]
+
+        def cli(cache_dir):
+            return subprocess.run([sys.executable, "-m", "khecke.cli", *argv,
+                                   "--cache-dir", str(cache_dir)], capture_output=True,
+                                  text=True, env={"PYTHONPATH": str(src)})
+        good = cli(tmp_path / "writable")
+        bad = cli(tmp_path / "file" / "cache")
+        assert bad.returncode == good.returncode == 0
+        assert bad.stdout == good.stdout
+        assert good.stderr == ""
+        assert len(bad.stderr.splitlines()) == 1
+        assert "cannot write cache entry" in bad.stderr
+        assert "Traceback" not in bad.stderr
+
     def test_import_leaves_hashlib_unloaded(self):
         src = Path(khecke.__file__).resolve().parents[1]
         probe = "import sys, khecke.cli; print('hashlib' in sys.modules)"

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from khecke.cartan import LaurentPoly, RootDatum, eta, level_zero_project
+from khecke.cartan import (LaurentPoly, RootDatum, divisible_by_one_minus_e, eta,
+                           exact_divide_one_minus_e, level_zero_project)
 from khecke import weyl
 from khecke.hecke import group_elt_to_T
 from khecke.localization import (PsiEngine, gkm_check_big,
@@ -95,8 +96,10 @@ class TestAgreement:
                     if not weyl.bruhat_leq(v, w):
                         assert eng.psi_right(v, w).is_zero()
 
-    def test_diagonal(self, A2, eng_A2, lz2):
-        for eng, datum, cap in ((eng_A2, A2, 3), (lz2, lz2.datum, 5)):
+    def test_diagonal(self, A2, af3, eng_A2, lz2):
+        # grassmannian_expansion divides by this product as the pivot psi^u(u)
+        lz3 = PsiEngine(af3, "level-zero")
+        for eng, datum, cap in ((eng_A2, A2, 3), (lz2, lz2.datum, 5), (lz3, af3, 4)):
             for v in weyl.all_elements(datum, cap):
                 assert eng.psi_right(v, v) == eng.diagonal(v)
 
@@ -278,29 +281,97 @@ class TestWrongWay:
     def test_section_on_grassmannians(self, af2, lz2):
         for j in range(0, 5):
             psi_of = lambda x, j=j: lz2.psi_right(sl2_sigma(af2, j), x)
-            ww = wrongway(psi_of, af2)
+            ww = wrongway(psi_of)
             for k in range(-4, 5):
                 assert ww(sl2_sigma(af2, k)) == psi_of(sl2_sigma(af2, k))
 
     def test_constant(self, af2):
         one = LaurentPoly.one(af2.finite)
-        ww = wrongway(lambda w: one, af2)
+        ww = wrongway(lambda w: one)
         for j in range(-3, 4):
             assert ww(sl2_sigma(af2, j)) == one
 
     def test_coset_constant(self, af2, lz2):
         psi_of = lambda x: lz2.psi_right(sl2_sigma(af2, -2), x)
-        ww = wrongway(psi_of, af2)
+        ww = wrongway(psi_of)
         for j in range(-4, 5):
             rep = weyl.grassmannian_part(sl2_sigma(af2, j))[0]
             assert ww(sl2_sigma(af2, j)) == ww(rep)
 
     def test_triangular_expansion(self, af2, lz2):
         # varpi(psi^{sigma_{-1}}) over Grassmannian psi's has triangular support
-        ww = wrongway(lambda x: lz2.psi_right(sl2_sigma(af2, -1), x), af2)
+        ww = wrongway(lambda x: lz2.psi_right(sl2_sigma(af2, -1), x))
         coeffs = grassmannian_expansion(lz2, ww, 5)
         assert coeffs  # nonzero
         assert all(sl2_index(u) >= 1 for u in coeffs)
+
+
+# -- the Grassmannian expansion against trial division of its pivot ----------------
+
+
+def _binomial_direction(d):
+    """A direction alpha with (1 - e^alpha) dividing d, found from d's support."""
+    terms = d.sorted_terms()
+    base = terms[0][0]
+    for w, _ in terms[1:]:
+        alpha = w - base
+        if divisible_by_one_minus_e(d, alpha, 1):
+            return alpha
+        alpha = base - w
+        if divisible_by_one_minus_e(d, alpha, 1):
+            return alpha
+    raise ValueError("no binomial factor found")
+
+
+def _exact_quotient(p, d):
+    """Exact division p / d when d factors as monomial * prod (1 - e^alpha):
+    divide p and d in lockstep by each binomial read off d's support."""
+    if p.is_zero():
+        return p
+    q, rem_d = p, d
+    while len(rem_d.terms) > 1:
+        alpha = _binomial_direction(rem_d)
+        q = exact_divide_one_minus_e(q, alpha)
+        rem_d = exact_divide_one_minus_e(rem_d, alpha)
+    [(mu, c)] = rem_d.terms.items()
+    if c not in (1, -1):
+        raise ValueError("denominator is not a unit times cyclotomic binomials")
+    return LaurentPoly(p.datum, {w - mu: cc * c for w, cc in q.terms.items()})
+
+
+def expansion_by_trial_division(engine, psi_of, max_len):
+    """grassmannian_expansion with the pivot psi^u(u) factored by trial division."""
+    grass = sorted((u for u in weyl.all_elements(engine.datum, max_len)
+                    if weyl.is_grassmannian(u)), key=lambda u: (u.length, u.word))
+    coeffs = {}
+    for u in grass:
+        residual = psi_of(u)
+        for v, c in coeffs.items():
+            residual = residual - c * engine.psi_right(v, u)
+        q = _exact_quotient(residual, engine.psi_right(u, u))
+        if not q.is_zero():
+            coeffs[u] = q
+    return coeffs
+
+
+class TestGrassmannianExpansion:
+    @pytest.mark.parametrize("n, max_u, max_x", [(3, 4, 5), (4, 3, 4)])
+    def test_matches_trial_division(self, n, max_u, max_x):
+        datum = RootDatum.affine_sl(n)
+        engine = PsiEngine(datum, "level-zero")
+        nonzero = 0
+        for x in weyl.all_elements(datum, max_x):
+            pw = wrongway(lambda y, x=x: engine.psi_right(x, y))
+            got = grassmannian_expansion(engine, pw, max_u)
+            assert got == expansion_by_trial_division(engine, pw, max_u), x
+            nonzero += bool(got)
+        assert nonzero
+
+    def test_indivisible_residual_raises(self, lz2):
+        # the residual -1 at sigma_1 is not divisible by its pivot 1 - e^alpha
+        one, zero = LaurentPoly.one(lz2.coeffs), LaurentPoly.zero(lz2.coeffs)
+        with pytest.raises(ValueError):
+            grassmannian_expansion(lz2, lambda w: one if w.is_identity() else zero, 1)
 
 
 # -- psi_right's one-product step against its slow paths ---------------------------

@@ -129,8 +129,7 @@ def expand_per_term(f, row, target):
 
 
 class TestExpandRows:
-    @given(st.sampled_from([("h", "m", symfunc._h_to_m_row),
-                            ("s", "m", symfunc._s_to_m_row),
+    @given(st.sampled_from([("s", "m", symfunc._s_to_m_row),
                             ("h", "s", symfunc._h_to_s_row)]),
            h_expansions(), st.sampled_from([None, 3]))
     def test_matches_per_term_sum(self, route, terms, n):

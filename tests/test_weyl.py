@@ -50,8 +50,9 @@ class TestGroupOps:
         for datum in (A2, af2, af3):
             seen = {}
             for w in words_leq(datum, 6):
-                assert w.key not in seen or seen[w.key] == w.word
-                seen[w.key] = w.word
+                key = weyl.apply(w, datum.rho).coords
+                assert key not in seen or seen[key] == w.word
+                seen[key] = w.word
             # distinct canonical words have distinct keys
             assert len(seen) == len(words_leq(datum, 6))
 
@@ -61,7 +62,7 @@ class TestGroupOps:
             lam = datum.rho
             for i in reversed(w.word):
                 lam = datum.reflect(i, lam)
-            assert w.key == lam.coords
+            assert weyl.apply(w, datum.rho).coords == lam.coords
 
 
 class TestBruhat:
@@ -89,6 +90,14 @@ class TestBruhat:
                 assert weyl.bruhat_leq(v, w) == (v in below), (v, w)
 
 
+def reduced_words(w):
+    """All reduced words of w, by left-descent recursion."""
+    if w.is_identity():
+        return [()]
+    return [(i,) + rest for i in w.datum.nodes if weyl.has_left_descent(w, i)
+            for rest in reduced_words(weyl.left_simple(i, w))]
+
+
 class TestInversions:
     def test_simple(self, A2):
         assert weyl.inversions(weyl.simple(A2, 1)) == {A2.simple_root(1)}
@@ -103,6 +112,21 @@ class TestInversions:
                 inv = weyl.inversions(w)
                 assert len(inv) == w.length
                 assert all(datum.is_positive_root(a) for a in inv)
+
+    @given(st.sampled_from(["A2", "B2", "G2", "A2~"]), st.data())
+    def test_prefix_roots_of_every_reduced_word(self, typ, data):
+        datum = RootDatum.of_type(typ)
+        w = weyl.from_word(datum, random_word(data.draw, datum, 6))
+        inv = weyl.inversions(w)
+        for word in reduced_words(w):
+            roots = weyl.prefix_roots(datum, word)
+            assert len(set(roots)) == len(roots) == w.length
+            assert set(roots) == inv
+            # each is a positive root whose reflection shortens w from the left
+            for beta in roots:
+                assert datum.is_positive_root(beta)
+                r = weyl.reflection_for_root(datum, beta)
+                assert weyl.multiply(r, w).length < w.length
 
 
 class TestTranslations:
