@@ -12,6 +12,13 @@ Three kinds of root datum are supported:
   the fundamental-weight basis (finite), optionally affinized with an extra
   delta coordinate (``affinize_cartan``; ``of_type`` names C2~ and G2~).
 
+R(T) is Z[P] over a coefficient lattice of the datum: its own (big torus)
+or, for ``affine_sl`` data, the finite companion's (level zero: delta,
+Lambda_0 -> 0, alpha_0 -> -theta).  ``RootDatum.coefficient_lattice`` is the
+one rule from a flavor to a lattice and ``RootDatum.simple_action`` the one
+source of the simple reflections' action there; no other module tests a
+flavor.
+
 Every ``Weight`` holds canonical coordinates: the constructor applies
 ``RootDatum.canon``, so equal lattice elements compare and hash equal.
 Canonical coordinates have a zero at the last nonzero entry of the quotient
@@ -72,6 +79,7 @@ class RootDatum:
         self.window_n = None  # set for affine_sl data (window representation)
         self._check_gcm()
         self._root_solver = None
+        self._actions = {}  # coefficient lattice -> simple_action
 
     # -- construction ------------------------------------------------------
     # sl / affine_sl / of_type return canonical shared instances: weights and
@@ -310,7 +318,22 @@ class RootDatum:
             raise DatumMismatchError(
                 f"weight of {lam.datum.name} used with {self.name}")
 
-    # -- level-zero projection (affine flavor) -------------------------------
+    # -- coefficient lattices (see the module docstring) ----------------------
+
+    def coefficient_lattice(self, flavor=None) -> "RootDatum":
+        """The lattice of R(T) for ``flavor``: "big" is this datum,
+        "level-zero" its finite companion, and None means big on finite data
+        and level-zero on affine data; anything else raises ValueError."""
+        if flavor is None:
+            flavor = "big" if self.flavor == "finite" else "level-zero"
+        if flavor == "big":
+            return self
+        if flavor == "level-zero":
+            if self.finite is None:
+                raise ValueError(f"level-zero flavor needs an affine datum with a "
+                                 f"finite companion; {self.name} has none")
+            return self.finite
+        raise ValueError(f"unknown flavor {flavor!r}")
 
     def project(self, lam: "Weight") -> "Weight":
         """Drop the delta and Lambda_0 coordinates: P_af -> P."""
@@ -330,26 +353,19 @@ class RootDatum:
         raise DatumMismatchError(f"{getattr(lattice, 'name', lattice)} is not "
                                  f"a coefficient lattice of {self.name}")
 
-    def projected_root(self, i) -> "Weight":
-        """Image of alpha_i in finite P (alpha_0 -> -theta)."""
-        return self.project(self.simple_root(i))
-
-    def projected_pairing(self, i, lam: "Weight") -> int:
-        """<alpha_i^vee, lam> for a level-zero weight lam over the finite datum."""
-        if self.flavor != "affine":
-            raise ValueError("level-zero pairing needs an affine datum")
-        if lam.datum is not self.finite:
-            raise DatumMismatchError("level-zero pairing expects a finite weight")
-        row = self._coroot_rows[i]
-        return self._dot(row[:-2], lam.coords)
-
-    def levelzero_reflect(self, i, lam: "Weight") -> "Weight":
-        m = self.projected_pairing(i, lam)
-        if m == 0:
-            return lam
-        a = self.projected_root(i)
-        return self.finite.weight(
-            tuple(c - m * ac for c, ac in zip(lam.coords, a.coords)))
+    def simple_action(self, lattice: "RootDatum") -> dict:
+        """{i: (row, alpha)} for r_i acting on the coefficient ``lattice``:
+        <alpha_i^vee, lam> = dot(row, lam.coords) and alpha = alpha_i there
+        (``to_lattice``, which rejects any other lattice).  Memoised per
+        lattice.  A lattice's coordinates are the leading coordinates of
+        this datum's, so each coroot row is cut to its rank."""
+        action = self._actions.get(lattice)
+        if action is None:
+            alphas = {i: self.to_lattice(self.simple_root(i), lattice)
+                      for i in self.nodes}
+            action = self._actions[lattice] = {
+                i: (self._coroot_rows[i][:lattice.rank], a) for i, a in alphas.items()}
+        return action
 
     # -- roots in the simple-root basis --------------------------------------
 
@@ -671,18 +687,11 @@ def demazure(datum: RootDatum, i, p: LaurentPoly) -> LaurentPoly:
                     = 0                                                 m = 0
                     = -e^lam (1 + e^{a_i} + ... + e^{(-m-1) a_i})       m < 0
 
-    with m = <alpha_i^vee, lam>.  When ``datum`` is affine and ``p`` lives
-    over the companion finite lattice, the level-zero action is used
-    (alpha_0 -> -theta).
+    with m = <alpha_i^vee, lam>, on whichever coefficient lattice of
+    ``datum`` p lives over (``RootDatum.simple_action``).
     """
-    if p.datum is datum:
-        pair = lambda lam: datum.pairing(i, lam)
-        alpha = datum.simple_root(i)
-    elif datum.flavor == "affine" and p.datum is datum.finite:
-        pair = lambda lam: datum.projected_pairing(i, lam)
-        alpha = datum.projected_root(i)
-    else:
-        raise DatumMismatchError("polynomial lattice does not match datum")
+    row, alpha = datum.simple_action(p.datum)[i]
+    dot = RootDatum._dot
     out = {}
 
     def add(w, c):
@@ -693,7 +702,7 @@ def demazure(datum: RootDatum, i, p: LaurentPoly) -> LaurentPoly:
             out.pop(w, None)
 
     for lam, c in p.terms.items():
-        m = pair(lam)
+        m = dot(row, lam.coords)
         if m == 0:
             continue
         if m > 0:
@@ -707,15 +716,15 @@ def demazure(datum: RootDatum, i, p: LaurentPoly) -> LaurentPoly:
 
 
 def weyl_reflect_poly(datum: RootDatum, i, p: LaurentPoly) -> LaurentPoly:
-    """Action of r_i on Z[P] (level-zero when p is over the finite lattice)."""
-    if p.datum is datum:
-        refl = lambda lam: datum.reflect(i, lam)
-    elif datum.flavor == "affine" and p.datum is datum.finite:
-        refl = lambda lam: datum.levelzero_reflect(i, lam)
-    else:
-        raise DatumMismatchError("polynomial lattice does not match datum")
-    # r_i is a bijection of the lattice: no two terms meet, none cancels
-    return LaurentPoly._trusted(p.datum, {refl(lam): c for lam, c in p.terms.items()})
+    """Action of r_i on Z[P], on p's coefficient lattice as in ``demazure``."""
+    row, alpha = datum.simple_action(p.datum)[i]
+    dot = RootDatum._dot
+    out = {}
+    for lam, c in p.terms.items():
+        m = dot(row, lam.coords)
+        # r_i is a bijection of the lattice: no two terms meet, none cancels
+        out[lam - alpha.scaled(m) if m else lam] = c
+    return LaurentPoly._trusted(p.datum, out)
 
 
 def level_zero_project(p: LaurentPoly, affine_datum: RootDatum) -> LaurentPoly:

@@ -100,10 +100,7 @@ def _datum_for(args, default_n=None) -> RootDatum:
 
 def cmd_psi(args):
     datum = _datum_for(args)
-    flavor = args.flavor
-    if flavor is None:
-        flavor = "big" if datum.flavor == "finite" else "level-zero"
-    engine = PsiEngine(datum, flavor)
+    engine = PsiEngine(datum, args.flavor)
     v = weyl.from_word(datum, parse_word_arg(args.v))
     w = weyl.from_word(datum, parse_word_arg(args.w))
     fn = {"right": engine.psi_right, "left": engine.psi_left,
@@ -220,12 +217,7 @@ def cmd_tables(args):
 
 
 def _print_table(args, kind, n):
-    golden = goldens.golden_rows(kind, n)
-    gen = {"bijection": goldens.generate_bijection,
-           "k": goldens.generate_k,
-           "g": goldens.generate_g,
-           "coproduct": goldens.generate_coproduct}.get(kind)
-    table = goldens.generate_G(n, golden) if kind == "G" else gen(n, golden.keys())
+    table = goldens.generate(kind, n)
     if args.format == "json":
         print(json.dumps({kind: {str(n): table}}, sort_keys=True))
         return
@@ -295,7 +287,7 @@ def cmd_gkm_check(args):
         datum = _datum_for(args, default_n=2)
         n = len(datum.nodes)
         engine = PsiEngine(datum, "level-zero")
-        fin = datum.finite
+        fin = engine.coeffs
         ok = True
         checked = 0
         els = weyl.all_elements(datum, args.max_len)

@@ -65,7 +65,7 @@ def generate_k(n: int, labels) -> dict:
     for label in labels:
         w = weyl.from_word(engine.datum, weyl.parse_word(label))
         out[label] = {weyl.word_str(x.word): c for x, c in
-                      engine.varphi_g(engine.partition_of(w)).items()}
+                      engine.varphi_g(weyl.partition_of_grassmannian(w)).items()}
     return out
 
 
@@ -94,18 +94,29 @@ def generate_coproduct(n: int, labels) -> dict:
     return out
 
 
-def generate_G(n: int, rows) -> dict:
+def generate_G(n: int, labels) -> dict:
+    """F-expansions of G_v, each through its row's degree in the shipped table."""
     engine = GrothendieckEngine.get(n)
+    golden = golden_rows("G", n)
     out = {}
-    for label, row in rows.items():
-        lam = _parse_partition(label)
-        v = engine.grassmannian(lam)
-        F = engine.m_to_F(engine.G_of(v, row["max_degree"]))
+    for label in labels:
+        max_degree = golden[label]["max_degree"]
+        v = engine.grassmannian(_parse_partition(label))
+        F = engine.m_to_F(engine.G_of(v, max_degree))
         out[label] = {
             "F": {_partition_label(mu): c for mu, c in F.terms.items()},
-            "max_degree": row["max_degree"],
+            "max_degree": max_degree,
         }
     return out
+
+
+_GENERATORS = {"bijection": generate_bijection, "k": generate_k, "g": generate_g,
+               "coproduct": generate_coproduct, "G": generate_G}
+
+
+def generate(kind: str, n: int) -> dict:
+    """Table ``kind`` for rank n, recomputed on the shipped table's row labels."""
+    return _GENERATORS[kind](n, golden_rows(kind, n).keys())
 
 
 # -- diffing ----------------------------------------------------------------------
@@ -125,9 +136,9 @@ def _canon_word_map(datum, table: dict) -> dict:
 def diff_table(kind: str, n: int) -> list[str]:
     """Recompute table ``kind`` for rank n and diff; returns mismatch strings."""
     golden = golden_rows(kind, n)
+    got = generate(kind, n)
     problems = []
     if kind == "bijection":
-        got = generate_bijection(n, golden.keys())
         datum = GrothendieckEngine.get(n).datum
         for label, word in golden.items():
             w_want = weyl.from_word(datum, weyl.parse_word(word))
@@ -135,7 +146,6 @@ def diff_table(kind: str, n: int) -> list[str]:
             if w_want != w_got:
                 problems.append(f"bijection n={n} {label}: {got[label]} != {word}")
     elif kind == "k":
-        got = generate_k(n, golden.keys())
         datum = GrothendieckEngine.get(n).datum
         for label, terms in golden.items():
             want = _canon_word_map(datum, terms)
@@ -144,21 +154,18 @@ def diff_table(kind: str, n: int) -> list[str]:
                 problems.append(f"k n={n} row {label}: "
                                 f"{_fmt_wmap(have)} != {_fmt_wmap(want)}")
     elif kind == "g":
-        got = generate_g(n, golden.keys())
         for label, cols in golden.items():
             for col in ("s", "kschur"):
                 if got[label][col] != cols[col]:
                     problems.append(f"g n={n} row {label} [{col}]: "
                                     f"{got[label][col]} != {cols[col]}")
     elif kind == "coproduct":
-        got = generate_coproduct(n, golden.keys())
         for label, rows in golden.items():
             want = sorted([list(r) for r in rows])
             if got[label] != want:
                 problems.append(f"coproduct n={n} row {label}: "
                                 f"{got[label]} != {want}")
     elif kind == "G":
-        got = generate_G(n, golden)
         for label, row in golden.items():
             # compare degree-complete blocks: every degree the golden row
             # displays must match exactly, including absent (zero) entries
@@ -172,8 +179,6 @@ def diff_table(kind: str, n: int) -> list[str]:
                 if want != have:
                     problems.append(f"G n={n} row {label} degree {d}: "
                                     f"{have} != {want}")
-    else:
-        raise ValueError(f"unknown table kind {kind!r}")
     return problems
 
 

@@ -33,7 +33,7 @@ class GrothendieckEngine:
             raise ValueError("need n >= 2")
         self.n = n
         self.datum = RootDatum.affine_sl(n)
-        self.fin = self.datum.finite
+        self.fin = self.datum.coefficient_lattice()
         self._kappa: dict[int, HeckeElt] = {}
         self._kprod: dict[tuple, dict] = {(): {weyl.identity(self.datum): 1}}
         self._by_elt: dict[weyl.WeylElt, dict] = {}
@@ -42,7 +42,6 @@ class GrothendieckEngine:
         self._fs: dict[tuple, dict] = {}
         self._g: dict[tuple, SymFunc] = {}
         self._kschur: dict[tuple, SymFunc] = {}
-        self._grass: dict[tuple, weyl.WeylElt] = {}
 
     @classmethod
     def get(cls, n: int) -> "GrothendieckEngine":
@@ -53,13 +52,7 @@ class GrothendieckEngine:
     # -- labels -------------------------------------------------------------------
 
     def grassmannian(self, lam) -> weyl.WeylElt:
-        lam = make_partition(lam)
-        if lam not in self._grass:
-            self._grass[lam] = weyl.grassmannian_from_partition(self.datum, lam)
-        return self._grass[lam]
-
-    def partition_of(self, u: weyl.WeylElt) -> tuple:
-        return weyl.partition_of_grassmannian(u)
+        return weyl.grassmannian_from_partition(self.datum, make_partition(lam))
 
     def bounded(self, max_size: int) -> list[tuple]:
         return partitions_up_to(max_size, self.n - 1)
@@ -102,7 +95,7 @@ class GrothendieckEngine:
 
     def grassmannian_terms(self, terms: dict) -> dict:
         """{partition of w: c} over the Grassmannian w of {w: c}."""
-        return {self.partition_of(w): c for w, c in terms.items()
+        return {weyl.partition_of_grassmannian(w): c for w, c in terms.items()
                 if weyl.is_grassmannian(w)}
 
     def _column(self, nu: tuple) -> dict:
@@ -121,8 +114,11 @@ class GrothendieckEngine:
     def G_of(self, v: weyl.WeylElt, max_degree: int) -> SymFunc:
         """G_v in the m basis through total degree max_degree."""
         row = self._row(v, max_degree)
-        return SymFunc._trusted(
-            "m", {lam: c for lam, c in row.items() if sum(lam) <= max_degree}, self.n)
+        if self._by_elt_degree == max_degree:  # nothing above max_degree yet
+            terms = dict(row)  # a copy: the row is the memo table's own
+        else:
+            terms = {lam: c for lam, c in row.items() if sum(lam) <= max_degree}
+        return SymFunc._trusted("m", terms, self.n)
 
     def F_of(self, v: weyl.WeylElt) -> SymFunc:
         """Affine Stanley function: the degree-l(v) part of G_v, in m."""

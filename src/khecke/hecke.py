@@ -14,30 +14,17 @@ is known.  ``int_mul`` is the product of integer elements {WeylElt: int},
 with no LaurentPoly wrapping, and folds each pair (u, v) once; ``t_mul``
 over R(T) is its test oracle.
 
-In affine flavor the coefficient ring defaults to the level-zero R(T)
-(finite weight lattice); pass the affine lattice itself for the big-torus
-variant used by localization.
+Where no coefficient lattice is passed, R(T) is
+``RootDatum.coefficient_lattice()``: the level-zero (finite) lattice on
+affine data, the datum's own on finite data.  Pass the affine lattice itself
+for the big-torus variant used by localization.
 """
 
 from __future__ import annotations
 
-from .cartan import (DatumMismatchError, LaurentPoly, RootDatum, demazure,
-                     phi0, weyl_reflect_poly)
+from .cartan import DatumMismatchError, LaurentPoly, demazure, phi0, weyl_reflect_poly
 from . import weyl
 from .weyl import WeylElt
-
-
-def coefficient_datum(datum: RootDatum, flavor: str = "level-zero") -> RootDatum:
-    """The lattice the coefficients live over."""
-    if datum.flavor == "finite":
-        return datum
-    if flavor == "level-zero":
-        if datum.finite is None:
-            raise ValueError("datum has no finite companion for level-zero work")
-        return datum.finite
-    if flavor == "big":
-        return datum
-    raise ValueError(f"unknown flavor {flavor!r}")
 
 
 class HeckeElt:
@@ -251,11 +238,11 @@ def group_elt_to_T(w: WeylElt, coeffs=None) -> HeckeElt:
     """Expansion of the group element w via r_i = 1 + (1 - e^{alpha_i}) T_i."""
     datum = w.datum
     if coeffs is None:
-        coeffs = coefficient_datum(datum)
+        coeffs = datum.coefficient_lattice()
+    action = datum.simple_action(coeffs)
     acc = HeckeElt.one(datum, coeffs)
     for i in reversed(w.word):
-        factor = LaurentPoly.one(coeffs) - LaurentPoly.monomial(
-            datum.to_lattice(datum.simple_root(i), coeffs))
+        factor = LaurentPoly.one(coeffs) - LaurentPoly.monomial(action[i][1])
         acc = acc + _gen_mul(datum, coeffs, i, acc).scaled(factor)
     return acc
 
@@ -264,7 +251,7 @@ def y_elt(w: WeylElt, coeffs=None) -> HeckeElt:
     """y_w = sum_{v <= w} T_v."""
     datum = w.datum
     if coeffs is None:
-        coeffs = coefficient_datum(datum)
+        coeffs = datum.coefficient_lattice()
     return HeckeElt(datum, coeffs,
                     {v: LaurentPoly.one(coeffs) for v in weyl.bruhat_ideal(w)})
 
@@ -388,8 +375,7 @@ def coproduct_T_simple(datum, coeffs, i) -> TensorElt:
     return TensorElt(datum, coeffs, {
         (e, ri): one,
         (ri, e): one,
-        (ri, ri): one - LaurentPoly.monomial(
-            datum.to_lattice(datum.simple_root(i), coeffs)),
+        (ri, ri): one - LaurentPoly.monomial(datum.simple_action(coeffs)[i][1]),
     })
 
 
@@ -407,7 +393,7 @@ def coproduct(a: HeckeElt) -> TensorElt:
 def structure_constants_c(w: WeylElt, coeffs=None) -> dict:
     """c_w^{uv} with Delta(T_w) = sum c_w^{uv} T_u (x) T_v."""
     if coeffs is None:
-        coeffs = coefficient_datum(w.datum)
+        coeffs = w.datum.coefficient_lattice()
     return dict(coproduct(HeckeElt.T(w, coeffs)).terms)
 
 

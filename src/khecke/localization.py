@@ -16,9 +16,11 @@ root and no difference is formed.  The small-torus conditions, modulo
 (1 - e^alpha)^d, test line moments (``cartan.divisible_by_one_minus_e``).
 
 Flavors: "big" works over the datum's own lattice (R(T) or R(T_af));
-"level-zero" (affine data only) projects every root to the finite lattice
-before exponentiating, which commutes with the division-free recurrences.
-Both maps are ``RootDatum.to_lattice`` into the engine's ``coeffs``.
+"level-zero" (affine data with a finite companion) projects every root to
+the finite lattice before exponentiating, which commutes with the
+division-free recurrences.  ``RootDatum.coefficient_lattice`` turns the
+flavor into the engine's ``coeffs``; roots reach it through
+``RootDatum.simple_action`` and ``RootDatum.to_lattice``.
 """
 
 from __future__ import annotations
@@ -37,15 +39,9 @@ class PsiEngine:
     """Memoized psi^v(w) values for one datum and flavor."""
 
     def __init__(self, datum: RootDatum, flavor: str = "big"):
-        if flavor not in ("big", "level-zero"):
-            raise ValueError(f"unknown flavor {flavor!r}")
-        if flavor == "level-zero" and datum.finite is None:
-            # only affine data carry one, and affinize_cartan data do not yet
-            raise ValueError(f"level-zero flavor needs an affine datum with a "
-                             f"finite companion; {datum.name} has none")
         self.datum = datum
-        self.flavor = flavor
-        self.coeffs = datum if flavor == "big" else datum.finite
+        self.coeffs = datum.coefficient_lattice(flavor)
+        self._action = datum.simple_action(self.coeffs)
         self._right: dict = {}
         self._left: dict = {}
 
@@ -59,8 +55,7 @@ class PsiEngine:
 
     def root_image(self, w: WeylElt, i) -> "Weight":
         """w(alpha_i) in the coefficient lattice."""
-        datum = self.datum
-        return weyl.apply(w, datum.to_lattice(datum.simple_root(i), self.coeffs))
+        return weyl.apply(w, self._action[i][1])
 
     def act(self, i, p: LaurentPoly) -> LaurentPoly:
         return weyl_reflect_poly(self.datum, i, p)
@@ -110,8 +105,7 @@ class PsiEngine:
             if riv.length > v.length:
                 val = self.act(i, self.psi_left(v, riw))
             else:
-                ea = LaurentPoly.monomial(
-                    self.datum.to_lattice(self.datum.simple_root(i), self.coeffs))
+                ea = LaurentPoly.monomial(self._action[i][1])
                 val = ea * self.act(i, self.psi_left(v, riw)) \
                     + (self._one() - ea) * self.act(i, self.psi_left(riv, riw))
         self._left[key] = val

@@ -56,11 +56,11 @@ def expand_in_fs_basis(engine: GrothendieckEngine, b) -> dict:
                         key=lambda w: (w.length, w.word)))
     coeffs, residual = peel(
         b, lambda r: next((w for w in order if w in r), None),
-        lambda w: engine.varphi_g(engine.partition_of(w)).items())
+        lambda w: engine.varphi_g(weyl.partition_of_grassmannian(w)).items())
     if residual:
         raise ValueError("element is not in the Fomin-Stanley subalgebra "
                          f"(residue on {sorted(w.word for w in residual)})")
-    return {engine.partition_of(w): c for w, c in coeffs.items()}
+    return {weyl.partition_of_grassmannian(w): c for w, c in coeffs.items()}
 
 
 def fomin_stanley_via_linear_system(engine: GrothendieckEngine, lam) -> HeckeElt:
@@ -172,7 +172,7 @@ def equivariant_k_sl2(lam_or_r, cutoff: int = 8) -> HeckeElt:
         raise SupportTruncationError(
             f"support of k_sigma_{r} reaches length {max(x.length for x in top)}; "
             f"raise the cutoff above {cutoff}")
-    elt = HeckeElt(datum, datum.finite, terms)
+    elt = HeckeElt(datum, engine.coeffs, terms)
     _check_centralizer(elt)
     return elt
 

@@ -82,7 +82,9 @@ class _DatumOps:
         self.simples = {i: involution((i,), _win_simple(n, i) if n else self.refl[i])
                         for i in datum.nodes}
         self.reflections: dict = {}  # positive real root -> r_alpha
-        self.partition_inverse: dict = {}
+        # the bounded-partition bijection, both directions filled together
+        self.grassmannians: dict = {}  # partition -> Grassmannian element
+        self.partitions: dict = {}  # Grassmannian element -> partition
 
     @classmethod
     def of(cls, datum) -> "_DatumOps":
@@ -388,27 +390,29 @@ def inverse(w: WeylElt) -> WeylElt:
 
 
 def apply(w: WeylElt, lam: Weight) -> Weight:
-    """Action on weights; level-zero when w is affine and lam is finite."""
+    """Action on a weight of any coefficient lattice of w's datum: by w's
+    matrix on the datum's own lattice, else letter by letter through
+    ``RootDatum.simple_action``, which rejects foreign lattices.  A window
+    element acts on the level-zero lattice through its finite part, a
+    permutation of coordinates; the word path is its test oracle."""
     datum = w.datum
     if lam.datum is datum:
         return datum.weight(_mat_apply(w.matrix, lam.coords))
-    if datum.flavor == "affine" and lam.datum is datum.finite:
-        if w.window is not None:
-            # w = t_lam u acts level-zero through its finite part u
-            n = len(w.window)
-            perm = [((val - 1) % n) for val in w.window]  # u(i)-1 for i=1..n
-            out = [0] * n
-            for i in range(n):
-                out[perm[i]] = lam.coords[i]
-            return datum.finite.weight(out)
-        v = lam.coords
-        for i in reversed(w.word):
-            m = datum.projected_pairing(i, datum.finite.weight(v))
-            if m:
-                a = datum.projected_root(i).coords
-                v = tuple(c - m * ac for c, ac in zip(v, a))
-        return datum.finite.weight(v)
-    raise DatumMismatchError("weight does not belong to this group's lattices")
+    action = datum.simple_action(lam.datum)
+    if w.window is not None:
+        # w = t_mu u acts level-zero through its finite part u
+        n = len(w.window)
+        out = [0] * n
+        for i, val in enumerate(w.window):
+            out[(val - 1) % n] = lam.coords[i]
+        return lam.datum.weight(out)
+    dot = RootDatum._dot
+    for i in reversed(w.word):
+        row, alpha = action[i]
+        m = dot(row, lam.coords)
+        if m:
+            lam = lam - alpha.scaled(m)
+    return lam
 
 
 # -- Bruhat order ---------------------------------------------------------------
@@ -561,9 +565,14 @@ def translation_of_coset(w: WeylElt) -> WeylElt:
 
 def grassmannian_from_partition(datum, partition) -> WeylElt:
     """Element of the (n-1)-bounded partition: cell (i,j) has residue j-i mod n,
-    read bottom row to top, right to left, multiplied left to right."""
+    read bottom row to top, right to left, multiplied left to right.
+    Memoised per datum, recording the inverse for ``partition_of_grassmannian``."""
     n = _require_window(datum)
     parts = tuple(partition)
+    ops = _DatumOps.of(datum)
+    w = ops.grassmannians.get(parts)
+    if w is not None:
+        return w
     if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)) or \
             any(p <= 0 for p in parts):
         raise ValueError("not a partition")
@@ -573,7 +582,9 @@ def grassmannian_from_partition(datum, partition) -> WeylElt:
     for i in range(len(parts), 0, -1):          # bottom row to top
         for j in range(parts[i - 1], 0, -1):    # right to left
             word.append((j - i) % n)
-    return from_word(datum, word)
+    w = ops.grassmannians[parts] = from_word(datum, word)
+    ops.partitions[w] = parts
+    return w
 
 
 def partition_of_grassmannian(w: WeylElt):
@@ -581,13 +592,13 @@ def partition_of_grassmannian(w: WeylElt):
     if not is_grassmannian(w):
         raise ValueError("element is not Grassmannian")
     n = _require_window(w.datum)
-    cache = _DatumOps.of(w.datum).partition_inverse
-    if w not in cache:
+    known = _DatumOps.of(w.datum).partitions
+    if w not in known:
         for lam in partitions_of(w.length, n - 1):
-            cache[grassmannian_from_partition(w.datum, lam)] = lam
-    if w not in cache:
+            grassmannian_from_partition(w.datum, lam)
+    if w not in known:
         raise ValueError("no bounded partition matches this element")
-    return cache[w]
+    return known[w]
 
 
 def cyclically_decreasing(datum, ell: int) -> list[WeylElt]:

@@ -236,8 +236,7 @@ def test_criterion_09_identity_suite():
             assert phi0(p * q) == phi0(p) * phi0(q)
         # y_w = sum_{v <= w} T_v: fold of (1 + T_i) along the word
         for datum in (RootDatum.of_type("A2"), RootDatum.affine_sl(2)):
-            from khecke.hecke import coefficient_datum
-            coeffs = coefficient_datum(datum)
+            coeffs = datum.coefficient_lattice()
             for w in weyl.all_elements(datum, 4):
                 acc = HeckeElt.one(datum, coeffs)
                 for i in w.word:

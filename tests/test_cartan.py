@@ -113,6 +113,50 @@ class TestDemazure:
         assert got == LaurentPoly(fin, {a: -1, fin.zero(): -1})
 
 
+class TestCoefficientLattice:
+    """The one flavor rule, and the simple reflections' action on each lattice."""
+
+    COMPANION = "level-zero flavor needs an affine datum with a finite companion"
+
+    @pytest.mark.parametrize("typ,flavor,want", [
+        ("A2", None, "self"), ("A2", "big", "self"),
+        ("A2", "level-zero", COMPANION), ("A2", "bogus", "unknown flavor"),
+        ("A2~", None, "finite"), ("A2~", "big", "self"),
+        ("A2~", "level-zero", "finite"), ("A2~", "bogus", "unknown flavor"),
+        ("C2~", None, COMPANION), ("C2~", "big", "self"),
+        ("C2~", "level-zero", COMPANION), ("C2~", "bogus", "unknown flavor"),
+    ])
+    def test_flavor_table(self, typ, flavor, want):
+        datum = RootDatum.of_type(typ)
+        if want == "self":
+            assert datum.coefficient_lattice(flavor) is datum
+        elif want == "finite":
+            assert datum.coefficient_lattice(flavor) is datum.finite
+        else:
+            with pytest.raises(ValueError, match=want):
+                datum.coefficient_lattice(flavor)
+
+    def test_simple_action_memoised_per_lattice(self, af3):
+        for lattice in (af3, af3.finite):
+            action = af3.simple_action(lattice)
+            assert af3.simple_action(lattice) is action
+            assert set(action) == set(af3.nodes)
+            for i, (row, alpha) in action.items():
+                assert alpha == af3.to_lattice(af3.simple_root(i), lattice)
+                assert len(row) == lattice.rank
+        assert af3.simple_action(af3) is not af3.simple_action(af3.finite)
+
+    def test_simple_action_rejects_other_lattices(self, af2, sl2, sl3):
+        for datum, lattice in ((af2, sl3), (af2, RootDatum.affine_sl(3)),
+                               (sl2, sl3), (RootDatum.of_type("C2~"), sl3)):
+            with pytest.raises(DatumMismatchError):
+                datum.simple_action(lattice)
+        with pytest.raises(DatumMismatchError):
+            demazure(af2, 1, LaurentPoly.one(sl3))
+        with pytest.raises(DatumMismatchError):
+            weyl_reflect_poly(sl2, 1, LaurentPoly.one(sl3))
+
+
 class TestPhi0Eta:
     def test_phi0_cancellation(self, sl2):
         a = sl2.simple_root(1)
@@ -263,6 +307,12 @@ RING_DATA = (
     + [RootDatum.of_type(t) for t in ("B2", "G2", "C2~")]
     + [RootDatum.affinize_cartan(*AFFINE_GCMS["A2~"], name="gcm-A2~")])
 
+# (acting datum, coefficient lattice): each datum on its own lattice, and
+# affine SL_n on the level-zero one
+ACTION_PAIRS = ([(datum, datum) for datum in RING_DATA]
+                + [(RootDatum.affine_sl(n), RootDatum.affine_sl(n).finite)
+                   for n in (2, 3, 4)])
+
 coords_st = st.lists(st.integers(-3, 3), min_size=7, max_size=7)
 # a small box and few coefficient values, so terms collide and cancel
 terms_st = st.dictionaries(st.tuples(*[st.integers(-1, 1)] * 7),
@@ -384,22 +434,32 @@ class TestRingOracle:
         assert (p * (q - q)).is_zero()
         assert as_oracle(p * q - q * p) == {}
 
-    @given(st.sampled_from(RING_DATA), terms_st, st.data())
-    def test_reflect_and_demazure(self, datum, pt, data):
+    @given(st.sampled_from(ACTION_PAIRS), terms_st, st.data())
+    def test_reflect_and_demazure(self, pair, pt, data):
+        # the oracle acts on the datum's own lattice: a level-zero weight is
+        # lifted with level 0 and degree 0, acted on, and projected back
+        datum, lattice = pair
         i = data.draw(st.sampled_from(datum.nodes))
-        p = build(datum, pt)
+        p = build(lattice, pt)
+
+        def lift(x):
+            return datum.weight(x + (0,) * (datum.rank - lattice.rank))
+
+        def down(lam):
+            return lam.coords if lattice is datum else datum.project(lam).coords
+
         want = {}
         for x, c in as_oracle(p).items():
-            want[datum.reflect(i, datum.weight(x)).coords] = c
+            want[down(datum.reflect(i, lift(x)))] = c
         assert as_oracle(weyl_reflect_poly(datum, i, p)) == want
         # T_i e^lam for lam = r_i mu in the three cases of the formula
-        alpha = datum.simple_root(i).coords
+        alpha = datum.simple_root(i)
         want = {}
         for x, c in as_oracle(p).items():
-            m = datum.pairing(i, datum.weight(x))
+            m = datum.pairing(i, lift(x))
             ks = range(-m, 0) if m > 0 else range(-m)
             for k in ks:
-                key = tuple(u + k * a for u, a in zip(x, alpha))
+                key = down(lift(x) + alpha.scaled(k))
                 want[key] = want.get(key, 0) + (c if m > 0 else -c)
         assert as_oracle(demazure(datum, i, p)) == {x: c for x, c in want.items() if c}
 

@@ -472,3 +472,13 @@ class TestGkmCheck:
         code, out, _ = run(capsys, "psi", "--type", "C2~", "--v", "0", "--w", "01",
                            "--flavor", "big")
         assert code == 0 and out.strip()
+
+    def test_expand_group_needs_finite_companion(self, capsys):
+        # expand-group defaults to level zero on affine data, as psi does,
+        # and refuses C2~ with psi's message
+        code, out, err = run(capsys, "expand-group", "--type", "C2~", "--word", "01")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: level-zero flavor needs an affine datum with a "
+                       "finite companion; C2~ has none\n")
+        assert run(capsys, "psi", "--type", "C2~", "--v", "0", "--w", "01")[2] == err

@@ -250,6 +250,24 @@ class TestByElementIndex:
                 assert engine.G_of(w, d).terms == \
                     {lam: c for lam, c in want.items() if c}, (w.word, d)
 
+    def test_G_of_below_table_degree_and_copied(self):
+        # grown to d + 2, the index still yields G_v through degree d only;
+        # at the index's own degree G_of hands out a copy of the row
+        engine = GrothendieckEngine(3)
+        d = 2
+        engine.G_of(weyl.identity(engine.datum), d + 2)
+        elements = weyl.all_elements(engine.datum, d + 2)
+        assert any(sum(lam) > d for v in elements for lam in engine._row(v, d + 2))
+        for v in elements:
+            row = dict(engine._row(v, d + 2))
+            for degree in (d, d + 2):
+                G = engine.G_of(v, degree)
+                assert G.terms == {lam: c for lam, c in row.items()
+                                   if sum(lam) <= degree}
+                G.terms[(2, 2, 2)] = 5
+                G.terms.pop(next(iter(row), None), None)
+                assert engine._row(v, d + 2) == row
+
     def test_pairings_reject_unbounded_parts(self, e3):
         u = e3.grassmannian((1,))
         for pair in (e3.pair_with_G, e3.pair_with_F):

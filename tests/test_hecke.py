@@ -4,10 +4,10 @@ from hypothesis import given, strategies as st
 
 from khecke.cartan import LaurentPoly, RootDatum, demazure, phi0
 from khecke import weyl
-from khecke.hecke import (HeckeElt, TensorElt, coefficient_datum, coproduct,
-                          coproduct_T_simple, demazure_act, fold_T,
-                          group_elt_to_T, int_mul, phi0_hecke,
-                          structure_constants_c, t_mul, tensor_mul, y_elt)
+from khecke.hecke import (HeckeElt, TensorElt, coproduct, coproduct_T_simple,
+                          demazure_act, fold_T, group_elt_to_T, int_mul,
+                          phi0_hecke, structure_constants_c, t_mul, tensor_mul,
+                          y_elt)
 
 
 def rand_poly(datum, rng, size=2, box=1):
@@ -108,7 +108,7 @@ class TestProduct:
                 for v, q in acc.terms.items():
                     tq = demazure(af2, i, q)
                     rq = q + (LaurentPoly.one(fin) - LaurentPoly.monomial(
-                        af2.projected_root(i))) * tq  # r_i = 1 + (1-e^a) T_i
+                        af2.project(af2.simple_root(i)))) * tq  # r_i = 1 + (1-e^a) T_i
                     for key, val in ((v, tq),):
                         if not val.is_zero():
                             out[key] = out.get(key, LaurentPoly.zero(fin)) + val
@@ -122,7 +122,7 @@ class TestProduct:
     def test_associativity_random(self, af2, A2):
         rng = random.Random(3)
         for datum in (af2, A2):
-            coeffs = coefficient_datum(datum)
+            coeffs = datum.coefficient_lattice()
             els = weyl.all_elements(datum, 3)
             for _ in range(15):
                 a = rand_hecke(datum, coeffs, els, rng)
@@ -279,7 +279,7 @@ class TestCoproduct:
     def test_algebra_morphism(self, A2, af2):
         rng = random.Random(8)
         for datum in (A2, af2):
-            coeffs = coefficient_datum(datum)
+            coeffs = datum.coefficient_lattice()
             els = weyl.all_elements(datum, 3)
             for _ in range(12):
                 a = rand_hecke(datum, coeffs, els, rng, size=1)

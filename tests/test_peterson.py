@@ -135,9 +135,9 @@ def expand_by_min_pivot(engine, terms):
         terms,
         lambda r: min((w for w in r if weyl.is_grassmannian(w)),
                       key=lambda w: (w.length, w.word), default=None),
-        lambda w: engine.varphi_g(engine.partition_of(w)).items())
+        lambda w: engine.varphi_g(weyl.partition_of_grassmannian(w)).items())
     assert not residual
-    return {engine.partition_of(w): c for w, c in coeffs.items()}
+    return {weyl.partition_of_grassmannian(w): c for w, c in coeffs.items()}
 
 
 class TestExpansionOracle:
@@ -185,7 +185,7 @@ class TestExpansionOracle:
                 row[extra] = 1
             return row
 
-        fake = SimpleNamespace(varphi_g=varphi_g, partition_of=e3.partition_of)
+        fake = SimpleNamespace(varphi_g=varphi_g)
         with pytest.raises(ValueError, match="not in the Fomin-Stanley"):
             expand_in_fs_basis(fake, e3.varphi_g((1,)))
 

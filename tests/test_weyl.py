@@ -1,9 +1,10 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from khecke.cartan import RootDatum
+from khecke.cartan import DatumMismatchError, RootDatum
 from khecke import weyl
 
 
@@ -193,6 +194,24 @@ class TestPartitionBijection:
             assert weyl.partition_of_grassmannian(w) == lam
 
 
+    def test_one_memo_both_directions(self, af3):
+        # inverse first: every Grassmannian element of the memo-free datum
+        # finds its partition, and the forward map then returns that element
+        ops = weyl._DatumOps.of(af3)
+        ops.grassmannians.clear()
+        ops.partitions.clear()
+        grass = [w for w in words_leq(af3, 5) if weyl.is_grassmannian(w)]
+        lams = [weyl.partition_of_grassmannian(w) for w in grass]
+        assert len(set(lams)) == len(grass)
+        for w, lam in zip(grass, lams):
+            assert sum(lam) == w.length
+            assert weyl.grassmannian_from_partition(af3, lam) is w
+            assert weyl.grassmannian_from_partition(af3, list(lam)) is w
+        assert len(ops.grassmannians) == len(ops.partitions)
+        assert {ops.partitions[w] for w in ops.grassmannians.values()} == \
+            set(ops.grassmannians)
+
+
 class TestCyclicallyDecreasing:
     def test_singletons(self, af3):
         got = sorted(w.word for w in weyl.cyclically_decreasing(af3, 1))
@@ -233,6 +252,32 @@ class TestWindowVsGenericPath:
                 assert prod_w.word == prod_g.word
                 assert weyl.bruhat_leq(u, v) == \
                     weyl.bruhat_leq(lookup[u.word], lookup[v.word])
+
+
+class TestLevelZeroApply:
+    """Level-zero ``apply``: the window fast path against the word path
+    through ``RootDatum.simple_action``, and both against the big action on
+    the weight lifted with level 0 and degree 0, then projected."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_window_matches_word_path(self, n):
+        datum = RootDatum.affine_sl(n)
+        fin = datum.finite
+        weights = [fin.weight(tuple(int(t == k) for t in range(n))) for k in range(n)]
+        weights.append(fin.weight(tuple(3 * t * t - 5 for t in range(n))))
+        for w in words_leq(datum, 4):
+            word_only = SimpleNamespace(datum=datum, word=w.word, window=None)
+            for lam in weights:
+                got = weyl.apply(w, lam)
+                assert got.datum is fin
+                assert weyl.apply(word_only, lam) == got
+                lifted = datum.weight(lam.coords + (0, 0))
+                assert datum.project(weyl.apply(w, lifted)) == got
+
+    def test_foreign_lattice_rejected(self, A2, af2, sl3):
+        for w in (weyl.simple(af2, 0), weyl.simple(A2, 1)):
+            with pytest.raises(DatumMismatchError):
+                weyl.apply(w, sl3.zero())
 
 
 class TestSerialization:
