@@ -26,11 +26,17 @@ vector, which is 1; sums, differences, negatives and multiples keep that
 zero, so the weight operations build their results with the private
 ``Weight._canonical`` and skip ``canon``.
 
+``Combination`` is the one linear structure of the package: a finitely
+supported map from keys to nonzero coefficients (ints or LaurentPolys) with
+sums, negation, scaling, equality and hashing.  LaurentPoly, the 0-Hecke
+elements (``hecke``) and the symmetric functions (``symfunc``) subclass it
+and add their own constructors and products.
+
 LaurentPoly is the integer group algebra of the weight lattice: a finitely
 supported map Weight -> nonzero int.  The public constructor checks each
 term's lattice and drops zeros; the ring operations, ``eta``, ``demazure``,
 ``weyl_reflect_poly`` and the exact division build their results with the
-private ``LaurentPoly._trusted``, after checking the lattice once.  All
+private ``_new`` of an operand, after checking the lattice once.  All
 arithmetic is exact; there is no rational-function arithmetic anywhere in
 the package.
 """
@@ -542,10 +548,66 @@ class Weight:
         return f"Weight{self.coords}"
 
 
-class LaurentPoly:
+class Combination:
+    """A finitely supported map from keys to nonzero coefficients.
+
+    Coefficients are ints or LaurentPolys; both are falsy exactly at zero,
+    so one merge loop serves both.  Sums, negation, scaling, equality and
+    hashing live here alone.  A subclass supplies the hooks
+
+    * ``_ring``: what ``==`` and ``hash`` compare besides ``terms``;
+    * ``_new(terms)``: an element of this ring wrapping ``terms`` as is
+      (keys already checked, no zero values);
+    * ``_compat(other)``: raise on operands of different rings, else return
+      the operand whose ``_new`` wraps their sum.
+    """
+
+    __slots__ = ("terms",)
+
+    def __add__(self, other):
+        host = self._compat(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = out.get(key)
+            if s is not None:
+                c = s + c
+                if not c:
+                    del out[key]
+                    continue
+            out[key] = c
+        return host._new(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.terms.items()})
+
+    def scaled(self, k):
+        """k times self, for an int or ring element k; Z[P] is a domain, so
+        a nonzero k leaves every coefficient nonzero."""
+        if not k:
+            return self._new({})
+        return self._new({key: k * c for key, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self._ring == other._ring
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self._ring, frozenset(self.terms.items())))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+class LaurentPoly(Combination):
     """Finitely supported integer map on a weight lattice: sum c_lam e^lam."""
 
-    __slots__ = ("datum", "terms")
+    __slots__ = ("datum",)
 
     def __init__(self, datum: RootDatum, terms: Mapping[Weight, int] | None = None):
         self.datum = datum
@@ -557,12 +619,20 @@ class LaurentPoly:
                         raise DatumMismatchError("term over a different lattice")
                     self.terms[w] = c
 
-    @classmethod
-    def _trusted(cls, datum: RootDatum, terms: dict) -> "LaurentPoly":
-        """Wrap ``terms`` as is: weights over ``datum``, no zero values."""
-        p = cls.__new__(cls)
-        p.datum, p.terms = datum, terms
+    @property
+    def _ring(self):
+        return self.datum
+
+    def _new(self, terms: dict) -> "LaurentPoly":
+        """Wrap ``terms`` as is: weights over this lattice, no zero values."""
+        p = LaurentPoly.__new__(LaurentPoly)
+        p.datum, p.terms = self.datum, terms
         return p
+
+    def _compat(self, other):
+        if other.datum is not self.datum:
+            raise DatumMismatchError("polynomials over different lattices")
+        return self
 
     # -- constructors --------------------------------------------------------
 
@@ -582,28 +652,7 @@ class LaurentPoly:
     def const(datum, c: int) -> "LaurentPoly":
         return LaurentPoly(datum, {datum.zero(): c})
 
-    # -- ring ops -------------------------------------------------------------
-
-    def _compat(self, other):
-        if other.datum is not self.datum:
-            raise DatumMismatchError("polynomials over different lattices")
-
-    def __add__(self, other):
-        self._compat(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return LaurentPoly._trusted(self.datum, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LaurentPoly._trusted(self.datum, {w: -c for w, c in self.terms.items()})
+    # -- products ---------------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -617,25 +666,10 @@ class LaurentPoly:
                 key = tuple(a + b for a, b in zip(x, y))
                 acc[key] = acc.get(key, 0) + c1 * c2
         datum = self.datum
-        return LaurentPoly._trusted(
-            datum, {Weight._canonical(datum, key): c for key, c in acc.items() if c})
+        return self._new({Weight._canonical(datum, key): c
+                          for key, c in acc.items() if c})
 
     __rmul__ = __mul__
-
-    def scaled(self, k: int) -> "LaurentPoly":
-        if k == 0:
-            return LaurentPoly.zero(self.datum)
-        return LaurentPoly._trusted(self.datum, {w: k * c for w, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentPoly) and self.datum is other.datum
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((id(self.datum), frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_constant(self) -> bool:
         return all(w.is_zero() for w in self.terms)
@@ -677,7 +711,7 @@ def phi0(p: LaurentPoly) -> int:
 
 def eta(p: LaurentPoly) -> LaurentPoly:
     """The ring involution e^lam -> e^{-lam}."""
-    return LaurentPoly._trusted(p.datum, {-w: c for w, c in p.terms.items()})
+    return p._new({-w: c for w, c in p.terms.items()})
 
 
 def demazure(datum: RootDatum, i, p: LaurentPoly) -> LaurentPoly:
@@ -712,7 +746,7 @@ def demazure(datum: RootDatum, i, p: LaurentPoly) -> LaurentPoly:
         else:
             for k in range(-m):
                 add(lam + alpha.scaled(k), -c)
-    return LaurentPoly._trusted(p.datum, out)
+    return p._new(out)
 
 
 def weyl_reflect_poly(datum: RootDatum, i, p: LaurentPoly) -> LaurentPoly:
@@ -724,20 +758,7 @@ def weyl_reflect_poly(datum: RootDatum, i, p: LaurentPoly) -> LaurentPoly:
         m = dot(row, lam.coords)
         # r_i is a bijection of the lattice: no two terms meet, none cancels
         out[lam - alpha.scaled(m) if m else lam] = c
-    return LaurentPoly._trusted(p.datum, out)
-
-
-def level_zero_project(p: LaurentPoly, affine_datum: RootDatum) -> LaurentPoly:
-    """Push a polynomial over P_af down to finite P (delta, Lambda_0 -> 0)."""
-    out = {}
-    for lam, c in p.terms.items():
-        w = affine_datum.project(lam)
-        s = out.get(w, 0) + c
-        if s:
-            out[w] = s
-        else:
-            del out[w]
-    return LaurentPoly(affine_datum.finite, out)
+    return p._new(out)
 
 
 # -- residues and divisibility modulo (1 - e^alpha) ----------------------------
@@ -847,4 +868,4 @@ def exact_divide_one_minus_e(p: LaurentPoly, alpha: Weight) -> LaurentPoly:
         for t, c in q.items():
             coords = tuple(xk + t * ak for xk, ak in zip(key, step))
             out[Weight._canonical(datum, coords)] = c
-    return LaurentPoly._trusted(datum, out)
+    return p._new(out)

@@ -190,6 +190,8 @@ def cmd_structure(args):
 
 
 def cmd_k_sl2(args):
+    if (args.r is None) == (args.partition is None):
+        raise DomainError("k-sl2 needs exactly one of --r and --partition")
     lam_or_r = parse_partition(args.partition) if args.partition is not None else args.r
     elt = equivariant_k_sl2(lam_or_r, cutoff=args.cutoff)
     _emit(args, render_hecke(elt), elt.to_json())
@@ -430,9 +432,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if args.command == "k-sl2" and args.r is None and args.partition is None:
-        print("error: k-sl2 needs --r or --partition", file=sys.stderr)
-        return USAGE_ERROR
     try:
         _validate_bounds(args)
         args.fn(args)

@@ -26,6 +26,10 @@ _FILES = {
 
 
 def load_golden(kind: str) -> dict:
+    """The shipped golden ``kind`` table; ValueError for an unknown kind."""
+    if kind not in _FILES:
+        raise ValueError(f"unknown table kind {kind!r}; known kinds: "
+                         f"{', '.join(TABLE_KINDS)}")
     path = resources.files("khecke.tables").joinpath(_FILES[kind])
     return json.loads(path.read_text("utf-8"))
 
@@ -116,7 +120,8 @@ _GENERATORS = {"bijection": generate_bijection, "k": generate_k, "g": generate_g
 
 def generate(kind: str, n: int) -> dict:
     """Table ``kind`` for rank n, recomputed on the shipped table's row labels."""
-    return _GENERATORS[kind](n, golden_rows(kind, n).keys())
+    labels = golden_rows(kind, n).keys()  # ValueError for an unknown kind
+    return _GENERATORS[kind](n, labels)
 
 
 # -- diffing ----------------------------------------------------------------------

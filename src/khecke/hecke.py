@@ -1,7 +1,10 @@
 """The 0-Hecke ring and the (affine) K-NilHecke ring sum_w R(T) T_w.
 
 Elements are finitely supported maps WeylElt -> LaurentPoly with the scalar
-on the left.  Products fold one generator at a time through the two rules
+on the left: ``cartan.Combination``s whose ring is (datum, coefficient
+lattice).  The public constructors drop zero coefficients; sums, negatives
+and multiples wrap their dict with ``_new``.  Products fold one generator at
+a time through the two rules
 
     T_i T_w = T_{r_i w}  (r_i w > w)   or   -T_w  (r_i w < w)
     T_i q   = (T_i . q) + (r_i . q) T_i
@@ -22,24 +25,43 @@ for the big-torus variant used by localization.
 
 from __future__ import annotations
 
-from .cartan import DatumMismatchError, LaurentPoly, demazure, phi0, weyl_reflect_poly
+from .cartan import (Combination, DatumMismatchError, LaurentPoly, demazure, phi0,
+                     weyl_reflect_poly)
 from . import weyl
 from .weyl import WeylElt
 
 
-class HeckeElt:
-    """sum_w a_w T_w with a_w in Z[P] over ``coeffs`` lattice."""
+class _RCombination(Combination):
+    """A Combination over ``datum`` with coefficients in R(T) = Z[P] over the
+    ``coeffs`` lattice; the public constructor drops zero coefficients."""
 
-    __slots__ = ("datum", "coeffs", "terms")
+    __slots__ = ("datum", "coeffs")
 
     def __init__(self, datum, coeffs, terms=None):
         self.datum = datum
         self.coeffs = coeffs
-        self.terms = {}
-        if terms:
-            for w, p in terms.items():
-                if not p.is_zero():
-                    self.terms[w] = p
+        self.terms = {key: p for key, p in terms.items() if p} if terms else {}
+
+    @property
+    def _ring(self):
+        return self.datum, self.coeffs
+
+    def _new(self, terms):
+        cls = self.__class__
+        a = cls.__new__(cls)
+        a.datum, a.coeffs, a.terms = self.datum, self.coeffs, terms
+        return a
+
+    def _compat(self, other):
+        if self.datum is not other.datum or self.coeffs is not other.coeffs:
+            raise DatumMismatchError(f"{self.__class__.__name__}s over different rings")
+        return self
+
+
+class HeckeElt(_RCombination):
+    """sum_w a_w T_w with a_w in Z[P] over ``coeffs`` lattice."""
+
+    __slots__ = ()
 
     # -- constructors ----------------------------------------------------------
 
@@ -63,51 +85,6 @@ class HeckeElt:
     def from_int_terms(datum, coeffs, table) -> "HeckeElt":
         return HeckeElt(datum, coeffs,
                         {w: LaurentPoly.const(coeffs, c) for w, c in table.items()})
-
-    # -- linear structure --------------------------------------------------------
-
-    def _compat(self, other):
-        if self.datum is not other.datum or self.coeffs is not other.coeffs:
-            raise DatumMismatchError("HeckeElts over different rings")
-
-    def __add__(self, other):
-        self._compat(other)
-        out = dict(self.terms)
-        for w, p in other.terms.items():
-            s = out.get(w)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return HeckeElt(self.datum, self.coeffs, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return HeckeElt(self.datum, self.coeffs,
-                        {w: -p for w, p in self.terms.items()})
-
-    def scaled(self, c) -> "HeckeElt":
-        if isinstance(c, int):
-            if c == 0:
-                return HeckeElt.zero(self.datum, self.coeffs)
-            return HeckeElt(self.datum, self.coeffs,
-                            {w: p.scaled(c) for w, p in self.terms.items()})
-        return HeckeElt(self.datum, self.coeffs,
-                        {w: c * p for w, p in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, HeckeElt) and self.datum is other.datum
-                and self.coeffs is other.coeffs and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((id(self.datum), frozenset(
-            (w, frozenset(p.terms.items())) for w, p in self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def coefficient(self, w: WeylElt) -> LaurentPoly:
         return self.terms.get(w, LaurentPoly.zero(self.coeffs))
@@ -266,19 +243,10 @@ def phi0_hecke(a: HeckeElt) -> HeckeElt:
 # -- coproduct --------------------------------------------------------------------
 
 
-class TensorElt:
+class TensorElt(_RCombination):
     """sum c_{u,v} T_u (x) T_v over R(T), scalars pulled to the left slot."""
 
-    __slots__ = ("datum", "coeffs", "terms")
-
-    def __init__(self, datum, coeffs, terms=None):
-        self.datum = datum
-        self.coeffs = coeffs
-        self.terms = {}
-        if terms:
-            for uv, p in terms.items():
-                if not p.is_zero():
-                    self.terms[uv] = p
+    __slots__ = ()
 
     @staticmethod
     def zero(datum, coeffs):
@@ -288,36 +256,6 @@ class TensorElt:
     def one(datum, coeffs):
         e = weyl.identity(datum)
         return TensorElt(datum, coeffs, {(e, e): LaurentPoly.one(coeffs)})
-
-    def _compat(self, other):
-        if self.datum is not other.datum or self.coeffs is not other.coeffs:
-            raise DatumMismatchError("TensorElts over different rings")
-
-    def __add__(self, other):
-        self._compat(other)
-        out = dict(self.terms)
-        for uv, p in other.terms.items():
-            s = out.get(uv)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(uv, None)
-            else:
-                out[uv] = s
-        return TensorElt(self.datum, self.coeffs, out)
-
-    def __neg__(self):
-        return TensorElt(self.datum, self.coeffs, {uv: -p for uv, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, p: LaurentPoly) -> "TensorElt":
-        return TensorElt(self.datum, self.coeffs,
-                         {uv: p * q for uv, q in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElt) and self.datum is other.datum
-                and self.terms == other.terms)
 
     def coefficient(self, u, v) -> LaurentPoly:
         return self.terms.get((u, v), LaurentPoly.zero(self.coeffs))

@@ -27,40 +27,39 @@ def render_exponent(datum: RootDatum, w) -> str:
     return "".join(bits) if bits else "0"
 
 
-def render_poly(p: LaurentPoly) -> str:
-    if p.is_zero():
-        return "0"
+def _signed_sum(pairs) -> str:
+    """Join (negative, text) terms as a signed sum: "0" when there are none,
+    a bare "-" before a negative first term, "+ " or "- " before the rest."""
     bits = []
-    for w, c in sorted(p.terms.items(), key=lambda t: (not t[0].is_zero(), t[0].coords)):
+    for negative, text in pairs:
+        if bits:
+            bits.append(("- " if negative else "+ ") + text)
+        else:
+            bits.append(("-" if negative else "") + text)
+    return " ".join(bits) if bits else "0"
+
+
+def render_poly(p: LaurentPoly) -> str:
+    def term(w, c):
         if w.is_zero():
-            term = str(abs(c))
-        else:
-            mag = "" if abs(c) == 1 else f"{abs(c)}"
-            term = f"{mag}e^({render_exponent(p.datum, w)})"
-        if not bits:
-            bits.append(("-" if c < 0 else "") + term)
-        else:
-            bits.append(("- " if c < 0 else "+ ") + term)
-    return " ".join(bits)
+            return str(abs(c))
+        mag = "" if abs(c) == 1 else f"{abs(c)}"
+        return f"{mag}e^({render_exponent(p.datum, w)})"
+
+    return _signed_sum((c < 0, term(w, c)) for w, c in sorted(
+        p.terms.items(), key=lambda t: (not t[0].is_zero(), t[0].coords)))
 
 
 def render_hecke(a) -> str:
-    if a.is_zero():
-        return "0"
-    bits = []
-    for w, p in sorted(a.terms.items(), key=lambda t: (t[0].length, t[0].word)):
+    def term(w, p):
         label = f"T[{weyl.word_str(w.word) or ''}]"
-        if p.is_constant():
-            c = p.constant_value()
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            term, neg = f"{mag}{label}", c < 0
-        else:
-            term, neg = f"({render_poly(p)})*{label}", False
-        if not bits:
-            bits.append(("-" if neg else "") + term)
-        else:
-            bits.append(("- " if neg else "+ ") + term)
-    return " ".join(bits)
+        if not p.is_constant():
+            return False, f"({render_poly(p)})*{label}"
+        c = p.constant_value()
+        return c < 0, ("" if abs(c) == 1 else f"{abs(c)}*") + label
+
+    return _signed_sum(term(w, p) for w, p in sorted(
+        a.terms.items(), key=lambda t: (t[0].length, t[0].word)))
 
 
 _PREFIX = {"m": "m", "h": "h", "s": "s", "F": "F", "G": "G", "g": "g",
@@ -75,34 +74,24 @@ def _label(basis: str, lam, latex: bool) -> str:
 
 
 def render_symfunc(f: SymFunc, latex: bool = False) -> str:
-    if f.is_zero():
-        return "0"
-    bits = []
-    for lam, c in f.sorted_terms():
-        term = _label(f.basis, lam, latex)
-        if abs(c) != 1 or term == "1":
-            term = f"{abs(c)}{term}" if term != "1" else str(abs(c))
-        if not bits:
-            bits.append(("-" if c < 0 else "") + term)
-        else:
-            bits.append(("- " if c < 0 else "+ ") + term)
-    return " ".join(bits)
+    def term(lam, c):
+        label = _label(f.basis, lam, latex)
+        if label == "1":
+            return str(abs(c))
+        return label if abs(c) == 1 else f"{abs(c)}{label}"
+
+    return _signed_sum((c < 0, term(lam, c)) for lam, c in f.sorted_terms())
 
 
 def render_tensor(t: TensorSym, latex: bool = False) -> str:
     """A tensor of g's (the g-coproduct)."""
-    if t.is_zero():
-        return "0"
     otimes = " \\otimes " if latex else "(x)"
-    bits = []
-    for (mu, nu), c in t.sorted_terms():
-        lab = _label("g", mu, latex) + otimes + _label("g", nu, latex)
-        term = lab if abs(c) == 1 else f"{abs(c)} {lab}"
-        if not bits:
-            bits.append(("-" if c < 0 else "") + term)
-        else:
-            bits.append(("- " if c < 0 else "+ ") + term)
-    return " ".join(bits)
+
+    def term(mu, nu, c):
+        label = _label("g", mu, latex) + otimes + _label("g", nu, latex)
+        return label if abs(c) == 1 else f"{abs(c)} {label}"
+
+    return _signed_sum((c < 0, term(mu, nu, c)) for (mu, nu), c in t.sorted_terms())
 
 
 def render_int_map(pairs, label=lambda k: str(k)) -> str:

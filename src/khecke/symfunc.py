@@ -8,15 +8,19 @@ The quotient Lambda^(n) kills m_lam with lam_1 >= n; the subalgebra
 Lambda_(n) = Z[h_1, ..., h_{n-1}] uses h_lam with parts < n.
 
 Partitions are enumerated once per (n, cap) and ``partitions_of`` copies
-the memo.  The public ``SymFunc``/``TensorSym`` constructors normalise keys
-through ``make_partition`` and drop zeros; ``_trusted`` keeps a dict whose
-keys are partitions and values nonzero (kappa rows, Delta(h_lam) sums).
+the memo.  ``SymFunc`` and ``TensorSym`` are ``cartan.Combination``s with
+integer coefficients.  Their public constructors normalise keys through
+``make_partition`` and drop zeros; ``_trusted`` keeps a dict whose keys are
+partitions and values nonzero (kappa rows, Delta(h_lam) sums), and so do
+sums, negatives and multiples, whose keys are already partitions.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterable, Mapping
+
+from .cartan import Combination
 
 Partition = tuple  # weakly decreasing positive ints
 
@@ -104,10 +108,11 @@ def _horizontal_strips_below(lam: Partition, size: int):
 _BASES = ("m", "h", "s", "F", "G", "g", "kschur")
 
 
-class SymFunc:
-    """Basis-tagged finitely supported integer map on partitions."""
+class SymFunc(Combination):
+    """Basis-tagged finitely supported integer map on partitions.  ``n`` is
+    the bound context; equality ignores it."""
 
-    __slots__ = ("basis", "terms", "n")
+    __slots__ = ("basis", "n")
 
     def __init__(self, basis: str, terms: Mapping[Partition, int] | None = None,
                  n: int | None = None):
@@ -140,44 +145,20 @@ class SymFunc:
     def gen(basis, lam, n=None) -> "SymFunc":
         return SymFunc(basis, {make_partition(lam): 1}, n)
 
+    @property
+    def _ring(self):
+        return self.basis
+
+    def _new(self, terms) -> "SymFunc":
+        return SymFunc._trusted(self.basis, terms, self.n)
+
     def _compat(self, other):
         if self.basis != other.basis:
             raise ValueError(f"basis mismatch {self.basis!r} vs {other.basis!r}"
                              " (convert explicitly)")
         if self.n != other.n and self.n is not None and other.n is not None:
             raise ValueError("bound-context mismatch")
-
-    def __add__(self, other):
-        self._compat(other)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            s = out.get(lam, 0) + c
-            if s:
-                out[lam] = s
-            else:
-                out.pop(lam, None)
-        return SymFunc(self.basis, out, self.n or other.n)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SymFunc(self.basis, {lam: -c for lam, c in self.terms.items()}, self.n)
-
-    def scaled(self, k: int) -> "SymFunc":
-        if k == 0:
-            return SymFunc.zero(self.basis, self.n)
-        return SymFunc(self.basis, {lam: k * c for lam, c in self.terms.items()}, self.n)
-
-    def __eq__(self, other):
-        return (isinstance(other, SymFunc) and self.basis == other.basis
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.basis, frozenset(self.terms.items())))
-
-    def is_zero(self):
-        return not self.terms
+        return self if self.n else other
 
     def max_degree(self) -> int:
         return max((sum(lam) for lam in self.terms), default=0)
@@ -331,10 +312,10 @@ def hall_pair(f: SymFunc, g: SymFunc) -> int:
     return sum(c * g.terms.get(lam, 0) for lam, c in f.terms.items())
 
 
-class TensorSym:
+class TensorSym(Combination):
     """Finitely supported integer map on pairs of partitions, fixed bases."""
 
-    __slots__ = ("bases", "terms", "n")
+    __slots__ = ("bases", "n")
 
     def __init__(self, bases, terms=None, n=None):
         self.bases = bases
@@ -352,35 +333,17 @@ class TensorSym:
         t.bases, t.terms, t.n = bases, terms, n
         return t
 
-    def __add__(self, other):
+    @property
+    def _ring(self):
+        return self.bases
+
+    def _new(self, terms) -> "TensorSym":
+        return TensorSym._trusted(self.bases, terms, self.n)
+
+    def _compat(self, other):
         if self.bases != other.bases:
             raise ValueError("tensor basis mismatch")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return TensorSym(self.bases, out, self.n or other.n)
-
-    def __neg__(self):
-        return TensorSym(self.bases, {k: -c for k, c in self.terms.items()}, self.n)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, k: int):
-        if k == 0:
-            return TensorSym(self.bases, {}, self.n)
-        return TensorSym(self.bases, {key: k * c for key, c in self.terms.items()}, self.n)
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorSym) and self.bases == other.bases
-                and self.terms == other.terms)
-
-    def is_zero(self):
-        return not self.terms
+        return self if self.n else other
 
     def sorted_terms(self):
         return sorted(self.terms.items(),

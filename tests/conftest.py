@@ -1,6 +1,6 @@
 import pytest
 
-from khecke.cartan import RootDatum
+from khecke.cartan import LaurentPoly, RootDatum
 from khecke.grothendieck import GrothendieckEngine
 from khecke.localization import PsiEngine
 
@@ -63,3 +63,18 @@ def e3():
 @pytest.fixture(scope="session")
 def e4():
     return GrothendieckEngine.get(4)
+
+
+def _level_zero_project(p, affine_datum):
+    """Push a polynomial over P_af down to finite P (delta, Lambda_0 -> 0)."""
+    out = {}
+    for lam, c in p.terms.items():
+        w = affine_datum.project(lam)
+        out[w] = out.get(w, 0) + c
+    return LaurentPoly(affine_datum.finite, out)
+
+
+@pytest.fixture(scope="session")
+def level_zero_project():
+    """Oracle for the level-zero flavor: the projection P_af -> P on R(T)."""
+    return _level_zero_project

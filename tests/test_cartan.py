@@ -4,8 +4,7 @@ from hypothesis import given, strategies as st
 from khecke.cartan import (DatumMismatchError, LaurentPoly, RootDatum, Weight,
                            _RootSolver, _alpha_lines, _divide_line_once, demazure,
                            divisible_by_one_minus_e, eta, exact_divide_one_minus_e,
-                           level_zero_project, phi0, residue_mod_one_minus_e,
-                           weyl_reflect_poly)
+                           phi0, residue_mod_one_minus_e, weyl_reflect_poly)
 
 
 def poly(datum, coords_coeffs):
@@ -200,7 +199,7 @@ class TestProjection:
         assert proj == fin.simple_root(1)
         assert af2.project(lam0).is_zero()
 
-    def test_poly_projection(self, af2):
+    def test_poly_projection(self, af2, level_zero_project):
         p = LaurentPoly(af2, {af2.simple_root(1): 2, af2.null_root(): 1})
         q = level_zero_project(p, af2)
         fin = af2.finite

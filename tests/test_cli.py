@@ -140,6 +140,14 @@ class TestErrors:
         code, _, err = run(capsys, "k-sl2")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [(), ("--r", "5", "--partition", "11")],
+                             ids=["neither", "both"])
+    def test_ksl2_needs_exactly_one_of_r_and_partition(self, capsys, argv):
+        code, out, err = run(capsys, "k-sl2", *argv)
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert err == "error: k-sl2 needs exactly one of --r and --partition\n"
+
     def test_cross_check_failure_exits_2(self, capsys, monkeypatch):
         import khecke.peterson as peterson
         monkeypatch.setattr(peterson, "expand_in_fs_basis", lambda engine, b: {})
@@ -194,6 +202,13 @@ class TestTables:
         code, out, _ = run(capsys, "tables", "--which", "bijection", "--n", "2")
         assert code == 0
         assert "11111" in out
+
+    @pytest.mark.parametrize("fn", ["generate", "diff_table"])
+    def test_unknown_kind_names_the_known_ones(self, fn):
+        import khecke.goldens as goldens
+        with pytest.raises(ValueError, match="unknown table kind 'bogus'; "
+                           "known kinds: bijection, k, g, coproduct, G"):
+            getattr(goldens, fn)("bogus", 2)
 
     def test_corrupted_golden_detected(self, capsys, tmp_path, monkeypatch):
         import khecke.goldens as goldens

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from khecke.cartan import (LaurentPoly, RootDatum, divisible_by_one_minus_e, eta,
-                           exact_divide_one_minus_e, level_zero_project)
+                           exact_divide_one_minus_e)
 from khecke import weyl
 from khecke.hecke import group_elt_to_T
 from khecke.localization import (PsiEngine, gkm_check_big,
@@ -269,7 +269,8 @@ class TestSl2ClosedForms:
         for j in range(-9, 10):
             assert sl2_index(sl2_sigma(af2, j)) == j
 
-    def test_levelzero_is_projection_of_big(self, af2, lz2, big2):
+    def test_levelzero_is_projection_of_big(self, af2, lz2, big2,
+                                            level_zero_project):
         for m in range(-3, 4):
             for j in range(-4, 5):
                 bigval = big2.psi_right(sl2_sigma(af2, m), sl2_sigma(af2, j))

@@ -388,9 +388,10 @@ class TestScans:
         assert rep.passed
 
     def test_cross_scan_n4_deg10_passes(self):
-        rep = cross_k_scan(4, 10)
-        assert rep.passed, rep.summary()
-        assert rep.checked == 277
+        for n, degree, checked in ((4, 10, 277), (5, 8, 93)):
+            rep = cross_k_scan(n, degree)
+            assert rep.passed, rep.summary()
+            assert rep.checked == checked
 
     def test_report_roundtrip(self):
         import json
