@@ -43,9 +43,13 @@ the package.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import lcm
 from typing import Mapping
+
+
+# A<n> for n >= 1, written without a leading zero
+_TYPE_A = re.compile(r"A[1-9][0-9]*")
 
 
 class DatumMismatchError(ValueError):
@@ -84,7 +88,6 @@ class RootDatum:
         self.finite = finite  # companion finite datum (affine flavor only)
         self.window_n = None  # set for affine_sl data (window representation)
         self._check_gcm()
-        self._root_solver = None
         self._actions = {}  # coefficient lattice -> simple_action
 
     # -- construction ------------------------------------------------------
@@ -220,7 +223,7 @@ class RootDatum:
     def _of_type_uncached(typ: str) -> "RootDatum":
         if typ.endswith("~"):
             base = typ[:-1]
-            if base.startswith("A") and base[1:].isdigit():
+            if _TYPE_A.fullmatch(base):
                 return RootDatum.affine_sl(int(base[1:]) + 1)
             if typ in RootDatum._NAMED_AFFINE:
                 matrix, marks = RootDatum._NAMED_AFFINE[typ]
@@ -228,7 +231,7 @@ class RootDatum:
             raise ValueError(f"unsupported affine type {typ!r}")
         if typ in RootDatum._NAMED:
             return RootDatum.from_cartan(RootDatum._NAMED[typ], name=typ)
-        if typ.startswith("A") and typ[1:].isdigit():
+        if _TYPE_A.fullmatch(typ):
             n = int(typ[1:])
             m = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
                   for j in range(n)] for i in range(n)]
@@ -376,11 +379,20 @@ class RootDatum:
     # -- roots in the simple-root basis --------------------------------------
 
     def root_coords(self, lam: "Weight"):
-        """Coordinates of lam in the alpha basis, or None if lam not in QQ."""
+        """Coordinates of lam in the alpha basis, or None if lam not in QQ:
+        one exact solve, with the stored quotient vector as a further
+        column whose coefficient is dropped."""
         self._own(lam)
-        if self._root_solver is None:
-            self._root_solver = _RootSolver(self)
-        return self._root_solver.solve(lam.coords)
+        cols = [self._simple_roots[i] for i in self.nodes]
+        if self.quotient_vector is not None:
+            cols.append(self.quotient_vector)
+        found = solve_exact(cols, lam.coords)
+        if found is None:
+            return None
+        out = found[0][:len(self.nodes)]
+        if any(x.denominator != 1 for x in out):
+            return None
+        return tuple(int(x) for x in out)
 
     def is_positive_root(self, lam: "Weight") -> bool:
         c = self.root_coords(lam)
@@ -389,17 +401,16 @@ class RootDatum:
         return all(x >= 0 for x in c)
 
 
-def _eliminate(cols, rhs):
-    """Gauss-Jordan elimination of [A | B] over Q.
+def solve_exact(cols, rhs):
+    """Solve sum_c x_c cols[c] = rhs over Q by Gauss-Jordan elimination of
+    [A | rhs], with A given by its columns ``cols``.
 
-    A is given by its columns ``cols`` and B by its rows ``rhs``.  Pivots are
-    chosen from the A part alone, so the row operations do not depend on B.
-    Returns (aug, piv): the reduced rows of [A | B] as Fractions and the
-    pivot columns in order; the A part of rows len(piv).. is zero.
+    Returns (x, unique) with every free unknown of x set to 0 and ``unique``
+    true when there is none, or None when the system is inconsistent.
     """
     rows = len(rhs)
     ncols = len(cols)
-    aug = [[Fraction(cols[c][r]) for c in range(ncols)] + [Fraction(x) for x in rhs[r]]
+    aug = [[Fraction(cols[c][r]) for c in range(ncols)] + [Fraction(rhs[r])]
            for r in range(rows)]
     piv = []
     r = 0
@@ -418,75 +429,12 @@ def _eliminate(cols, rhs):
         r += 1
         if r == rows:
             break
-    return aug, piv
-
-
-def solve_exact(cols, rhs):
-    """Solve sum_c x_c cols[c] = rhs over Q by ``_eliminate``.
-
-    Returns (x, unique) with every free unknown of x set to 0 and ``unique``
-    true when there is none, or None when the system is inconsistent.
-    """
-    aug, piv = _eliminate(cols, [[b] for b in rhs])
     if any(row[-1] != 0 for row in aug[len(piv):]):
         return None
-    sol = [Fraction(0)] * len(cols)
+    sol = [Fraction(0)] * ncols
     for r, c in enumerate(piv):
         sol[c] = aug[r][-1]
-    return sol, len(piv) == len(cols)
-
-
-class _RootSolver:
-    """Exact solve of lam = sum c_i alpha_i, allowing the stored quotient.
-
-    ``RootDatum.root_coords`` builds the solver on first use, and building
-    factors it once for the datum: elimination of [A | I]
-    gives E with E A reduced, kept as the integer rows of D E over one common
-    denominator D.  Solving for lam is then dot products with lam: the rows
-    past the rank must vanish (consistency), and each node's pivot row must
-    be divisible by D.
-    """
-
-    def __init__(self, datum: RootDatum):
-        cols = [datum._simple_roots[i] for i in datum.nodes]
-        if datum.quotient_vector is not None:
-            cols.append(datum.quotient_vector)
-        self.cols = cols
-        self.nnodes = len(datum.nodes)
-        rank = datum.rank
-        aug, piv = _eliminate(cols, [[int(r == k) for k in range(rank)]
-                                     for r in range(rank)])
-        factor = [row[len(cols):] for row in aug]
-        self.denom = lcm(*(x.denominator for row in factor for x in row))
-        scaled = [tuple(int(x * self.denom) for x in row) for row in factor]
-        self.consistency = scaled[len(piv):]
-        pivot_row = {c: scaled[k] for k, c in enumerate(piv)}
-        self.node_rows = [pivot_row.get(c) for c in range(self.nnodes)]
-
-    def solve(self, coords):
-        dot = RootDatum._dot
-        if any(dot(row, coords) for row in self.consistency):
-            return None
-        out = []
-        for row in self.node_rows:
-            if row is None:  # free column: the elimination sets it to 0
-                out.append(0)
-                continue
-            q, rem = divmod(dot(row, coords), self.denom)
-            if rem:
-                return None
-            out.append(q)
-        return tuple(out)
-
-    def solve_by_elimination(self, coords):
-        """Reference for ``solve``: eliminate [A | lam] afresh."""
-        found = solve_exact(self.cols, coords)
-        if found is None:
-            return None
-        out = found[0][:self.nnodes]
-        if any(x.denominator != 1 for x in out):
-            return None
-        return tuple(int(x) for x in out)
+    return sol, len(piv) == ncols
 
 
 class Weight:

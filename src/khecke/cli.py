@@ -67,10 +67,11 @@ def partition_label(lam) -> str:
 def _validate_bounds(args):
     if getattr(args, "n", None) is not None and args.n < 2:
         raise DomainError("--n must be >= 2")
-    for attr in ("max_len", "max_degree", "max_d", "cutoff", "r"):
+    for attr, low in (("max_len", 0), ("max_degree", 0), ("max_d", 1),
+                      ("cutoff", 0), ("r", 0)):
         bound = getattr(args, attr, None)
-        if bound is not None and bound < 0:
-            raise DomainError(f"--{attr.replace('_', '-')} must be >= 0")
+        if bound is not None and bound < low:
+            raise DomainError(f"--{attr.replace('_', '-')} must be >= {low}")
 
 
 def _engine(args) -> GrothendieckEngine:
@@ -325,9 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact K-theoretic Schubert calculus for the affine Grassmannian")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, n_default=None):
-        p.add_argument("--n", type=int, default=n_default,
-                       help="rank parameter (affine SL_n)")
+    def common(p, n_default=None, rank=True):
+        if rank:
+            p.add_argument("--n", type=int, default=n_default,
+                           help="rank parameter (affine SL_n)")
         p.add_argument("--format", choices=("text", "json", "latex-table"),
                        default="text")
         p.add_argument("--cache-dir", default=None,
@@ -391,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_structure)
 
     p = sub.add_parser("k-sl2", help="equivariant k_w for affine SL_2")
-    common(p, n_default=2)
+    common(p, rank=False)
     p.add_argument("--r", type=int, default=None, help="index of sigma_r")
     p.add_argument("--partition", default=None, help="column partition 1^r")
     p.add_argument("--cutoff", type=int, default=8)

@@ -55,7 +55,7 @@ class PsiEngine:
 
     def root_image(self, w: WeylElt, i) -> "Weight":
         """w(alpha_i) in the coefficient lattice."""
-        return weyl.apply(w, self._action[i][1])
+        return weyl.simple_root_image(w, i, self.coeffs)
 
     def act(self, i, p: LaurentPoly) -> LaurentPoly:
         return weyl_reflect_poly(self.datum, i, p)
@@ -208,6 +208,17 @@ def gkm_check_big(psi_of, pairs) -> bool:
     return True
 
 
+def _translation_sum(psi_of, datum: RootDatum, alpha_vee, lattice, m: int,
+                     x: WeylElt) -> LaurentPoly:
+    """sum_{k=0}^m (-1)^k C(m, k) psi(t_{k alpha^vee} x), over ``lattice``."""
+    total = LaurentPoly.zero(lattice)
+    for k in range(m + 1):
+        t = weyl.translation(datum, tuple(k * c for c in alpha_vee))
+        val = psi_of(weyl.multiply(t, x))
+        total = total + val.scaled(-comb(m, k) if k % 2 else comb(m, k))
+    return total
+
+
 def small_gkm_grassmannian_check(psi_of, datum: RootDatum, alpha_vee, alpha,
                                  d: int, w: WeylElt) -> bool:
     """psi((1 - t_{alpha^vee})^d w) in (1 - e^alpha)^d R(T) (level zero).
@@ -217,11 +228,7 @@ def small_gkm_grassmannian_check(psi_of, datum: RootDatum, alpha_vee, alpha,
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    total = LaurentPoly.zero(alpha.datum)
-    for k in range(d + 1):
-        t = weyl.translation(datum, tuple(k * c for c in alpha_vee))
-        val = psi_of(weyl.multiply(t, w))
-        total = total + val.scaled(comb(d, k) if k % 2 == 0 else -comb(d, k))
+    total = _translation_sum(psi_of, datum, alpha_vee, alpha.datum, d, w)
     return divisible_by_one_minus_e(total, alpha, d)
 
 
@@ -230,14 +237,9 @@ def small_gkm_check(psi_of, datum: RootDatum, alpha_vee, alpha, d: int,
     """psi((1 - t_{alpha^vee})^{d-1} (1 - r_alpha) w) in (1-e^alpha)^d R(T)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    r_alpha_fin = _finite_reflection(datum, alpha_vee)
-    total = LaurentPoly.zero(alpha.datum)
-    for k in range(d):
-        t = weyl.translation(datum, tuple(k * c for c in alpha_vee))
-        sign = comb(d - 1, k) if k % 2 == 0 else -comb(d - 1, k)
-        tw = weyl.multiply(t, w)
-        trw = weyl.multiply(t, weyl.multiply(r_alpha_fin, w))
-        total = total + psi_of(tw).scaled(sign) - psi_of(trw).scaled(sign)
+    r_alpha_w = weyl.multiply(_finite_reflection(datum, alpha_vee), w)
+    total = _translation_sum(psi_of, datum, alpha_vee, alpha.datum, d - 1, w) \
+        - _translation_sum(psi_of, datum, alpha_vee, alpha.datum, d - 1, r_alpha_w)
     return divisible_by_one_minus_e(total, alpha, d)
 
 

@@ -1,15 +1,18 @@
 """Weyl-group elements for any symmetrizable GCM, with a fast affine type A path.
 
 Elements are stored by their canonical reduced word (greedy smallest left
-descent).  In affine type A the primary representation is the affine
-permutation window [w(1), ..., w(n)] (entries distinct mod n, summing to
-n(n+1)/2 + 0); products, lengths and descents are O(n) there.  For generic
-data the element's action matrix on the lattice is kept alongside.
+descent) and interned per datum by a key that determines them.  In affine
+type A the key is the affine permutation window [w(1), ..., w(n)] (entries
+distinct mod n, summing to n(n+1)/2 + 0); products, lengths and descents are
+O(n) there.  For data without a window the key is w(rho), a weight of the
+datum's own lattice: rho is regular dominant, so w -> w(rho) is injective.
+There i is a left descent of w iff <alpha_i^vee, w(rho)> < 0, a right
+descent iff the right edge w r_i is shorter, a product uv is u's word
+applied to v(rho), and w^{-1} is the element of the reversed word.
 
-Each datum interns its elements by their action (the window, else the
-matrix): a product or inverse is computed in that representation and looked
-up.  The first time an action is met its word is derived by walking down
-smallest left descents only as far as the first interned element.
+A product or inverse is computed as a key and looked up.  The first time a
+key is met its word is derived by walking down smallest left descents only
+as far as the first interned element.
 Each element also remembers its edges: the left edges r_i w
 (``left_simple``), so the 0-Hecke fold, the Bruhat recursion and
 ``psi_left`` multiply once per (w, i); the right edges w r_i
@@ -19,8 +22,8 @@ Elements stay immutable values: the memo is derived from the element alone,
 and interning makes each edge one object.
 
 Equality is identity.  ``_DatumOps.__init__``, ``_from_window`` and
-``_from_matrix`` are the only places a ``WeylElt`` is constructed, and each
-looks the action up in its datum's table first, so equal elements are the same
+``_from_rho`` are the only places a ``WeylElt`` is constructed, and each
+looks the key up in its datum's table first, so equal elements are the same
 object; ``_DatumOps._registry`` keeps every datum alive, so no ``id`` is
 reused.  Dicts and sets keyed by elements therefore hash in C.
 
@@ -36,50 +39,24 @@ from .cartan import DatumMismatchError, RootDatum, Weight
 from .symfunc import partitions_of
 
 
-def _mat_identity(r):
-    return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-
-
-def _mat_mul(a, b):
-    rb = len(b)
-    cols = range(len(b[0]))
-    return tuple(tuple(sum(arow[k] * b[k][j] for k in range(rb)) for j in cols)
-                 for arow in a)
-
-
-def _mat_apply(m, v):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
-
-
 class _DatumOps:
-    """Per-datum cached machinery: reflection matrices, elements interned by
-    action, reflections by root."""
+    """Per-datum cached machinery: elements interned by window or by w(rho),
+    reflections by root, the bounded-partition bijection."""
 
     _registry: dict[int, "_DatumOps"] = {}
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
-        self.refl = {}
-        for i in datum.nodes:
-            cols = []
-            for k in range(datum.rank):
-                basis = datum.weight(tuple(1 if t == k else 0 for t in range(datum.rank)))
-                cols.append(datum.reflect(i, basis).coords)
-            # matrix with column k = r_i(e_k); stored row-major
-            self.refl[i] = tuple(tuple(cols[k][r] for k in range(datum.rank))
-                                 for r in range(datum.rank))
-        # column k = canon(e_k): the identity of the group the reflection
-        # matrices generate (not _mat_identity when the lattice is a quotient)
-        self.unit_matrix = tuple(zip(*map(datum.canon, _mat_identity(datum.rank))))
-        self.interned: dict = {}  # action (window or matrix) -> WeylElt
+        self.interned: dict = {}  # window, else w(rho) -> WeylElt
         n = datum.window_n
 
-        def involution(word, action):  # interned with its greedy word
-            window, matrix = (action, None) if n else (None, action)
-            elt = self.interned[action] = WeylElt(datum, word, window, matrix, matrix)
+        def involution(word, key):  # interned with its greedy word
+            elt = self.interned[key] = WeylElt(datum, word, key)
             return elt
-        self.identity = involution((), _win_identity(n) if n else self.unit_matrix)
-        self.simples = {i: involution((i,), _win_simple(n, i) if n else self.refl[i])
+        rho = datum.rho
+        self.identity = involution((), _win_identity(n) if n else rho)
+        self.simples = {i: involution((i,), _win_simple(n, i) if n
+                                      else datum.reflect(i, rho))
                         for i in datum.nodes}
         self.reflections: dict = {}  # positive real root -> r_alpha
         # the bounded-partition bijection, both directions filled together
@@ -158,22 +135,23 @@ def _win_mult_simple_left(win, i):
 
 
 class WeylElt:
-    """Immutable Weyl group element: canonical word plus its action.
+    """Immutable Weyl group element: canonical word plus its interning key,
+    the window in affine type A, else w(rho).
 
     Compared and hashed by identity, which is equality because elements are
     interned: construct them only at the three interning sites named in the
     module docstring, never directly, by copying or by unpickling."""
 
-    __slots__ = ("datum", "word", "length", "window", "_matrix", "_inv_matrix",
+    __slots__ = ("datum", "word", "length", "window", "_rho",
                  "_left", "_right", "_roots", "_rdesc", "_grass", "_folds")
 
-    def __init__(self, datum, word, window=None, matrix=None, inv_matrix=None):
+    def __init__(self, datum, word, key):
         self.datum = datum
         self.word = tuple(word)
         self.length = len(self.word)
-        self.window = window
-        self._matrix = matrix
-        self._inv_matrix = inv_matrix
+        windowed = datum.window_n is not None
+        self.window = key if windowed else None
+        self._rho = None if windowed else key  # w(rho)
         self._left = None  # node i -> r_i w, filled by left_simple
         self._right = None  # node i -> w r_i, filled by right_simple
         self._roots = None  # positive real root alpha -> r_alpha w, by left_reflection
@@ -189,28 +167,6 @@ class WeylElt:
     def is_identity(self) -> bool:
         return not self.word
 
-    # -- lazy action -----------------------------------------------------------
-
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            ops = _DatumOps.of(self.datum)
-            m = ops.unit_matrix
-            for i in self.word:
-                m = _mat_mul(m, ops.refl[i])
-            self._matrix = m
-        return self._matrix
-
-    @property
-    def inv_matrix(self):
-        if self._inv_matrix is None:
-            ops = _DatumOps.of(self.datum)
-            m = ops.unit_matrix
-            for i in reversed(self.word):
-                m = _mat_mul(m, ops.refl[i])
-            self._inv_matrix = m
-        return self._inv_matrix
-
     def to_json(self) -> dict:
         out = {"word": list(self.word)}
         if self.window is not None:
@@ -218,51 +174,57 @@ class WeylElt:
         return out
 
 
-def _word_via_interned(interned, state, down):
-    """Canonical word of the element whose action is ``state[0]``.
+def _word_via_interned(interned, key, down):
+    """Canonical word of the element whose interning key is ``key``.
 
-    Walks down smallest left descents, ``down(*state) -> (j, state of r_j x)``,
-    to the first interned element and appends that element's word.  This is
-    the greedy word: the identity and the simple reflections are interned
-    with theirs, and every other element is built by this rule."""
+    Walks down smallest left descents, ``down(key) -> (j, key of r_j x)``, to
+    the first interned element and appends that element's word.  This is the
+    greedy word: the identity and the simple reflections are interned with
+    theirs, and every other element is built by this rule."""
     word = []
-    while state[0] not in interned:
-        step = down(*state)
+    while key not in interned:
+        step = down(key)
         if step is None:
             raise ValueError("action did not reduce to the identity")
         word.append(step[0])
-        state = step[1]
-    return tuple(word) + interned[state[0]].word
+        key = step[1]
+    return tuple(word) + interned[key].word
 
 
 def _win_down(win):
-    """(j, (r_j x,)) for the smallest left descent j of the window x."""
+    """(j, r_j x) for the smallest left descent j of the window x."""
     inv = _win_inverse(win)
     j = next((i for i in range(len(win)) if _win_right_descent(inv, i)), None)
-    return None if j is None else (j, (_win_mult_simple_left(win, j),))
+    return None if j is None else (j, _win_mult_simple_left(win, j))
+
+
+def _rho_down(lam):
+    """(j, (r_j x)(rho)) for the smallest left descent j of x, given
+    lam = x(rho): the first node with <alpha_j^vee, lam> < 0."""
+    datum = lam.datum
+    for j, (row, alpha) in datum.simple_action(datum).items():
+        m = RootDatum._dot(row, lam.coords)
+        if m < 0:
+            return j, lam - alpha.scaled(m)
+    return None
 
 
 def _from_window(datum, win) -> WeylElt:
     interned = _DatumOps.of(datum).interned
     elt = interned.get(win)
     if elt is None:
-        word = _word_via_interned(interned, (win,), _win_down)
+        word = _word_via_interned(interned, win, _win_down)
         elt = interned[win] = WeylElt(datum, word, win)
     return elt
 
 
-def _from_matrix(datum, matrix, inv_matrix) -> WeylElt:
-    """``inv_matrix()`` gives the inverse action; it runs only on a miss."""
-    ops = _DatumOps.of(datum)
-    elt = ops.interned.get(matrix)
+def _from_rho(datum, lam) -> WeylElt:
+    """The element x of a datum without a window with x(rho) = lam."""
+    interned = _DatumOps.of(datum).interned
+    elt = interned.get(lam)
     if elt is None:
-        def down(m, mi):
-            for i in datum.nodes:
-                if _negates(datum, mi, i):
-                    return i, (_mat_mul(ops.refl[i], m), _mat_mul(mi, ops.refl[i]))
-        mi = inv_matrix()
-        elt = ops.interned[matrix] = WeylElt(
-            datum, _word_via_interned(ops.interned, (matrix, mi), down), None, matrix, mi)
+        word = _word_via_interned(interned, lam, _rho_down)
+        elt = interned[lam] = WeylElt(datum, word, lam)
     return elt
 
 
@@ -302,23 +264,19 @@ def word_str(word) -> str:
 # -- descents ------------------------------------------------------------------
 
 
-def _negates(datum, m, i) -> bool:
-    """True iff the action matrix m sends alpha_i to a negative root."""
-    v = _mat_apply(m, datum.simple_root(i).coords)
-    return any(x < 0 for x in datum.root_coords(datum.weight(v)))
-
-
 def has_left_descent(w: WeylElt, i) -> bool:
-    """True iff l(r_i w) < l(w), i.e. w^{-1}(alpha_i) < 0."""
+    """True iff l(r_i w) < l(w), i.e. w^{-1}(alpha_i) < 0, i.e.
+    <alpha_i^vee, w(rho)> < 0."""
     if w.window is not None:
         return _win_left_descent(w.window, i)
-    return bool(w.word) and _negates(w.datum, w.inv_matrix, i)
+    return w.datum.pairing(i, w._rho) < 0
 
 
 def has_right_descent(w: WeylElt, i) -> bool:
+    """True iff l(w r_i) < l(w), read off the remembered right edge."""
     if w.window is not None:
         return _win_right_descent(w.window, i)
-    return bool(w.word) and _negates(w.datum, w.matrix, i)
+    return right_simple(w, i).length < w.length
 
 
 def smallest_right_descent(w: WeylElt):
@@ -333,6 +291,7 @@ def smallest_right_descent(w: WeylElt):
 
 
 def multiply(u: WeylElt, v: WeylElt) -> WeylElt:
+    """uv: the composed windows, else u's word applied to v(rho)."""
     if u.datum is not v.datum:
         raise DatumMismatchError("elements of different Weyl groups")
     if u.is_identity():
@@ -341,8 +300,7 @@ def multiply(u: WeylElt, v: WeylElt) -> WeylElt:
         return u
     if u.window is not None:
         return _from_window(u.datum, _win_compose(u.window, v.window))
-    return _from_matrix(u.datum, _mat_mul(u.matrix, v.matrix),
-                        lambda: _mat_mul(v.inv_matrix, u.inv_matrix))
+    return _from_rho(u.datum, apply(u, v._rho))
 
 
 def left_simple(i, w: WeylElt) -> WeylElt:
@@ -384,35 +342,52 @@ def left_reflection(alpha: Weight, w: WeylElt) -> WeylElt:
 
 
 def inverse(w: WeylElt) -> WeylElt:
+    """w^{-1}: the inverse window, else the element of the reversed word."""
+    datum = w.datum
     if w.window is not None:
-        return _from_window(w.datum, _win_inverse(w.window))
-    return _from_matrix(w.datum, w.inv_matrix, lambda: w.matrix)
+        return _from_window(datum, _win_inverse(w.window))
+    rho = identity(datum)._rho
+    return _from_rho(datum, _act(datum.simple_action(datum), w.word, rho))
+
+
+def _act(action, letters, lam: Weight) -> Weight:
+    """r_{j_k} ... r_{j_1}(lam) for ``letters`` j_1, ..., j_k, by ``action``
+    (``RootDatum.simple_action`` of lam's lattice)."""
+    dot = RootDatum._dot
+    for i in letters:
+        row, alpha = action[i]
+        m = dot(row, lam.coords)
+        if m:
+            lam = lam - alpha.scaled(m)
+    return lam
 
 
 def apply(w: WeylElt, lam: Weight) -> Weight:
-    """Action on a weight of any coefficient lattice of w's datum: by w's
-    matrix on the datum's own lattice, else letter by letter through
+    """Action on a weight of any coefficient lattice of w's datum, the
+    datum's own included: letter by letter through
     ``RootDatum.simple_action``, which rejects foreign lattices.  A window
     element acts on the level-zero lattice through its finite part, a
     permutation of coordinates; the word path is its test oracle."""
     datum = w.datum
-    if lam.datum is datum:
-        return datum.weight(_mat_apply(w.matrix, lam.coords))
     action = datum.simple_action(lam.datum)
-    if w.window is not None:
+    if w.window is not None and lam.datum is not datum:
         # w = t_mu u acts level-zero through its finite part u
         n = len(w.window)
         out = [0] * n
         for i, val in enumerate(w.window):
             out[(val - 1) % n] = lam.coords[i]
         return lam.datum.weight(out)
-    dot = RootDatum._dot
-    for i in reversed(w.word):
-        row, alpha = action[i]
-        m = dot(row, lam.coords)
-        if m:
-            lam = lam - alpha.scaled(m)
-    return lam
+    return _act(action, reversed(w.word), lam)
+
+
+def simple_root_image(w: WeylElt, i, lattice) -> Weight:
+    """w(alpha_i) in the coefficient ``lattice``.  Without a window, on the
+    datum's own lattice, this is w(rho) - (w r_i)(rho), as
+    (w r_i)(rho) = w(rho - alpha_i): two interned keys, with w r_i the
+    remembered right edge."""
+    if w._rho is not None and lattice is w.datum:
+        return w._rho - right_simple(w, i)._rho
+    return apply(w, w.datum.simple_action(lattice)[i][1])
 
 
 # -- Bruhat order ---------------------------------------------------------------
@@ -505,7 +480,7 @@ def elements_up_to_length(datum, max_len: int) -> list[list[WeylElt]]:
         for w in layers[ell - 1]:
             for i in datum.nodes:
                 if not has_right_descent(w, i):
-                    wi = multiply(w, simple(datum, i))
+                    wi = right_simple(w, i)
                     nxt[wi.word] = wi
         layers.append(sorted(nxt.values(), key=lambda v: v.word))
     return layers

@@ -1,8 +1,11 @@
+from fractions import Fraction
+from math import lcm
+
 import pytest
 from hypothesis import given, strategies as st
 
 from khecke.cartan import (DatumMismatchError, LaurentPoly, RootDatum, Weight,
-                           _RootSolver, _alpha_lines, _divide_line_once, demazure,
+                           _alpha_lines, _divide_line_once, demazure,
                            divisible_by_one_minus_e, eta, exact_divide_one_minus_e,
                            phi0, residue_mod_one_minus_e, weyl_reflect_poly)
 
@@ -27,6 +30,16 @@ class TestRootDatum:
             RootDatum.from_cartan([[2, -1], [0, 2]])
         with pytest.raises(ValueError):
             RootDatum.from_cartan([[1]])
+
+    @pytest.mark.parametrize("typ", ["A0", "A01", "A007", "A0~", "A01~", "A-1"])
+    def test_type_a_needs_positive_rank_without_leading_zero(self, typ):
+        with pytest.raises(ValueError):
+            RootDatum.of_type(typ)
+
+    def test_type_a_names(self):
+        assert RootDatum.of_type("A1~") is RootDatum.affine_sl(2)
+        assert len(RootDatum.of_type("A1").nodes) == 1
+        assert len(RootDatum.of_type("A10").nodes) == 10
 
     def test_affine_marks_null_root(self, af2, af3):
         for datum in (af2, af3):
@@ -253,6 +266,7 @@ AFFINE_GCMS = {
 }
 SOLVER_DATA = (
     [RootDatum.affine_sl(n) for n in range(2, 6)]
+    + [RootDatum.sl(n) for n in (2, 3, 4)]
     + [RootDatum.of_type(t) for t in ("A1", "A2", "A3", "B2", "C2", "G2")]
     + [RootDatum.affinize_cartan(m, marks, name=f"gcm-{name}")
        for name, (m, marks) in AFFINE_GCMS.items()])
@@ -266,8 +280,74 @@ def lattice_point(datum, combo, noise, scale):
     return datum.weight(tuple(x + e for x, e in zip(v, noise)))
 
 
+def eliminate(cols, rhs):
+    """Gauss-Jordan elimination of [A | B] over Q, A by its columns ``cols``
+    and B by its rows ``rhs``, pivots chosen from the A part alone.
+    Returns the reduced rows as Fractions and the pivot columns in order."""
+    rows = len(rhs)
+    ncols = len(cols)
+    aug = [[Fraction(cols[c][r]) for c in range(ncols)] + [Fraction(x) for x in rhs[r]]
+           for r in range(rows)]
+    piv = []
+    r = 0
+    for c in range(ncols):
+        p = next((k for k in range(r, rows) if aug[k][c] != 0), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        inv = aug[r][c]
+        aug[r] = [x / inv for x in aug[r]]
+        for k in range(rows):
+            if k != r and aug[k][c] != 0:
+                f = aug[k][c]
+                aug[k] = [x - f * y for x, y in zip(aug[k], aug[r])]
+        piv.append(c)
+        r += 1
+        if r == rows:
+            break
+    return aug, piv
+
+
+class FactoredRootSolver:
+    """The root lattice solve factored once per datum, the oracle of
+    ``RootDatum.root_coords``: elimination of [A | I] gives E with E A
+    reduced, kept as the integer rows of D E over one common denominator D.
+    Solving is then dot products: the rows past the rank must vanish, and
+    each node's pivot row must be divisible by D."""
+
+    def __init__(self, datum: RootDatum):
+        cols = [datum.simple_root(i).coords for i in datum.nodes]
+        if datum.quotient_vector is not None:
+            cols.append(datum.quotient_vector)
+        self.nnodes = len(datum.nodes)
+        rank = datum.rank
+        aug, piv = eliminate(cols, [[int(r == k) for k in range(rank)]
+                                    for r in range(rank)])
+        factor = [row[len(cols):] for row in aug]
+        self.denom = lcm(*(x.denominator for row in factor for x in row))
+        scaled = [tuple(int(x * self.denom) for x in row) for row in factor]
+        self.consistency = scaled[len(piv):]
+        pivot_row = {c: scaled[k] for k, c in enumerate(piv)}
+        self.node_rows = [pivot_row.get(c) for c in range(self.nnodes)]
+
+    def solve(self, coords):
+        dot = lambda row: sum(a * b for a, b in zip(row, coords))
+        if any(dot(row) for row in self.consistency):
+            return None
+        out = []
+        for row in self.node_rows:
+            if row is None:  # free column: set to 0
+                out.append(0)
+                continue
+            q, rem = divmod(dot(row), self.denom)
+            if rem:
+                return None
+            out.append(q)
+        return tuple(out)
+
+
 class TestRootSolver:
-    """The factored solver against the elimination it was factored from."""
+    """``root_coords``, one elimination, against the factored solver."""
 
     @given(st.sampled_from(SOLVER_DATA),
            st.lists(st.integers(-4, 4), min_size=7, max_size=7),
@@ -276,7 +356,7 @@ class TestRootSolver:
     def test_matches_elimination(self, datum, combo, noise, noisy, scale):
         noise = [e * noisy for e in noise[:datum.rank]]
         lam = lattice_point(datum, combo, noise, scale)
-        oracle = _RootSolver(datum).solve_by_elimination(lam.coords)
+        oracle = FactoredRootSolver(datum).solve(lam.coords)
         assert datum.root_coords(lam) == oracle
         if not noisy:
             want = tuple(scale * c for c in combo[:len(datum.nodes)])
@@ -287,13 +367,13 @@ class TestRootSolver:
         # index > 1 of the root lattice (A1, A2, B2, ...)
         none_seen = 0
         for datum in SOLVER_DATA:
-            slow = _RootSolver(datum)
+            factored = FactoredRootSolver(datum)
             for k in range(datum.rank):
                 for c in (1, -1, 2):
                     lam = datum.weight(tuple(c if t == k else 0
                                              for t in range(datum.rank)))
                     got = datum.root_coords(lam)
-                    assert got == slow.solve_by_elimination(lam.coords)
+                    assert got == factored.solve(lam.coords)
                     none_seen += got is None
         assert none_seen > 0
 

@@ -157,6 +157,13 @@ class TestErrors:
         assert err.count("\n") == 1
         assert err.startswith("verification failed: structure constant routes disagree")
 
+    def test_ksl2_has_no_n(self, capsys):
+        # k-sl2 is affine SL_2 alone; --n was once accepted and ignored
+        code, out, err = run(capsys, "k-sl2", "--r", "2", "--n", "5")
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert "unrecognized arguments: --n 5" in err
+
     def test_ksl2_cutoff_too_small(self, capsys):
         code, out, err = run(capsys, "k-sl2", "--r", "3", "--cutoff", "5")
         assert code == 1
@@ -448,6 +455,19 @@ class TestGkmCheck:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--mode", "big", "--type", "A0", "--max-len", "3"),
+         "error: unknown Cartan type 'A0'\n"),
+        (("--mode", "big", "--type", "A01", "--max-len", "3"),
+         "error: unknown Cartan type 'A01'\n"),
+        (("--mode", "small", "--max-d", "0"), "error: --max-d must be >= 1\n"),
+    ], ids=["A0", "A01", "max-d-0"])
+    def test_vacuous_checks_rejected(self, capsys, argv, message):
+        # each once printed PASS [0 checks]: a rank-0 datum, a second A1
+        # under another name, and no power of (1 - e^alpha) to test
+        code, out, err = run(capsys, "gkm-check", *argv)
+        assert (code, out, err) == (1, "", message)
 
     def test_defaults_without_n(self, capsys):
         # no --n: affine SL_2 in both modes, and --max-d 3 in small mode

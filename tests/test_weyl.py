@@ -48,7 +48,11 @@ class TestGroupOps:
             assert uv.length <= u.length + v.length
 
     def test_apply_big_action_faithful_key(self, A2, af2, af3):
-        for datum in (A2, af2, af3):
+        # w -> w(rho) is injective, so it can key the elements of data
+        # without a window; the quotient lattice of sl(4) included
+        data = [A2, af2, af3, RootDatum.sl(4)] + [
+            RootDatum.of_type(t) for t in ("B2", "G2", "C2~", "G2~")]
+        for datum in data:
             seen = {}
             for w in words_leq(datum, 6):
                 key = weyl.apply(w, datum.rho).coords
@@ -298,7 +302,8 @@ class TestSerialization:
 
 GENERIC_DATA = [RootDatum.of_type(t) for t in ("A2", "B2", "G2")] + [
     RootDatum.affinize_cartan([[2, -1, 0], [-2, 2, -2], [0, -1, 2]], [1, 2, 1],
-                              name="generic-C2~")]
+                              name="generic-C2~"),
+    RootDatum.sl(4)]
 
 
 def random_word(draw, datum, max_len):
@@ -321,19 +326,57 @@ def win_canonical_word(win):
     return tuple(word)
 
 
+# -- the action-matrix oracle -------------------------------------------------
+
+
+def mat_mul(a, b):
+    cols = range(len(b[0]))
+    return tuple(tuple(sum(arow[k] * b[k][j] for k in range(len(b))) for j in cols)
+                 for arow in a)
+
+
+def mat_apply(m, v):
+    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
+
+
+def reflection_matrices(datum):
+    """({i: matrix of r_i}, unit): column k of r_i's matrix is r_i(e_k), in
+    canonical coordinates; unit has column k = canon(e_k), the identity of
+    the group they generate (not the identity matrix on a quotient lattice)."""
+    rank = datum.rank
+    basis = [datum.weight(tuple(int(t == k) for t in range(rank))) for k in range(rank)]
+    refl = {i: tuple(zip(*(datum.reflect(i, e).coords for e in basis)))
+            for i in datum.nodes}
+    return refl, tuple(zip(*(e.coords for e in basis)))
+
+
+def matrix_of(datum, word):
+    """The action matrix of r_{word[0]} ... r_{word[-1]}."""
+    refl, m = reflection_matrices(datum)
+    for i in word:
+        m = mat_mul(m, refl[i])
+    return m
+
+
+def negates(datum, m, i) -> bool:
+    """True iff the action matrix m sends alpha_i to a negative root."""
+    v = mat_apply(m, datum.simple_root(i).coords)
+    return any(x < 0 for x in datum.root_coords(datum.weight(v)))
+
+
 def canonical_from_matrix(datum, matrix, inv_matrix):
     """Greedy smallest-left-descent word of an action matrix, reduced from scratch."""
-    ops = weyl._DatumOps.of(datum)
+    refl, unit = reflection_matrices(datum)
     word = []
     m, mi = matrix, inv_matrix
     while True:
-        found = next((i for i in datum.nodes if weyl._negates(datum, mi, i)), None)
+        found = next((i for i in datum.nodes if negates(datum, mi, i)), None)
         if found is None:
             break
         word.append(found)
-        m = weyl._mat_mul(ops.refl[found], m)
-        mi = weyl._mat_mul(mi, ops.refl[found])
-    if m != ops.unit_matrix:
+        m = mat_mul(refl[found], m)
+        mi = mat_mul(mi, refl[found])
+    if m != unit:
         raise ValueError("matrix did not reduce to the identity")
     return tuple(word)
 
@@ -358,9 +401,9 @@ class TestInterning:
         u = weyl.from_word(datum, random_word(data.draw, datum, 6))
         v = weyl.from_word(datum, random_word(data.draw, datum, 6))
         uv = weyl.multiply(u, v)
-        m = weyl._mat_mul(u.matrix, v.matrix)
-        mi = weyl._mat_mul(v.inv_matrix, u.inv_matrix)
-        assert uv.matrix == m
+        m = mat_mul(matrix_of(datum, u.word), matrix_of(datum, v.word))
+        mi = mat_mul(matrix_of(datum, v.word[::-1]), matrix_of(datum, u.word[::-1]))
+        assert matrix_of(datum, uv.word) == m
         assert uv.word == canonical_from_matrix(datum, m, mi)
         assert uv is weyl.from_word(datum, u.word + v.word)
         assert weyl.inverse(u) is weyl.from_word(datum, u.word[::-1])
@@ -373,7 +416,16 @@ class TestInterning:
 
 
 def fresh_datum(typ):
-    """A new datum of type ``typ``, with nothing interned yet."""
+    """A new datum of type ``typ``, with nothing interned yet; "sl4" is
+    ``RootDatum.sl(4)`` on its quotient lattice."""
+    if typ.startswith("sl"):
+        n = int(typ[2:])
+        cached = RootDatum._sl_cache.pop(n, None)
+        try:
+            return RootDatum.sl(n)
+        finally:
+            if cached is not None:
+                RootDatum._sl_cache[n] = cached
     if typ.startswith("A"):
         n = int(typ[1:-1]) + 1
         cached = RootDatum._affine_cache.pop(n, None)
@@ -397,13 +449,14 @@ class TestCanonicalWords:
             w = weyl.from_word(datum, word)
             assert w.word == win_canonical_word(w.window)
 
-    @given(st.sampled_from(["B2", "G2", "C2~"]), st.data())
+    @given(st.sampled_from(["B2", "G2", "C2~", "sl4"]), st.data())
     def test_matrix_path(self, typ, data):
         datum = fresh_datum(typ)
         for word in data.draw(st.lists(st.lists(st.sampled_from(datum.nodes),
                                                 max_size=7), max_size=8)):
             w = weyl.from_word(datum, word)
-            assert w.word == canonical_from_matrix(datum, w.matrix, w.inv_matrix)
+            assert w.word == canonical_from_matrix(
+                datum, matrix_of(datum, w.word), matrix_of(datum, w.word[::-1]))
 
 
 class TestIdentityEquality:
@@ -439,7 +492,7 @@ class TestIdentityEquality:
     def test_window_path(self, typ, data):
         self.check(fresh_datum(typ), data.draw, 8)
 
-    @given(st.sampled_from(["B2", "G2", "C2~"]), st.data())
+    @given(st.sampled_from(["B2", "G2", "C2~", "sl4"]), st.data())
     def test_matrix_path(self, typ, data):
         self.check(fresh_datum(typ), data.draw, 6)
 
@@ -605,3 +658,31 @@ class TestReflectionMemo:
         with pytest.raises(ValueError):
             weyl.reflection_for_root(af2, af2.fundamental_weight(0))
         assert af2.fundamental_weight(0) not in weyl._DatumOps.of(af2).reflections
+
+
+DESCENT_DATA = [RootDatum.of_type(t) for t in ("B2", "G2", "C2~", "G2~")] + [
+    RootDatum.sl(4)]
+
+
+class TestDescentsWithoutWindow:
+    """Descents read off w(rho) and the right edges, and w(alpha_i) read off
+    two interned keys, against the action-matrix root solve."""
+
+    @pytest.mark.parametrize("datum", DESCENT_DATA, ids=lambda d: d.name)
+    def test_descents_match_root_solve(self, datum):
+        for w in words_leq(datum, 5):
+            m = matrix_of(datum, w.word)
+            mi = matrix_of(datum, w.word[::-1])
+            for i in datum.nodes:
+                # left: w^{-1}(alpha_i) < 0; right: w(alpha_i) < 0
+                assert weyl.has_left_descent(w, i) == negates(datum, mi, i), (w, i)
+                assert weyl.has_right_descent(w, i) == negates(datum, m, i), (w, i)
+
+    @pytest.mark.parametrize("datum", DESCENT_DATA, ids=lambda d: d.name)
+    def test_simple_root_image_matches_apply(self, datum):
+        for w in words_leq(datum, 5):
+            for i in datum.nodes:
+                want = weyl.apply(w, datum.simple_root(i))
+                assert weyl.simple_root_image(w, i, datum) == want
+                assert want.coords == mat_apply(matrix_of(datum, w.word),
+                                                datum.simple_root(i).coords)
