@@ -272,6 +272,9 @@ def cmd_gkm_check(args):
         if args.max_d is not None:
             raise DomainError("--max-d is for --mode small; big mode checks "
                               "divisibility by (1 - e^alpha) alone")
+        if args.max_len < 1:
+            raise DomainError("--max-len must be >= 1 for --mode big: the "
+                              "identity alone has no root to check")
         if args.type and args.n is not None:
             raise DomainError("give --type or --n, not both")
         datum = _datum_for(args, default_n=2)

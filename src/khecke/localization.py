@@ -166,19 +166,6 @@ class PsiEngine:
             out = out * (self._one() - LaurentPoly.monomial(alpha))
         return out
 
-    def table_json(self, max_len: int) -> list[dict]:
-        """All values psi^v(w) for l(v), l(w) <= max_len as JSON records."""
-        els = weyl.all_elements(self.datum, max_len)
-        out = []
-        for v in els:
-            for w in els:
-                val = self.psi_right(v, w)
-                if not val.is_zero():
-                    out.append({"v": weyl.word_str(v.word),
-                                "w": weyl.word_str(w.word),
-                                "value": val.to_json()})
-        return out
-
 
 # -- GKM conditions ------------------------------------------------------------------
 
@@ -273,16 +260,6 @@ def sl2_sigma(datum: RootDatum, j: int) -> WeylElt:
         if j % 2:
             word = [1] + word
     return weyl.from_word(datum, word)
-
-
-def sl2_index(w: WeylElt) -> int:
-    """Inverse of sl2_sigma (every affine SL_2 element is some sigma_j)."""
-    ell = w.length
-    if ell == 0:
-        return 0
-    # positive sigma_j: odd words start with 0, even words with 1
-    positive = (w.word[0] == 0) if ell % 2 else (w.word[0] == 1)
-    return ell if positive else -ell
 
 
 def _geom_sum_binom(coeffs_datum, alpha, a: int, m: int, inverse: bool) -> LaurentPoly:

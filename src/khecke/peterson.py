@@ -9,7 +9,6 @@ of g_w); an independent integer linear-system solver is kept as an oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
 
 from .cartan import LaurentPoly, RootDatum, VerificationError, solve_exact
 from . import weyl
@@ -192,16 +191,30 @@ def _check_centralizer(elt: HeckeElt):
 # -- conjecture scans ---------------------------------------------------------------------
 
 
-@dataclass
 class ConjectureReport:
-    """Outcome of a positivity/alternation scan."""
-    conjectures: list
-    n: int
-    max_length: int
-    cross_n: int | None = None
-    max_degree: int | None = None
-    checked: int = 0
-    violations: list = field(default_factory=list)
+    """Outcome of a positivity/alternation scan.
+
+    A plain class: ``dataclasses`` would load ``inspect`` and ``ast`` into
+    every CLI process at start-up.
+    """
+    _FIELDS = ("conjectures", "n", "max_length", "cross_n", "max_degree",
+               "checked", "violations")
+
+    def __init__(self, conjectures: list, n: int, max_length: int,
+                 cross_n: int | None = None, max_degree: int | None = None,
+                 checked: int = 0, violations: list | None = None):
+        self.conjectures = conjectures
+        self.n = n
+        self.max_length = max_length
+        self.cross_n = cross_n
+        self.max_degree = max_degree
+        self.checked = checked
+        self.violations = [] if violations is None else violations
+
+    def __eq__(self, other):
+        if type(other) is not ConjectureReport:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
 
     @property
     def passed(self) -> bool:
@@ -214,7 +227,7 @@ class ConjectureReport:
     @classmethod
     def from_json(cls, data: dict) -> "ConjectureReport":
         """Inverse of ``to_json`` (after json.loads); extra keys are ignored."""
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
+        return cls(**{f: data[f] for f in cls._FIELDS})
 
     def to_json(self) -> str:
         return json.dumps({

@@ -365,6 +365,16 @@ class TestConjecturesAndCache:
                              text=True, check=True, env={"PYTHONPATH": str(src)})
         assert out.stdout.strip() == "False"
 
+    def test_import_leaves_dataclasses_and_inspect_unloaded(self):
+        # dataclasses pulls in inspect, ast, dis and tokenize, which would
+        # add to the start-up of every CLI process
+        src = Path(khecke.__file__).resolve().parents[1]
+        probe = ("import sys, khecke.cli; "
+                 "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True, env={"PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False False"
+
     @pytest.mark.parametrize("lines_read, flags", [(0, ()), (1, ("-u",))],
                              ids=["buffered-unread", "unbuffered-one-line"])
     def test_closed_stdout_is_quiet(self, lines_read, flags):
@@ -462,10 +472,17 @@ class TestGkmCheck:
         (("--mode", "big", "--type", "A01", "--max-len", "3"),
          "error: unknown Cartan type 'A01'\n"),
         (("--mode", "small", "--max-d", "0"), "error: --max-d must be >= 1\n"),
-    ], ids=["A0", "A01", "max-d-0"])
+        (("--mode", "big", "--type", "A2", "--max-len", "0"),
+         "error: --max-len must be >= 1 for --mode big: the identity alone "
+         "has no root to check\n"),
+        (("--mode", "big", "--type", "A2~", "--max-len", "0"),
+         "error: --max-len must be >= 1 for --mode big: the identity alone "
+         "has no root to check\n"),
+    ], ids=["A0", "A01", "max-d-0", "big-A2-max-len-0", "big-A2~-max-len-0"])
     def test_vacuous_checks_rejected(self, capsys, argv, message):
         # each once printed PASS [0 checks]: a rank-0 datum, a second A1
-        # under another name, and no power of (1 - e^alpha) to test
+        # under another name, no power of (1 - e^alpha) to test, and the
+        # identity alone, which has no inversion and so no root
         code, out, err = run(capsys, "gkm-check", *argv)
         assert (code, out, err) == (1, "", message)
 

@@ -6,7 +6,7 @@ from khecke.cartan import (LaurentPoly, RootDatum, divisible_by_one_minus_e, eta
 from khecke import weyl
 from khecke.hecke import group_elt_to_T
 from khecke.localization import (PsiEngine, gkm_check_big,
-                                 grassmannian_expansion, sl2_index, sl2_psi_closed,
+                                 grassmannian_expansion, sl2_psi_closed,
                                  sl2_sigma, small_gkm_check,
                                  small_gkm_grassmannian_check, wrongway)
 
@@ -21,6 +21,24 @@ def reduced_words(w):
             for rest in reduced_words(weyl.multiply(weyl.simple(w.datum, i), w)):
                 out.append((i,) + rest)
     return out
+
+
+def table_json(engine, max_len):
+    """All values psi^v(w) for l(v), l(w) <= max_len as JSON records."""
+    els = weyl.all_elements(engine.datum, max_len)
+    values = ((v, w, engine.psi_right(v, w)) for v in els for w in els)
+    return [{"v": weyl.word_str(v.word), "w": weyl.word_str(w.word),
+             "value": val.to_json()} for v, w, val in values if not val.is_zero()]
+
+
+def sl2_index(w):
+    """Inverse of sl2_sigma (every affine SL_2 element is some sigma_j)."""
+    ell = w.length
+    if ell == 0:
+        return 0
+    # positive sigma_j: odd words start with 0, even words with 1
+    positive = (w.word[0] == 0) if ell % 2 else (w.word[0] == 1)
+    return ell if positive else -ell
 
 
 class TestWorkedExample:
@@ -48,7 +66,7 @@ class TestWorkedExample:
             eng_A2.psi_graham_willems(weyl.simple(A2, 1), w, (2, 1))
 
     def test_table_export(self, A2, eng_A2):
-        records = eng_A2.table_json(2)
+        records = table_json(eng_A2, 2)
         assert all(set(r) == {"v", "w", "value"} for r in records)
         assert {"v": "", "w": "1", "value": [{"exponent": [0, 0], "coeff": 1}]} \
             in records

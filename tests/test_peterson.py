@@ -412,6 +412,33 @@ class TestScans:
             "conjecture scan n=2 max_length=3 cross_n=3: FAIL (1 violations) " \
             f"[{rep.checked} values checked]"
 
+    @pytest.mark.parametrize("scan, args", [(conjecture_scan, (2, 4)),
+                                            (cross_k_scan, (2, 3))],
+                             ids=["conjecture_scan", "cross_k_scan"])
+    def test_report_from_json_of_scans(self, scan, args):
+        import json
+        rep = scan(*args)
+        assert ConjectureReport.from_json(json.loads(rep.to_json())) == rep
+
+    def test_default_violations_not_shared(self):
+        a = ConjectureReport(conjectures=["x"], n=2, max_length=1)
+        b = ConjectureReport(conjectures=["x"], n=2, max_length=1)
+        a.record("x", "somewhere", -1)
+        assert a.violations is not b.violations
+        assert b.violations == [] and b.passed
+        assert a != b
+
+    @pytest.mark.parametrize("field, other", [
+        ("conjectures", ["y"]), ("n", 3), ("max_length", 2), ("cross_n", 3),
+        ("max_degree", 4), ("checked", 1),
+        ("violations", [{"conjecture": "x", "label": "l", "detail": -1}]),
+    ])
+    def test_reports_differing_in_one_field_are_unequal(self, field, other):
+        base = dict(conjectures=["x"], n=2, max_length=1)
+        rep = ConjectureReport(**base)
+        assert ConjectureReport(**base) == rep
+        assert ConjectureReport(**{**base, field: other}) != rep
+
     def test_violation_recording(self):
         from khecke.peterson import ConjectureReport
         rep = ConjectureReport(conjectures=["x"], n=2, max_length=1)
