@@ -1,11 +1,17 @@
-"""Checksummed JSON result cache keyed by (n, kind, label, degree).
+"""Checksummed JSON result cache keyed by the arguments of the command.
 
-Entries live under the cache directory as one file each, below a directory
-named for the package version and ``SCHEMA`` (``v0.1.0-schema2/``), so a
-stored result does not outlive a change of code or format; bump ``SCHEMA``
-when a payload or label format changes.  A sha256 checksum over the
-canonical payload encoding detects corruption, in which case the entry is
-discarded (the caller recomputes and overwrites).
+A key is one JSON-able dict: the command and every argument that affects its
+result, with the values the command normalised (``khecke.cli._cached`` builds
+it).  Each entry is one file, ``v0.1.0-schema3/<command>/<sha256>.json``,
+named by the sha256 of the key's canonical encoding below a directory for the
+package version and ``SCHEMA``, so a stored result does not outlive a change
+of code or format; bump ``SCHEMA`` when a key or payload format changes.  The
+record carries its key, and a record whose key differs from the requested one
+is a miss.  A sha256 checksum over the canonical encoding of key and payload
+detects corruption, in which case the entry is discarded (the caller
+recomputes and overwrites).  Each writer writes its own temporary file and
+renames it over the entry, so concurrent writers of one key never expose a
+partial record.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from pathlib import Path
 from . import __version__
 
 ENV_VAR = "KHECKE_CACHE"
-SCHEMA = 2
+SCHEMA = 3
 
 
 def default_cache_dir() -> Path:
@@ -52,19 +58,18 @@ class ResultCache:
     def __init__(self, root: Path | str | None = None):
         self.root = Path(root) if root else default_cache_dir()
 
-    def path(self, n: int, kind: str, label: str, degree: int) -> Path:
-        safe = label if label else "empty"
-        return (self.root / f"v{__version__}-schema{SCHEMA}" / f"n{n}" / kind
-                / f"{safe}.d{degree}.json")
+    def path(self, key: dict) -> Path:
+        return (self.root / f"v{__version__}-schema{SCHEMA}" / key["command"]
+                / f"{_checksum(_encode(key))}.json")
 
-    def store(self, n: int, kind: str, label: str, degree: int, payload) -> Path | None:
+    def store(self, key: dict, payload) -> Path | None:
         """Path of the written entry, or None (with a warning) if it cannot be written."""
-        body = _encode(payload)
-        record = {"checksum": _checksum(body), "payload": payload}
-        path = self.path(n, kind, label, degree)
+        record = {"key": key, "payload": payload}
+        record["checksum"] = _checksum(_encode(record))
+        path = self.path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
             tmp.write_text(json.dumps(record, sort_keys=True), "utf-8")
             tmp.replace(path)
         except OSError as exc:
@@ -72,20 +77,21 @@ class ResultCache:
             return None
         return path
 
-    def load(self, n: int, kind: str, label: str, degree: int):
-        """Payload, or None when missing/corrupt (corrupt entries log a warning)."""
-        path = self.path(n, kind, label, degree)
+    def load(self, key: dict):
+        """Payload, or None when missing, stored under another key or corrupt
+        (corrupt entries log a warning)."""
+        path = self.path(key)
         if not path.exists():
             return None
         try:
             record = json.loads(path.read_text("utf-8"))
-            body = _encode(record["payload"])
-            if _checksum(body) != record["checksum"]:
+            body = {"key": record["key"], "payload": record["payload"]}
+            if _checksum(_encode(body)) != record["checksum"]:
                 raise ValueError("checksum mismatch")
-            return record["payload"]
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             _warn(f"corrupt cache entry {path} ({exc}); recomputing")
             return None
         except OSError as exc:
             _warn(f"cannot read cache entry {path}: {exc}")
             return None
+        return record["payload"] if _encode(record["key"]) == _encode(key) else None

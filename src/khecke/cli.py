@@ -122,44 +122,59 @@ def cmd_kappa(args):
     _emit(args, render_hecke(elt), elt.to_json())
 
 
-def _cached_symfunc(args, kind, lam, degree, compute):
+def _cached(args, compute, **normalised):
+    """The JSON value this command prints, from the cache or from ``compute()``.
+
+    The cache key is the command and every parsed argument but the
+    presentation ones (``--format``, ``--cache-dir``) and the handler, with
+    the values the handler normalised in ``normalised`` (parsed partitions).
+    A raw value left in the key can only split one result into two records,
+    never make two results share one."""
+    key = {name: value for name, value in vars(args).items()
+           if name not in ("format", "cache_dir", "fn")}
+    key.update(normalised)
     cache = ResultCache(args.cache_dir)
-    label = partition_label(lam)
-    payload = cache.load(args.n, kind, label, degree)
-    if payload is not None:
-        return SymFunc.from_json(payload)
-    f = compute()
-    cache.store(args.n, kind, label, degree, f.to_json())
-    return f
+    payload = cache.load(key)
+    if payload is None:
+        payload = compute()
+        cache.store(key, payload)
+    return payload
+
+
+def _emit_symfunc(args, payload):
+    out = SymFunc.from_json(payload)
+    _emit(args, render_symfunc(out), payload, render_symfunc(out, latex=True))
 
 
 def cmd_g(args):
-    engine = _engine(args)
     lam = parse_partition(args.partition)
-    if args.basis == "kschur":
-        out = SymFunc("kschur", engine.g_in_kschur_basis(lam), args.n)
-    else:
-        g = _cached_symfunc(args, "g", lam, sum(lam), lambda: engine.g_of(lam))
-        out = convert(g, args.basis)
-    _emit(args, render_symfunc(out), out.to_json(), render_symfunc(out, latex=True))
+
+    def compute():
+        engine = _engine(args)
+        if args.basis == "kschur":
+            out = SymFunc("kschur", engine.g_in_kschur_basis(lam), args.n)
+        else:
+            out = convert(engine.g_of(lam), args.basis)
+        return out.to_json()
+    _emit_symfunc(args, _cached(args, compute, partition=lam))
 
 
 def cmd_kschur(args):
-    engine = _engine(args)
-    out = convert(engine.kschur_of(parse_partition(args.partition)), args.basis)
-    _emit(args, render_symfunc(out), out.to_json(), render_symfunc(out, latex=True))
+    out = convert(_engine(args).kschur_of(parse_partition(args.partition)), args.basis)
+    _emit_symfunc(args, out.to_json())
 
 
 def cmd_G(args):
-    engine = _engine(args)
     lam = parse_partition(args.partition)
-    degree = args.max_degree
-    v = engine.grassmannian(lam)
-    if degree < v.length:
-        raise DomainError("--max-degree is below the partition size")
-    G = _cached_symfunc(args, "G", lam, degree, lambda: engine.G_of(v, degree))
-    out = engine.m_to_F(G) if args.basis == "F" else G
-    _emit(args, render_symfunc(out), out.to_json(), render_symfunc(out, latex=True))
+
+    def compute():
+        engine = _engine(args)
+        v = engine.grassmannian(lam)
+        if args.max_degree < v.length:
+            raise DomainError("--max-degree is below the partition size")
+        G = engine.G_of(v, args.max_degree)
+        return (engine.m_to_F(G) if args.basis == "F" else G).to_json()
+    _emit_symfunc(args, _cached(args, compute, partition=lam))
 
 
 def cmd_pieri(args):
@@ -241,28 +256,18 @@ def _print_table(args, kind, n):
 
 
 def cmd_check_conjectures(args):
-    cache = ResultCache(args.cache_dir)
-    label = f"maxlen{args.max_len}"
-    if args.cross:
-        cross_degree = args.max_len if args.max_degree is None else \
-            min(args.max_len, args.max_degree)
-        label += f"-cross{cross_degree}"
-    payload = cache.load(args.n, "conjectures", label, args.max_len)
-    if payload is None:
-        report = conjecture_scan(args.n, args.max_len)
-        payload = json.loads(report.to_json())
+    def compute():
+        payload = json.loads(conjecture_scan(args.n, args.max_len).to_json())
         if args.cross:
-            cross = cross_k_scan(args.n, cross_degree)
-            payload["cross"] = json.loads(cross.to_json())
-        cache.store(args.n, "conjectures", label, args.max_len, payload)
+            cross_degree = args.max_len if args.max_degree is None else \
+                min(args.max_len, args.max_degree)
+            payload["cross"] = json.loads(cross_k_scan(args.n, cross_degree).to_json())
+        return payload
+    payload = _cached(args, compute)
     reports = [ConjectureReport.from_json(payload)]
     if "cross" in payload:
         reports.append(ConjectureReport.from_json(payload["cross"]))
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for report in reports:
-            print(report.summary())
+    _emit(args, "\n".join(report.summary() for report in reports), payload)
     if not all(report.passed for report in reports):
         raise VerificationError("conjecture violations found")
 

@@ -138,59 +138,24 @@ def _canon_word_map(datum, table: dict) -> dict:
     return out
 
 
+def _canonical_row(kind: str, n: int):
+    """Map a row of table ``kind`` to the form in which two rows are equal
+    exactly when they agree: words become elements, coproduct triples are
+    sorted, and ``g`` and ``G`` rows stay as stored."""
+    datum = GrothendieckEngine.get(n).datum
+    return {"bijection": lambda word: weyl.from_word(datum, weyl.parse_word(word)),
+            "k": lambda terms: _canon_word_map(datum, terms),
+            "coproduct": sorted}.get(kind, lambda row: row)
+
+
 def diff_table(kind: str, n: int) -> list[str]:
     """Recompute table ``kind`` for rank n and diff; returns mismatch strings."""
     golden = golden_rows(kind, n)
     got = generate(kind, n)
-    problems = []
-    if kind == "bijection":
-        datum = GrothendieckEngine.get(n).datum
-        for label, word in golden.items():
-            w_want = weyl.from_word(datum, weyl.parse_word(word))
-            w_got = weyl.from_word(datum, weyl.parse_word(got[label]))
-            if w_want != w_got:
-                problems.append(f"bijection n={n} {label}: {got[label]} != {word}")
-    elif kind == "k":
-        datum = GrothendieckEngine.get(n).datum
-        for label, terms in golden.items():
-            want = _canon_word_map(datum, terms)
-            have = _canon_word_map(datum, got[label])
-            if want != have:
-                problems.append(f"k n={n} row {label}: "
-                                f"{_fmt_wmap(have)} != {_fmt_wmap(want)}")
-    elif kind == "g":
-        for label, cols in golden.items():
-            for col in ("s", "kschur"):
-                if got[label][col] != cols[col]:
-                    problems.append(f"g n={n} row {label} [{col}]: "
-                                    f"{got[label][col]} != {cols[col]}")
-    elif kind == "coproduct":
-        for label, rows in golden.items():
-            want = sorted([list(r) for r in rows])
-            if got[label] != want:
-                problems.append(f"coproduct n={n} row {label}: "
-                                f"{got[label]} != {want}")
-    elif kind == "G":
-        for label, row in golden.items():
-            # compare degree-complete blocks: every degree the golden row
-            # displays must match exactly, including absent (zero) entries
-            degrees = sorted({len(mu) and sum(_parse_partition(mu))
-                              for mu in row["F"]})
-            for d in degrees:
-                want = {mu: c for mu, c in row["F"].items()
-                        if sum(_parse_partition(mu)) == d}
-                have = {mu: c for mu, c in got[label]["F"].items()
-                        if sum(_parse_partition(mu)) == d}
-                if want != have:
-                    problems.append(f"G n={n} row {label} degree {d}: "
-                                    f"{have} != {want}")
-    return problems
-
-
-def _fmt_wmap(m: dict) -> str:
-    return "{" + ", ".join(f"{weyl.word_str(w.word) or 'id'}:{c}"
-                           for w, c in sorted(m.items(),
-                                              key=lambda t: (t[0].length, t[0].word))) + "}"
+    canonical = _canonical_row(kind, n)
+    return [f"{kind} n={n} row {label}: {got[label]} != {want}"
+            for label, want in golden.items()
+            if canonical(got[label]) != canonical(want)]
 
 
 def available_ranks(kind: str) -> list[int]:

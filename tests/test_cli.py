@@ -12,9 +12,12 @@ import khecke
 from khecke import weyl
 from khecke.cache import ResultCache
 from khecke.cartan import RootDatum
-from khecke.cli import _cached_symfunc, main
+from khecke.cli import _cached, main
 from khecke.localization import PsiEngine
 from khecke.symfunc import SymFunc
+
+
+KEY = {"command": "g", "n": 3, "partition": [2, 1], "basis": "h"}
 
 
 def run(capsys, *argv):
@@ -217,19 +220,28 @@ class TestTables:
                            "known kinds: bijection, k, g, coproduct, G"):
             getattr(goldens, fn)("bogus", 2)
 
-    def test_corrupted_golden_detected(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("kind, label, tamper", [
+        ("bijection", "21", lambda rows: rows.update({"21": rows["111"]})),
+        ("k", "0", lambda rows: rows["0"].update({"1": 7})),
+        ("g", "21", lambda rows: rows["21"]["kschur"].update({"21": 2})),
+        ("coproduct", "2", lambda rows: rows["2"].pop()),
+        ("G", "11", lambda rows: rows["11"]["F"].update({"1111": 4})),
+    ], ids=["bijection", "k", "g", "coproduct", "G"])
+    def test_corrupted_golden_detected(self, capsys, monkeypatch, kind, label, tamper):
+        # one entry of one n = 3 row changes; the diff names that row
         import khecke.goldens as goldens
         real = goldens.load_golden
 
-        def tampered(kind):
-            data = real(kind)
-            if kind == "k":
-                data["3"]["0"]["1"] = 7
+        def tampered(which):
+            data = real(which)
+            if which == kind:
+                tamper(data["3"])
             return data
         monkeypatch.setattr(goldens, "load_golden", tampered)
-        code, out, _ = run(capsys, "tables", "--which", "k", "--n", "3", "--diff")
+        code, out, _ = run(capsys, "tables", "--which", kind, "--n", "3", "--diff")
         assert code == 2
-        assert "MISMATCH" in out
+        assert f"tables {kind} n=3: MISMATCH" in out
+        assert f"{kind} n=3 row {label}: " in out
 
 
 class TestConjecturesAndCache:
@@ -275,27 +287,57 @@ class TestConjecturesAndCache:
         cache = ResultCache(tmp_path)
         payload = {"basis": "h", "n": 3,
                    "terms": [{"partition": [2, 1], "coeff": 1}]}
-        cache.store(3, "g", "21", 3, payload)
-        assert cache.load(3, "g", "21", 3) == payload
+        cache.store(KEY, payload)
+        assert cache.load(KEY) == payload
 
     def test_cache_roundtrip_symfunc(self, tmp_path, e3):
         from khecke.symfunc import SymFunc
         cache = ResultCache(tmp_path)
         g = e3.g_of((2, 1))
-        cache.store(3, "g", "21", 3, g.to_json())
-        assert SymFunc.from_json(cache.load(3, "g", "21", 3)) == g
+        cache.store(KEY, g.to_json())
+        assert SymFunc.from_json(cache.load(KEY)) == g
 
     def test_cache_corruption_recovers(self, tmp_path, capsys):
         cache = ResultCache(tmp_path)
-        cache.store(3, "g", "21", 3, {"x": 1})
-        path = cache.path(3, "g", "21", 3)
+        cache.store(KEY, {"x": 1})
+        path = cache.path(KEY)
         path.write_text(path.read_text().replace('"x": 1', '"x": 2'), "utf-8")
-        assert cache.load(3, "g", "21", 3) is None
+        assert cache.load(KEY) is None
         err = capsys.readouterr().err
         assert "corrupt" in err
         # recomputed value overwrites
-        cache.store(3, "g", "21", 3, {"x": 3})
-        assert cache.load(3, "g", "21", 3) == {"x": 3}
+        cache.store(KEY, {"x": 3})
+        assert cache.load(KEY) == {"x": 3}
+
+    def test_record_under_another_key_is_a_miss(self, tmp_path, caplog):
+        cache = ResultCache(tmp_path)
+        other = dict(KEY, basis="m")
+        path = cache.store(KEY, {"x": 1})
+        cache.path(other).write_text(path.read_text("utf-8"), "utf-8")
+        with caplog.at_level(logging.WARNING, logger="khecke"):
+            assert cache.load(other) is None
+        assert cache.load(KEY) == {"x": 1}
+        assert not caplog.records
+
+    def test_concurrent_writers_of_one_key(self, tmp_path):
+        # writers of one key must not share a temporary file: one writer's
+        # rename could move another's half-written record into place
+        src = Path(khecke.__file__).resolve().parents[1]
+        script = ("import sys\n"
+                  "from khecke.cache import ResultCache\n"
+                  "cache = ResultCache(sys.argv[1])\n"
+                  f"key, payload = {KEY!r}, list(range(3000))\n"
+                  "print(sum(cache.store(key, payload) is None\n"
+                  "          or cache.load(key) != payload for _ in range(400)))\n")
+        procs = [subprocess.Popen([sys.executable, "-c", script, str(tmp_path)],
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True, env={"PYTHONPATH": str(src)})
+                 for _ in range(3)]
+        results = [proc.communicate(timeout=120) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0, 0]
+        assert results == [("0\n", "")] * 3
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == \
+            [ResultCache(tmp_path).path(KEY).name]
 
     @pytest.mark.parametrize("corrupt", [
         lambda text: text.replace('"x": 1', '"x": 2'),  # checksum mismatch
@@ -303,10 +345,10 @@ class TestConjecturesAndCache:
     ], ids=["checksum", "json"])
     def test_corrupt_entry_logs_one_warning(self, tmp_path, caplog, corrupt):
         cache = ResultCache(tmp_path)
-        path = cache.store(3, "g", "21", 3, {"x": 1})
+        path = cache.store(KEY, {"x": 1})
         path.write_text(corrupt(path.read_text("utf-8")), "utf-8")
         with caplog.at_level(logging.WARNING, logger="khecke"):
-            assert cache.load(3, "g", "21", 3) is None
+            assert cache.load(KEY) is None
         records = [r for r in caplog.records if r.name == "khecke"]
         assert [r.levelno for r in records] == [logging.WARNING]
         assert "corrupt cache entry" in records[0].getMessage()
@@ -330,11 +372,11 @@ class TestConjecturesAndCache:
         import khecke.cache
         monkeypatch.setattr(khecke.cache, "__version__", "0.0.0")
         old = ResultCache(tmp_path)
-        old.store(3, "g", "21", 3, {"x": 1})
+        old.store(KEY, {"x": 1})
         monkeypatch.undo()
         cache = ResultCache(tmp_path)
-        assert cache.load(3, "g", "21", 3) is None
-        assert f"v{khecke.__version__}-schema" in str(cache.path(3, "g", "21", 3))
+        assert cache.load(KEY) is None
+        assert f"v{khecke.__version__}-schema" in str(cache.path(KEY))
 
     @pytest.mark.parametrize("argv", [
         ("g", "--n", "3", "--partition", "21"),
@@ -410,13 +452,40 @@ class TestConjecturesAndCache:
 
     def test_symfunc_labels_do_not_collide(self, tmp_path):
         # (11, 1) and (1, 1, 1) both read "111" as digit strings
-        args = argparse.Namespace(cache_dir=str(tmp_path), n=12)
-        stored = {lam: SymFunc("m", {lam: i + 1}, 12)
+        args = argparse.Namespace(command="G", cache_dir=str(tmp_path), n=12,
+                                  max_degree=12, basis="m")
+        stored = {lam: SymFunc("m", {lam: i + 1}, 12).to_json()
                   for i, lam in enumerate([(1, 1, 1), (11, 1)])}
         for lam, f in stored.items():
-            assert _cached_symfunc(args, "G", lam, 12, lambda f=f: f) == f
+            assert _cached(args, lambda f=f: f, partition=lam) == f
         for lam, f in stored.items():
-            assert _cached_symfunc(args, "G", lam, 12, lambda: None) == f
+            assert _cached(args, lambda: None, partition=lam) == f
+
+    def test_partition_spellings_share_one_record(self, capsys, tmp_path):
+        outs = {run(capsys, "g", "--n", "3", "--partition", text,
+                    "--cache-dir", str(tmp_path)) for text in ("21", "2,1")}
+        assert outs == {(0, "s2 + s21 + s3\n", "")}
+        assert len(list(tmp_path.rglob("*.json"))) == 1
+
+    def test_one_record_per_query(self, capsys, tmp_path):
+        # queries that differ in one argument that changes the result; each
+        # is answered from its own record, cold and warm, as from an empty cache
+        grid = [("g", "--n", "3", "--partition", "21", "--basis", basis)
+                for basis in ("m", "h", "s", "kschur")]
+        grid += [("G", "--n", "2", "--partition", "1", *extra)
+                 for extra in ((), ("--max-degree", "4"), ("--basis", "m"))]
+        grid += [("check-conjectures", "--n", "2", "--max-len", "3", *extra)
+                 for extra in ((), ("--cross",), ("--cross", "--max-degree", "1"))]
+        shared = ("--format", "json", "--cache-dir", str(tmp_path / "shared"))
+        fresh = [run(capsys, *argv, "--format", "json",
+                     "--cache-dir", str(tmp_path / f"fresh{i}"))
+                 for i, argv in enumerate(grid)]
+        assert len({out for _, out, _ in fresh}) == len(grid)
+        for _ in ("cold", "warm"):
+            assert [run(capsys, *argv, *shared) for argv in grid] == fresh
+        records = [json.loads(p.read_text("utf-8"))["key"]
+                   for p in (tmp_path / "shared").rglob("*.json")]
+        assert sorted(key["command"] for key in records) == sorted(q[0] for q in grid)
 
     def test_env_var_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KHECKE_CACHE", str(tmp_path / "envcache"))
