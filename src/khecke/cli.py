@@ -127,7 +127,8 @@ def _cached(args, compute, **normalised):
 
     The cache key is the command and every parsed argument but the
     presentation ones (``--format``, ``--cache-dir``) and the handler, with
-    the values the handler normalised in ``normalised`` (parsed partitions).
+    the values the handler normalised in ``normalised`` (parsed partitions,
+    the degree bound the scan reads).
     A raw value left in the key can only split one result into two records,
     never make two results share one."""
     key = {name: value for name, value in vars(args).items()
@@ -177,12 +178,16 @@ def cmd_G(args):
     _emit_symfunc(args, _cached(args, compute, partition=lam))
 
 
-def cmd_pieri(args):
-    engine = _engine(args)
-    out = pieri(engine, args.i, parse_partition(args.partition))
+def _emit_partition_map(args, out: dict):
+    """Print a {partition: coeff} result in (size, partition) order."""
     pairs = sorted(out.items(), key=lambda t: (sum(t[0]), t[0]))
     _emit(args, render_int_map(pairs, partition_label),
           [{"partition": list(k), "coeff": c} for k, c in pairs])
+
+
+def cmd_pieri(args):
+    _emit_partition_map(args, pieri(_engine(args), args.i,
+                                    parse_partition(args.partition)))
 
 
 def cmd_coproduct(args):
@@ -196,13 +201,8 @@ def cmd_coproduct(args):
 
 
 def cmd_structure(args):
-    engine = _engine(args)
-    u = parse_partition(args.u)
-    v = parse_partition(args.v)
-    out = structure_d(engine, u, v)
-    pairs = sorted(out.items(), key=lambda t: (sum(t[0]), t[0]))
-    _emit(args, render_int_map(pairs, partition_label),
-          [{"partition": list(k), "coeff": c} for k, c in pairs])
+    _emit_partition_map(args, structure_d(_engine(args), parse_partition(args.u),
+                                          parse_partition(args.v)))
 
 
 def cmd_k_sl2(args):
@@ -256,14 +256,18 @@ def _print_table(args, kind, n):
 
 
 def cmd_check_conjectures(args):
+    # only the cross scan reads the degree bound, so only it keys the record
+    cross_degree = None
+    if args.cross:
+        cross_degree = args.max_len if args.max_degree is None else \
+            min(args.max_len, args.max_degree)
+
     def compute():
         payload = json.loads(conjecture_scan(args.n, args.max_len).to_json())
         if args.cross:
-            cross_degree = args.max_len if args.max_degree is None else \
-                min(args.max_len, args.max_degree)
             payload["cross"] = json.loads(cross_k_scan(args.n, cross_degree).to_json())
         return payload
-    payload = _cached(args, compute)
+    payload = _cached(args, compute, max_degree=cross_degree)
     reports = [ConjectureReport.from_json(payload)]
     if "cross" in payload:
         reports.append(ConjectureReport.from_json(payload["cross"]))

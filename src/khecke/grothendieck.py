@@ -10,7 +10,8 @@ of Grassmannian columns, memoised per partition nu: the dual family g_v in
 Z[h_1, ..., h_{n-1}] is peeled against it from the top degree down (its top
 homogeneous component is the k-Schur function of v), and the g/k-Schur
 expansions and the g-coproduct are sparse sums over it.  Every unitriangular
-system goes through ``symfunc.peel``.
+system goes through ``symfunc.peel``, and every sum of rows through
+``symfunc.spread``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import weyl
 from .hecke import HeckeElt, int_mul
 from .symfunc import (SymFunc, TensorSym, convert, coproduct_h, hall_pair,
                       make_partition, multiply, partitions_of, partitions_up_to,
-                      peel)
+                      peel, spread)
 
 
 class GrothendieckEngine:
@@ -199,23 +200,13 @@ class GrothendieckEngine:
     def expand_in_g(self, f: SymFunc) -> dict:
         """{mu: <f, G_mu>} -- the g-basis coordinates of f in Lambda_(n)."""
         self._check_h(f, "expand_in_g")
-        return self._sum_columns(f.terms)
+        return spread(f.terms, lambda nu: self._column(nu).items())
 
     def expand_in_kschur(self, f: SymFunc) -> dict:
         """{mu: <f, F_mu>}: the degree-|mu| part of f pairs with F_mu."""
         self._check_h(f, "expand_in_kschur")
-        return self._sum_columns(f.terms, same_degree=True)
-
-    def _sum_columns(self, terms: dict, same_degree: bool = False) -> dict:
-        """sum c * column(nu) over {nu: c}, zeros dropped; ``same_degree``
-        keeps only the entries with |mu| = |nu|."""
-        out: dict[tuple, int] = {}
-        for nu, c in terms.items():
-            d = sum(nu)
-            for mu, a in self._column(nu).items():
-                if not same_degree or sum(mu) == d:
-                    out[mu] = out.get(mu, 0) + c * a
-        return {mu: c for mu, c in out.items() if c}
+        return spread(f.terms, lambda nu: [(mu, a) for mu, a in self._column(nu).items()
+                                           if sum(mu) == sum(nu)])
 
     def g_in_s_basis(self, lam) -> SymFunc:
         return convert(self.g_of(lam), "s")
@@ -233,7 +224,7 @@ class GrothendieckEngine:
             left_rows.setdefault(a, {})[b] = c
         out = {}
         for a, row in left_rows.items():
-            right = self._sum_columns(row)
+            right = spread(row, lambda nu: self._column(nu).items())
             for mu, ca in self._column(a).items():
                 for nu, val in right.items():
                     out[mu, nu] = out.get((mu, nu), 0) + ca * val
@@ -253,23 +244,14 @@ class GrothendieckEngine:
     def _varphi_int(self, f: SymFunc) -> dict:
         """{w: int} terms of varphi(f), zeros dropped."""
         self._check_h(f, "varphi")
-        total: dict[weyl.WeylElt, int] = {}
-        for lam, c in f.terms.items():
-            for w, a in self.kappa_product(lam).items():
-                s = total.get(w, 0) + c * a
-                if s:
-                    total[w] = s
-                else:
-                    del total[w]
-        return total
+        return spread(f.terms, lambda lam: self.kappa_product(lam).items())
 
     def varphi_g(self, lam) -> dict:
         """{w: int} terms of varphi(g_lam) = phi_0(k_w), w of partition lam,
         memoised per partition: callers must not mutate the returned dict."""
         lam = make_partition(lam)
         if lam not in self._fs:
-            # a copy, because the sum's deletions leave its table with slack
-            self._fs[lam] = dict(self._varphi_int(self.g_of(lam)))
+            self._fs[lam] = self._varphi_int(self.g_of(lam))
         return self._fs[lam]
 
     # -- G-basis expansions ----------------------------------------------------------------------------

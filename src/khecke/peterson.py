@@ -119,17 +119,25 @@ def pieri(engine: GrothendieckEngine, i: int, lam) -> dict:
 
 def structure_d(engine: GrothendieckEngine, lam, mu) -> dict:
     """phi_0(d^w_{u v}) for u, v Grassmannian, by two routes that must agree:
-    the product expansion and the k^x_u formula over T_x T_v = +-T_w."""
+    the k^x_u formula over T_x T_v = +-T_w in the 0-Hecke ring, and the
+    g-basis coordinates of g_lam g_mu in Lambda_(n), which is K-homology of
+    the affine Grassmannian with the Schubert class of u going to g_lam.
+
+    Both routes read the kappa table and ``g_of``.  The formula folds T_x T_v
+    for each x in phi_0(k_u) = varphi(g_lam); ``g_multiply`` multiplies in
+    the h basis and pairs through the column table.  The product route,
+    ``expand_in_fs_basis(int_mul(k_u, k_v))``, is a third and costlier one,
+    kept as a test oracle."""
     lam, mu = make_partition(lam), make_partition(mu)
-    k_u = engine.varphi_g(lam)
-    via_product = expand_in_fs_basis(engine, int_mul(k_u, engine.varphi_g(mu)))
     # d^w_{uv} = sum_x k^x_u [T_w] T_x T_v over Grassmannian w
-    via_formula = engine.grassmannian_terms(int_mul(k_u, {engine.grassmannian(mu): 1}))
-    if via_formula != via_product:
+    via_formula = engine.grassmannian_terms(
+        int_mul(engine.varphi_g(lam), {engine.grassmannian(mu): 1}))
+    via_hopf = engine.g_multiply(lam, mu)
+    if via_formula != via_hopf:
         raise VerificationError(
             f"structure constant routes disagree for {lam} * {mu}: "
-            f"{via_formula} vs {via_product}")
-    return via_product
+            f"{via_formula} vs {via_hopf}")
+    return via_formula
 
 
 # -- equivariant k_w for affine SL_2 ------------------------------------------------------
@@ -230,12 +238,8 @@ class ConjectureReport:
         return cls(**{f: data[f] for f in cls._FIELDS})
 
     def to_json(self) -> str:
-        return json.dumps({
-            "conjectures": self.conjectures, "n": self.n,
-            "max_length": self.max_length, "cross_n": self.cross_n,
-            "max_degree": self.max_degree, "checked": self.checked,
-            "passed": self.passed, "violations": self.violations,
-        }, indent=2, sort_keys=True)
+        data = {f: getattr(self, f) for f in self._FIELDS}
+        return json.dumps({**data, "passed": self.passed}, indent=2, sort_keys=True)
 
     def summary(self) -> str:
         status = "PASS" if self.passed else f"FAIL ({len(self.violations)} violations)"

@@ -11,8 +11,9 @@ Partitions are enumerated once per (n, cap) and ``partitions_of`` copies
 the memo.  ``SymFunc`` and ``TensorSym`` are ``cartan.Combination``s with
 integer coefficients.  Their public constructors normalise keys through
 ``make_partition`` and drop zeros; ``_trusted`` keeps a dict whose keys are
-partitions and values nonzero (kappa rows, Delta(h_lam) sums), and so do
-sums, negatives and multiples, whose keys are already partitions.
+partitions and values nonzero (kappa rows, ``spread`` sums of partition
+rows), and so do sums, negatives and multiples, whose keys are already
+partitions.
 """
 
 from __future__ import annotations
@@ -213,12 +214,14 @@ def _h_to_s_row(mu: Partition) -> tuple:
                         if kostka(lam, mu)))
 
 
-def _expand_rows(f: SymFunc, row, target) -> SymFunc:
+def spread(terms: Mapping, row) -> dict:
+    """sum c * row(key) over {key: c}, zeros dropped: the forward twin of
+    ``peel``, with row(key) yielding (key', a) pairs."""
     out = {}
-    for lam, c in f.terms.items():
-        for mu, a in row(lam):
+    for key, c in terms.items():
+        for mu, a in row(key):
             out[mu] = out.get(mu, 0) + c * a
-    return SymFunc(target, out, f.n)
+    return {mu: c for mu, c in out.items() if c}
 
 
 def peel(terms: Mapping, pivot, row) -> tuple[dict, dict]:
@@ -263,9 +266,9 @@ def convert(f: SymFunc, target: str) -> SymFunc:
     if f.basis == "h" and target == "m":
         return convert(convert(f, "s"), "m")
     if f.basis == "s" and target == "m":
-        return _expand_rows(f, _s_to_m_row, "m")
+        return SymFunc._trusted("m", spread(f.terms, _s_to_m_row), f.n)
     if f.basis == "h" and target == "s":
-        return _expand_rows(f, _h_to_s_row, "s")
+        return SymFunc._trusted("s", spread(f.terms, _h_to_s_row), f.n)
     if f.basis == "m" and target == "s":
         return _invert_to(f, _s_to_m_row, "s", pivot_max=True)
     if f.basis == "s" and target == "h":
@@ -376,8 +379,4 @@ def coproduct_h(f: SymFunc) -> TensorSym:
     extended multiplicatively."""
     if f.basis != "h":
         raise ValueError("coproduct_h expects the h basis")
-    total = {}
-    for lam, c in f.terms.items():
-        for key, a in _delta_h(lam):
-            total[key] = total.get(key, 0) + c * a
-    return TensorSym._trusted(("h", "h"), {k: c for k, c in total.items() if c}, f.n)
+    return TensorSym._trusted(("h", "h"), spread(f.terms, _delta_h), f.n)

@@ -152,8 +152,8 @@ class TestErrors:
         assert err == "error: k-sl2 needs exactly one of --r and --partition\n"
 
     def test_cross_check_failure_exits_2(self, capsys, monkeypatch):
-        import khecke.peterson as peterson
-        monkeypatch.setattr(peterson, "expand_in_fs_basis", lambda engine, b: {})
+        from khecke.grothendieck import GrothendieckEngine
+        monkeypatch.setattr(GrothendieckEngine, "g_multiply", lambda self, lam, mu: {})
         code, out, err = run(capsys, "structure", "--n", "3", "--u", "1", "--v", "1")
         assert code == 2
         assert out == ""
@@ -265,6 +265,22 @@ class TestConjecturesAndCache:
         shared = tmp_path / "shared"
         scan(2, shared)
         assert scan(4, shared) == scan(4, tmp_path / "fresh")
+
+    @pytest.mark.parametrize("first, second", [
+        (("--max-degree", "2"), ("--max-degree", "4")),
+        (("--cross", "--max-degree", "9"), ("--cross",)),
+    ], ids=["no-cross", "cross-degree-above-max-len"])
+    def test_one_record_per_scan(self, capsys, tmp_path, first, second):
+        # a degree bound the scan does not read keys no second record
+        def scan(extra, cache_dir):
+            return run(capsys, "check-conjectures", "--n", "2", "--max-len", "4",
+                       *extra, "--format", "json", "--cache-dir", str(cache_dir))
+        want = [scan(extra, tmp_path / f"fresh{i}")
+                for i, extra in enumerate((first, second))]
+        assert want[0] == want[1] and want[0][0] == 0
+        shared = tmp_path / "shared"
+        assert [scan(extra, shared) for extra in (first, second)] == want
+        assert len(list(shared.rglob("*.json"))) == 1
 
     def test_text_report_cold_and_warm(self, capsys, tmp_path):
         want = ("conjecture scan n=2 max_length=4: PASS [72 values checked]\n"

@@ -288,6 +288,17 @@ class TestGInGBasis:
         exp = e3.G_in_G_basis(w, 6)
         assert exp[weyl.partition_of_grassmannian(w)] == 1
 
+    @pytest.mark.parametrize("n, max_length", [(2, 8), (3, 6), (4, 5), (5, 4)])
+    def test_transpose_of_fs_table(self, n, max_length):
+        # <g_lam, G_w> = [T_w] varphi(g_lam), and g and G are dual bases, so
+        # the G-basis row of w is the column of w in the phi_0(k) table
+        engine = GrothendieckEngine.get(n)
+        labels = engine.bounded(max_length)
+        for w in weyl.all_elements(engine.datum, max_length):
+            column = {lam: engine.varphi_g(lam).get(w, 0) for lam in labels}
+            assert engine.G_in_G_basis(w, max_length) == \
+                {lam: c for lam, c in column.items() if c}, w.word
+
     def test_cross_check_fs_coefficients(self, e3):
         # the expansion coefficients reappear as [T_w] of the lifted g's
         from khecke.peterson import fomin_stanley_elt

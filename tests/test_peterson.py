@@ -237,9 +237,21 @@ class TestStructure:
                     assert structure_d(engine, lam, mu) == \
                         engine.g_multiply(lam, mu), (lam, mu)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_product_route(self, n):
+        # the product route: phi_0(k_u) phi_0(k_v) peeled in the phi_0(k) basis
+        engine = GrothendieckEngine.get(n)
+        labels = engine.bounded(6)
+        for lam in labels:
+            for mu in labels:
+                if sum(lam) + sum(mu) > 6:
+                    continue
+                product = int_mul(engine.varphi_g(lam), engine.varphi_g(mu))
+                assert structure_d(engine, lam, mu) == \
+                    expand_in_fs_basis(engine, product), (lam, mu)
+
     def test_disagreeing_routes_raise(self, e3, monkeypatch):
-        import khecke.peterson as peterson
-        monkeypatch.setattr(peterson, "expand_in_fs_basis", lambda engine, b: {})
+        monkeypatch.setattr(GrothendieckEngine, "g_multiply", lambda self, lam, mu: {})
         with pytest.raises(VerificationError, match="routes disagree"):
             structure_d(e3, (1,), (1,))
 
@@ -362,6 +374,15 @@ class TestScans:
             rep = conjecture_scan(n, cap)
             assert rep.passed, rep.summary()
             assert rep.checked > 0
+
+    def test_scan_skips_product_route(self, monkeypatch):
+        import khecke.peterson as peterson
+
+        def product_route(engine, b):
+            raise AssertionError("the scan expanded a product in the phi_0(k) basis")
+        monkeypatch.setattr(peterson, "expand_in_fs_basis", product_route)
+        rep = conjecture_scan(3, 5)
+        assert rep.passed, rep.summary()
 
     def test_n5_scan_passes(self):
         rep = conjecture_scan(5, 7)

@@ -141,6 +141,28 @@ class TestExpandRows:
         assert (got.basis, got.n) == (want.basis, want.n)
 
 
+class TestSpread:
+    def test_empty(self):
+        assert symfunc.spread({}, lambda key: [(key, 1)]) == {}
+
+    def test_cancels_to_empty(self):
+        rows = {"a": [("x", 1), ("y", 2)], "b": [("x", -1), ("y", -2)]}
+        assert symfunc.spread({"a": 3, "b": 3}, rows.__getitem__) == {}
+
+    @given(st.integers(1, 5), st.data())
+    def test_matches_dict_oracle(self, k, data):
+        rows = {i: data.draw(st.dictionaries(st.integers(0, k), st.integers(-3, 3)))
+                for i in range(k)}
+        terms = data.draw(st.dictionaries(st.integers(0, k - 1), st.integers(-3, 3)))
+        want = {}
+        for i, c in terms.items():
+            for j, a in rows[i].items():
+                want[j] = want.get(j, 0) + c * a
+        got = symfunc.spread(terms, lambda i: rows[i].items())
+        assert got == {j: c for j, c in want.items() if c}
+        assert all(got.values())
+
+
 class TestPeel:
     @given(st.integers(1, 6), st.data())
     def test_rebuilds_unitriangular_systems(self, k, data):
