@@ -3,8 +3,8 @@ noncommutative lift into the affine 0-Hecke ring.
 
 Everything is driven by the elements kappa_i (sums of T_w over cyclically
 decreasing w of length i) and their products: the coefficient of m_lam in
-G_v is the coefficient of T_v in kappa_{lam_1} kappa_{lam_2} ...; G_v is
-read by element from the same table, indexed one degree at a time.  The g
+G_v is the coefficient of T_v in kappa_{lam_1} kappa_{lam_2} ...; G_v reads
+the coefficient of T_v from each product of the degrees it needs.  The g
 side reads the pairing <h_nu, G_mu> = [T_{u_mu}] kappa_nu through one table
 of Grassmannian columns, memoised per partition nu: the dual family g_v in
 Z[h_1, ..., h_{n-1}] is peeled against it from the top degree down (its top
@@ -37,8 +37,6 @@ class GrothendieckEngine:
         self.fin = self.datum.coefficient_lattice()
         self._kappa: dict[int, HeckeElt] = {}
         self._kprod: dict[tuple, dict] = {(): {weyl.identity(self.datum): 1}}
-        self._by_elt: dict[weyl.WeylElt, dict] = {}
-        self._by_elt_degree = -1
         self._cols: dict[tuple, dict] = {}
         self._fs: dict[tuple, dict] = {}
         self._g: dict[tuple, SymFunc] = {}
@@ -84,16 +82,6 @@ class GrothendieckEngine:
                                            self.kappa_product(lam[1:]))
         return self._kprod[lam]
 
-    def _row(self, w: weyl.WeylElt, max_degree: int) -> dict:
-        """{lam: [T_w] kappa_lam} by element, complete through |lam| <= max_degree."""
-        while self._by_elt_degree < max_degree:
-            d = self._by_elt_degree + 1
-            for lam in partitions_of(d, self.n - 1):
-                for x, c in self.kappa_product(lam).items():
-                    self._by_elt.setdefault(x, {})[lam] = c
-            self._by_elt_degree = d  # only after degree d is complete
-        return self._by_elt.get(w, {})
-
     def grassmannian_terms(self, terms: dict) -> dict:
         """{partition of w: c} over the Grassmannian w of {w: c}."""
         return {weyl.partition_of_grassmannian(w): c for w, c in terms.items()
@@ -108,24 +96,24 @@ class GrothendieckEngine:
 
     def g_coeff(self, u: weyl.WeylElt, lam: tuple) -> int:
         """[T_u] kappa_lam = coefficient of m_lam in G_u ((n-1)-bounded lam)."""
-        return self._row(u, sum(lam)).get(lam, 0)
+        return self.kappa_product(lam).get(u, 0)
 
     # -- the G / F side ----------------------------------------------------------------
 
+    def _m_terms(self, v: weyl.WeylElt, degrees) -> dict:
+        """{lam: [T_v] kappa_lam} over the bounded lam of ``degrees``, zeros dropped."""
+        return {lam: c for d in degrees for lam in partitions_of(d, self.n - 1)
+                if (c := self.kappa_product(lam).get(v))}
+
     def G_of(self, v: weyl.WeylElt, max_degree: int) -> SymFunc:
-        """G_v in the m basis through total degree max_degree."""
-        row = self._row(v, max_degree)
-        if self._by_elt_degree == max_degree:  # nothing above max_degree yet
-            terms = dict(row)  # a copy: the row is the memo table's own
-        else:
-            terms = {lam: c for lam, c in row.items() if sum(lam) <= max_degree}
-        return SymFunc._trusted("m", terms, self.n)
+        """G_v in the m basis through total degree max_degree (kappa_lam has
+        no term longer than |lam|, so degrees below l(v) contribute nothing)."""
+        return SymFunc._trusted(
+            "m", self._m_terms(v, range(v.length, max_degree + 1)), self.n)
 
     def F_of(self, v: weyl.WeylElt) -> SymFunc:
         """Affine Stanley function: the degree-l(v) part of G_v, in m."""
-        d = v.length
-        return SymFunc._trusted(
-            "m", {lam: c for lam, c in self._row(v, d).items() if sum(lam) == d}, self.n)
+        return SymFunc._trusted("m", self._m_terms(v, [v.length]), self.n)
 
     def m_to_F(self, f: SymFunc) -> SymFunc:
         """Rewrite an m-expansion over the affine Schur functions F_u."""

@@ -237,10 +237,10 @@ class TestVarphi:
                 assert lifted.int_terms().get(w, 0) == expansion.get(mu, 0), (w, mu)
 
 
-class TestByElementIndex:
+class TestGOf:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_G_of_matches_partition_scan(self, n):
-        # a fresh engine whose element index grows in an unsorted degree order
+        # a fresh engine asked in an unsorted degree order
         engine = GrothendieckEngine(n)
         elements = weyl.all_elements(engine.datum, 5)
         for d in (3, 1, 5, 0, 4, 2):
@@ -250,23 +250,22 @@ class TestByElementIndex:
                 assert engine.G_of(w, d).terms == \
                     {lam: c for lam, c in want.items() if c}, (w.word, d)
 
-    def test_G_of_below_table_degree_and_copied(self):
-        # grown to d + 2, the index still yields G_v through degree d only;
-        # at the index's own degree G_of hands out a copy of the row
+    def test_G_of_truncates_and_copies(self):
+        # asked at d + 2 first, G_of(v, d) still stops at degree d, and a
+        # caller's edits to one result reach no later result
         engine = GrothendieckEngine(3)
         d = 2
-        engine.G_of(weyl.identity(engine.datum), d + 2)
         elements = weyl.all_elements(engine.datum, d + 2)
-        assert any(sum(lam) > d for v in elements for lam in engine._row(v, d + 2))
+        full = {v: dict(engine.G_of(v, d + 2).terms) for v in elements}
+        assert any(sum(lam) > d for terms in full.values() for lam in terms)
         for v in elements:
-            row = dict(engine._row(v, d + 2))
             for degree in (d, d + 2):
                 G = engine.G_of(v, degree)
-                assert G.terms == {lam: c for lam, c in row.items()
+                assert G.terms == {lam: c for lam, c in full[v].items()
                                    if sum(lam) <= degree}
                 G.terms[(2, 2, 2)] = 5
-                G.terms.pop(next(iter(row), None), None)
-                assert engine._row(v, d + 2) == row
+                G.terms.pop(next(iter(full[v]), None), None)
+            assert engine.G_of(v, d + 2).terms == full[v]
 
     def test_pairings_reject_unbounded_parts(self, e3):
         u = e3.grassmannian((1,))
