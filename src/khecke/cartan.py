@@ -194,9 +194,6 @@ class RootDatum:
                          marks={labels[i]: marks[i] for i in range(r)})
 
     _NAMED = {
-        "A1": [[2]],
-        "A2": [[2, -1], [-1, 2]],
-        "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
         "B2": [[2, -1], [-2, 2]],
         "C2": [[2, -2], [-1, 2]],
         "G2": [[2, -1], [-3, 2]],

@@ -7,10 +7,11 @@ G_v is the coefficient of T_v in kappa_{lam_1} kappa_{lam_2} ...; G_v reads
 the coefficient of T_v from each product of the degrees it needs.  The g
 side reads the pairing <h_nu, G_mu> = [T_{u_mu}] kappa_nu through one table
 of Grassmannian columns, memoised per partition nu: the dual family g_v in
-Z[h_1, ..., h_{n-1}] is peeled against it from the top degree down (its top
-homogeneous component is the k-Schur function of v), and the g/k-Schur
-expansions and the g-coproduct are sparse sums over it.  Every unitriangular
-system goes through ``symfunc.peel``, and every sum of rows through
+Z[h_1, ..., h_{n-1}] is peeled against it from the top degree down, and the
+g/k-Schur expansions and the g-coproduct are sparse sums over it.  The
+k-Schur function of v is read off as the top homogeneous component of g_v,
+not solved for again.  Every unitriangular system goes through
+``symfunc.peel`` along a fixed key order, and every sum of rows through
 ``symfunc.spread``.
 """
 
@@ -40,7 +41,6 @@ class GrothendieckEngine:
         self._cols: dict[tuple, dict] = {}
         self._fs: dict[tuple, dict] = {}
         self._g: dict[tuple, SymFunc] = {}
-        self._kschur: dict[tuple, SymFunc] = {}
 
     @classmethod
     def get(cls, n: int) -> "GrothendieckEngine":
@@ -129,8 +129,7 @@ class GrothendieckEngine:
         """``peel`` an m-expansion against row(grassmannian(lam)), visiting the
         bounded lam of ``degrees`` once each, lex-descending within a degree:
         each row is m_lam + lex-smaller terms of degree |lam| + higher degrees."""
-        order = iter([lam for d in degrees for lam in partitions_of(d, self.n - 1)])
-        return peel(terms, lambda r: next((lam for lam in order if lam in r), None),
+        return peel(terms, [lam for d in degrees for lam in partitions_of(d, self.n - 1)],
                     lambda lam: row(self.grassmannian(lam)).terms.items())
 
     # -- pairings ------------------------------------------------------------------------
@@ -154,31 +153,31 @@ class GrothendieckEngine:
     # -- the g / k-Schur side ---------------------------------------------------------------
 
     def g_of(self, lam) -> SymFunc:
-        """K-k-Schur function g_lam: the h-expression with <g_lam, G_u> = delta."""
+        """K-k-Schur function g_lam: the h-expression with <g_lam, G_u> = delta,
+        peeled against the columns from degree |lam| down, lex-ascending
+        within a degree (column mu holds [T_{u_mu}] kappa_mu = 1; what the
+        peel leaves on labels already passed is caught by the duality check)."""
         lam = make_partition(lam)
         if lam not in self._g:
-            self._g[lam] = self._dual_solve(lam, top_only=False)
+            if lam and lam[0] >= self.n:
+                raise ValueError(f"partition must be {self.n - 1}-bounded")
+            order = [mu for d in range(sum(lam), -1, -1)
+                     for mu in sorted(partitions_of(d, self.n - 1))]
+            coeffs, _ = peel({lam: 1}, order, lambda mu: self._column(mu).items())
+            out = SymFunc._trusted("h", coeffs, self.n)
+            pairings = self.expand_in_g(out)
+            if pairings != {lam: 1}:
+                raise VerificationError(f"duality failed for {lam}: pairings {pairings}")
+            self._g[lam] = out
         return self._g[lam]
 
     def kschur_of(self, lam) -> SymFunc:
-        """k-Schur function: homogeneous solve against the F family."""
+        """k-Schur function: the top homogeneous component of g_lam.  As
+        G_mu = F_mu + higher degrees and g_lam has no degree above |lam|,
+        <g_lam, G_mu> = delta for |mu| = |lam| says <top, F_mu> = delta."""
         lam = make_partition(lam)
-        if lam not in self._kschur:
-            self._kschur[lam] = self._dual_solve(lam, top_only=True)
-        return self._kschur[lam]
-
-    def _dual_solve(self, lam: tuple, top_only: bool) -> SymFunc:
-        if lam and lam[0] >= self.n:
-            raise ValueError(f"partition must be {self.n - 1}-bounded")
-        # column mu holds [T_{u_mu}] kappa_mu = 1; what the peel leaves on
-        # labels already passed is caught by the duality check below
-        ell = sum(lam)
-        degrees = [ell] if top_only else range(ell, -1, -1)
-        order = iter([mu for d in degrees for mu in sorted(partitions_of(d, self.n - 1))])
-        coeffs, _ = peel({lam: 1}, lambda r: next((mu for mu in order if mu in r), None),
-                         lambda mu: self._column(mu).items())
-        out = SymFunc._trusted("h", coeffs, self.n)
-        pairings = self.expand_in_kschur(out) if top_only else self.expand_in_g(out)
+        out = self.g_of(lam).degree_part(sum(lam))
+        pairings = self.expand_in_kschur(out)
         if pairings != {lam: 1}:
             raise VerificationError(f"duality failed for {lam}: pairings {pairings}")
         return out

@@ -89,12 +89,6 @@ class HeckeElt(_RCombination):
     def coefficient(self, w: WeylElt) -> LaurentPoly:
         return self.terms.get(w, LaurentPoly.zero(self.coeffs))
 
-    def support(self) -> list[WeylElt]:
-        return sorted(self.terms, key=lambda w: (w.length, w.word))
-
-    def max_length(self) -> int:
-        return max((w.length for w in self.terms), default=0)
-
     def is_integer(self) -> bool:
         return all(p.is_constant() for p in self.terms.values())
 
@@ -110,13 +104,6 @@ class HeckeElt(_RCombination):
         return [{"word": list(w.word), "coefficient": p.to_json()}
                 for w, p in sorted(self.terms.items(),
                                    key=lambda t: (t[0].length, t[0].word))]
-
-    @staticmethod
-    def from_json(datum, coeffs, data) -> "HeckeElt":
-        return HeckeElt(datum, coeffs, {
-            weyl.from_word(datum, rec["word"]):
-                LaurentPoly.from_json(coeffs, rec["coefficient"])
-            for rec in data})
 
 
 # -- products -------------------------------------------------------------------

@@ -262,10 +262,8 @@ def sl2_sigma(datum: RootDatum, j: int) -> WeylElt:
     return weyl.from_word(datum, word)
 
 
-def _geom_sum_binom(coeffs_datum, alpha, a: int, m: int, inverse: bool) -> LaurentPoly:
-    """S^m_{<=a}(x) = sum_{t=0}^a binom(t+m-1, m-1) x^t with x = e^{alpha}
-    (or e^{-alpha} when ``inverse``)."""
-    step = -alpha if inverse else alpha
+def _geom_sum_binom(coeffs_datum, step, a: int, m: int) -> LaurentPoly:
+    """S^m_{<=a}(x) = sum_{t=0}^a binom(t+m-1, m-1) x^t with x = e^{step}."""
     terms = {}
     for t in range(a + 1):
         c = comb(t + m - 1, m - 1) if m > 0 else (1 if t == 0 else 0)
@@ -292,13 +290,9 @@ def sl2_psi_closed(m: int, j: int, fin: RootDatum | None = None) -> LaurentPoly:
     d = j - m
     a = d // 2
     straight = (m % 2 == 0) == (d % 2 == 0)
-    if straight:
-        base = one - LaurentPoly.monomial(alpha)
-        s = _geom_sum_binom(fin, alpha, a, m, inverse=False)
-    else:
-        base = one - LaurentPoly.monomial(-alpha)
-        s = _geom_sum_binom(fin, alpha, a, m, inverse=True)
-    out = s
+    x = alpha if straight else -alpha
+    base = one - LaurentPoly.monomial(x)
+    out = _geom_sum_binom(fin, x, a, m)
     for _ in range(m):
         out = out * base
     return out

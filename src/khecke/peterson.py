@@ -51,10 +51,9 @@ def expand_in_fs_basis(engine: GrothendieckEngine, b) -> dict:
         if not b.is_integer():
             raise ValueError("expansion needs integer coefficients")
         b = b.int_terms()
-    order = iter(sorted((w for w in b if weyl.is_grassmannian(w)),
-                        key=lambda w: (w.length, w.word)))
     coeffs, residual = peel(
-        b, lambda r: next((w for w in order if w in r), None),
+        b, sorted((w for w in b if weyl.is_grassmannian(w)),
+                  key=lambda w: (w.length, w.word)),
         lambda w: engine.varphi_g(weyl.partition_of_grassmannian(w)).items())
     if residual:
         raise ValueError("element is not in the Fomin-Stanley subalgebra "

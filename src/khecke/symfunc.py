@@ -1,8 +1,10 @@
 """Partitions and symmetric functions in the m, h, s bases over Z.
 
 Transition matrices go through Kostka numbers (semistandard tableau counts,
-cached per degree); all changes of basis are exact integer unitriangular
-solves.  The Hall pairing is the h/m duality <h_lam, m_mu> = delta.
+cached per degree).  A change of basis is a sum of rows (``spread``) or an
+exact integer unitriangular solve (``peel``), which visits a fixed key
+order once: the partitions of each degree in lex order, which refines
+dominance.  The Hall pairing is the h/m duality <h_lam, m_mu> = delta.
 
 The quotient Lambda^(n) kills m_lam with lam_1 >= n; the subalgebra
 Lambda_(n) = Z[h_1, ..., h_{n-1}] uses h_lam with parts < n.
@@ -224,15 +226,19 @@ def spread(terms: Mapping, row) -> dict:
     return {mu: c for mu, c in out.items() if c}
 
 
-def peel(terms: Mapping, pivot, row) -> tuple[dict, dict]:
-    """Solve terms = sum c_key * row(key) by unitriangular peeling: while
-    ``pivot(residual)`` names a key, record its residual coefficient c and
-    subtract c * row(key), whose (key', a) pairs hold key with a = 1.
-    Returns the coefficients and the leftover residual."""
+def peel(terms: Mapping, order, row) -> tuple[dict, dict]:
+    """Solve terms = sum c_key * row(key) by unitriangular peeling: visit the
+    keys of ``order`` once each, in order, skipping those not in the
+    residual; at a key with residual coefficient c record c and subtract
+    c * row(key), whose (key', a) pairs hold key with a = 1.  Exact when each
+    row adds only keys later in ``order`` or outside it.  Returns the
+    coefficients and the leftover residual."""
     residual = {key: c for key, c in terms.items() if c}
     out = {}
-    while (key := pivot(residual)) is not None:
-        c = residual[key]
+    for key in order:
+        c = residual.get(key)
+        if not c:
+            continue
         out[key] = c
         for mu, a in row(key):
             s = residual.get(mu, 0) - c * a
@@ -243,18 +249,11 @@ def peel(terms: Mapping, pivot, row) -> tuple[dict, dict]:
     return out, residual
 
 
-def _invert_to(f: SymFunc, row, target, pivot_max: bool) -> SymFunc:
-    """Solve f = sum c_lam * row(lam) by unitriangular peeling.
-
-    ``pivot_max`` when row(lam) = lam + dominance-smaller terms (pick the
-    maximal residual term), False when row(lam) = lam + dominance-larger
-    terms (pick the minimal one).  Lex order refines dominance both ways.
-    """
-    chooser = max if pivot_max else min
-    out, _ = peel(f.terms,
-                  lambda r: chooser(r, key=lambda t: (sum(t), t)) if r else None,
-                  row)
-    return SymFunc(target, out, f.n)
+def _lex_ascending(f: SymFunc) -> list[Partition]:
+    """The partitions of f's degrees, lex-ascending within each degree; lex
+    order refines dominance, so it orders the triangular m, h, s rows."""
+    return [lam for d in sorted({sum(lam) for lam in f.terms})
+            for lam in reversed(partitions_of(d))]
 
 
 def convert(f: SymFunc, target: str) -> SymFunc:
@@ -270,9 +269,13 @@ def convert(f: SymFunc, target: str) -> SymFunc:
     if f.basis == "h" and target == "s":
         return SymFunc._trusted("s", spread(f.terms, _h_to_s_row), f.n)
     if f.basis == "m" and target == "s":
-        return _invert_to(f, _s_to_m_row, "s", pivot_max=True)
+        # s_lam = m_lam + dominance-smaller terms: peel lex-descending
+        out, _ = peel(f.terms, reversed(_lex_ascending(f)), _s_to_m_row)
+        return SymFunc._trusted("s", out, f.n)
     if f.basis == "s" and target == "h":
-        return _invert_to(f, _h_to_s_row, "h", pivot_max=False)
+        # h_mu = s_mu + dominance-larger terms: peel lex-ascending
+        out, _ = peel(f.terms, _lex_ascending(f), _h_to_s_row)
+        return SymFunc._trusted("h", out, f.n)
     if f.basis == "m" and target == "h":
         return convert(convert(f, "s"), "h")
     raise ValueError(f"cannot convert basis {f.basis!r}")

@@ -14,7 +14,7 @@ A product or inverse is computed as a key and looked up.  The first time a
 key is met its word is derived by walking down smallest left descents only
 as far as the first interned element.
 Each element also remembers its edges: the left edges r_i w
-(``left_simple``), so the 0-Hecke fold, the Bruhat recursion and
+(``left_simple``), so the 0-Hecke fold, the Bruhat walk and
 ``psi_left`` multiply once per (w, i); the right edges w r_i
 (``right_simple``) and the smallest right descent for ``psi_right``; and the
 root edges r_alpha w (``left_reflection``) for the big-torus GKM check.
@@ -33,7 +33,6 @@ Words in tables and CLI output are read left to right: "210" is r2*r1*r0.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .cartan import DatumMismatchError, RootDatum, Weight
 from .symfunc import partitions_of
@@ -393,35 +392,27 @@ def simple_root_image(w: WeylElt, i, lattice) -> Weight:
 # -- Bruhat order ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=1 << 20)
-def _bruhat_leq_cached(v: WeylElt, w: WeylElt) -> bool:
-    if v.is_identity():
-        return True
-    if v.length > w.length:
-        return False
-    if v.length == w.length:
-        return v == w
-    i = w.word[0]  # smallest-left-descent generator of the canonical word
-    rw = left_simple(i, w)
-    rv = left_simple(i, v)
-    if rv.length < v.length:
-        return _bruhat_leq_cached(rv, rw)
-    return _bruhat_leq_cached(v, rw)
-
-
 def bruhat_leq(v: WeylElt, w: WeylElt) -> bool:
-    """Bruhat order by the lifting recursion."""
+    """Bruhat order by the lifting property, one step per letter i of w's
+    canonical word: i is a left descent of what remains of w, so v <= w iff
+    min(v, r_i v) <= r_i w.  v <= w iff the walk brings v to the identity."""
     if v.datum is not w.datum:
         raise DatumMismatchError("elements of different Weyl groups")
-    return _bruhat_leq_cached(v, w)
+    for k, i in enumerate(w.word):
+        if v.length > w.length - k:
+            return False
+        rv = left_simple(i, v)
+        if rv.length < v.length:
+            v = rv
+    return v.is_identity()
 
 
 def bruhat_ideal(w: WeylElt) -> list[WeylElt]:
-    """All v <= w, via subwords of the canonical word."""
+    """All v <= w: the products of the subwords of the canonical word, grown
+    one letter at a time from the right."""
     seen = {identity(w.datum)}
-    for mask in range(1, 1 << w.length):
-        sub = [w.word[k] for k in range(w.length) if mask >> k & 1]
-        seen.add(from_word(w.datum, sub))
+    for i in reversed(w.word):
+        seen |= {left_simple(i, v) for v in seen}
     return sorted(seen, key=lambda v: (v.length, v.word))
 
 

@@ -3,7 +3,6 @@ import json
 import logging
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 import pytest
@@ -453,6 +452,7 @@ class TestConjecturesAndCache:
         assert head == ["tables bijection n=3: OK\n"] * lines_read
 
     def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         project = tomllib.loads(pyproject.read_text("utf-8"))["project"]
         assert khecke.__version__ == project["version"]

@@ -15,7 +15,6 @@ from khecke.peterson import (ConjectureReport, SupportTruncationError,
                              expand_in_fs_basis, fomin_stanley_elt,
                              fomin_stanley_via_linear_system, l0_membership,
                              pieri, structure_d)
-from khecke.symfunc import peel
 
 
 def elt(engine, word):
@@ -131,11 +130,17 @@ class TestExpansion:
 def expand_by_min_pivot(engine, terms):
     """Oracle for expand_in_fs_basis: the pivot is the least Grassmannian key
     of the whole residual, searched again at every step."""
-    coeffs, residual = peel(
-        terms,
-        lambda r: min((w for w in r if weyl.is_grassmannian(w)),
-                      key=lambda w: (w.length, w.word), default=None),
-        lambda w: engine.varphi_g(weyl.partition_of_grassmannian(w)).items())
+    residual = {w: c for w, c in terms.items() if c}
+    coeffs = {}
+    while (w := min((w for w in residual if weyl.is_grassmannian(w)),
+                    key=lambda w: (w.length, w.word), default=None)) is not None:
+        c = coeffs[w] = residual[w]
+        for v, a in engine.varphi_g(weyl.partition_of_grassmannian(w)).items():
+            s = residual.get(v, 0) - c * a
+            if s:
+                residual[v] = s
+            else:
+                del residual[v]
     assert not residual
     return {weyl.partition_of_grassmannian(w): c for w, c in coeffs.items()}
 

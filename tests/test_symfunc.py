@@ -166,14 +166,12 @@ class TestSpread:
 class TestPeel:
     @given(st.integers(1, 6), st.data())
     def test_rebuilds_unitriangular_systems(self, k, data):
-        # row(i) = e_i + later keys; key k is never a pivot, so it is leftover
+        # row(i) = e_i + later keys; key k is outside the order, so it is leftover
         rows = {i: {i: 1, **{j: data.draw(st.integers(-3, 3))
                              for j in range(i + 1, k + 1)}}
                 for i in range(k)}
         terms = data.draw(st.dictionaries(st.integers(0, k), st.integers(-5, 5)))
-        coeffs, left = peel(terms,
-                            lambda r: min((i for i in r if i < k), default=None),
-                            lambda i: rows[i].items())
+        coeffs, left = peel(terms, range(k), lambda i: rows[i].items())
         rebuilt = dict(left)
         for i, c in coeffs.items():
             for j, a in rows[i].items():
@@ -182,6 +180,26 @@ class TestPeel:
             {j: c for j, c in terms.items() if c}
         assert set(left) <= {k}
         assert all(coeffs.values())
+
+    def test_row_adds_a_later_key(self):
+        # key 1 is not in terms; row 0 brings it in before the order reaches it
+        rows = {0: {0: 1, 1: 2}, 1: {1: 1}}
+        assert peel({0: 1}, [0, 1], lambda i: rows[i].items()) == ({0: 1, 1: -2}, {})
+
+    def test_order_keys_missing_from_residual_are_skipped(self):
+        rows = {0: {0: 1, 2: 1}, 1: {1: 1, 2: 1}, 2: {2: 1}}
+        visited = []
+
+        def row(i):
+            visited.append(i)
+            return rows[i].items()
+        # key 0 is absent, and key 2 cancels before the order reaches it
+        assert peel({1: 3, 2: 3}, [0, 1, 2], row) == ({1: 3}, {})
+        assert visited == [1]
+
+    def test_key_already_passed_stays_in_residual(self):
+        rows = {0: {0: 1}, 1: {1: 1, 0: 5}}
+        assert peel({1: 1}, [0, 1], lambda i: rows[i].items()) == ({1: 1}, {0: -5})
 
 
 class TestHallPairing:

@@ -70,6 +70,14 @@ class TestGroupOps:
             assert weyl.apply(w, datum.rho).coords == lam.coords
 
 
+def subword_products(w):
+    """Oracle for the Bruhat order: the elements of all 2^l(w) subwords of
+    w's canonical word, one ``from_word`` each."""
+    word = w.word
+    return {weyl.from_word(w.datum, [word[k] for k in range(len(word)) if mask >> k & 1])
+            for mask in range(1 << len(word))}
+
+
 class TestBruhat:
     def test_identity_below_everything(self, A2):
         e = weyl.identity(A2)
@@ -83,16 +91,18 @@ class TestBruhat:
 
     @pytest.mark.parametrize("typ", ["A2", "A1~"])
     def test_against_subword_oracle(self, typ):
-        datum = RootDatum.of_type(typ)
-        els = words_leq(datum, 5)
+        els = words_leq(RootDatum.of_type(typ), 5)
         for w in els:
-            below = set()
-            word = w.word
-            for mask in range(1 << len(word)):
-                sub = [word[k] for k in range(len(word)) if mask >> k & 1]
-                below.add(weyl.from_word(datum, sub))
+            below = subword_products(w)
             for v in els:
                 assert weyl.bruhat_leq(v, w) == (v in below), (v, w)
+
+    @pytest.mark.parametrize("typ", ["A1~", "A2~", "A2", "C2~"])
+    def test_ideal_against_subword_oracle(self, typ):
+        for w in words_leq(RootDatum.of_type(typ), 5):
+            ideal = weyl.bruhat_ideal(w)
+            assert set(ideal) == subword_products(w), w
+            assert ideal == sorted(ideal, key=lambda v: (v.length, v.word))
 
 
 def reduced_words(w):
