@@ -297,14 +297,6 @@ class RootDatum:
             v = [a + b for a, b in zip(v, self._fundamental[i])]
         return self.weight(v)
 
-    def null_root(self) -> "Weight":
-        if self.flavor != "affine":
-            raise ValueError("delta only exists in affine flavor")
-        v = [0] * self.rank
-        for i in self.nodes:
-            v = [a + self.marks[i] * b for a, b in zip(v, self._simple_roots[i])]
-        return self.weight(v)
-
     def pairing(self, i, lam: "Weight") -> int:
         """<alpha_i^vee, lam>."""
         self._own(lam)
@@ -390,12 +382,6 @@ class RootDatum:
         if any(x.denominator != 1 for x in out):
             return None
         return tuple(int(x) for x in out)
-
-    def is_positive_root(self, lam: "Weight") -> bool:
-        c = self.root_coords(lam)
-        if c is None or all(x == 0 for x in c):
-            return False
-        return all(x >= 0 for x in c)
 
 
 def solve_exact(cols, rhs):
@@ -603,6 +589,15 @@ class LaurentPoly(Combination):
         if isinstance(other, int):
             return self.scaled(other)
         self._compat(other)
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            # c e^mu * p shifts p by mu and scales it by c: no two terms
+            # merge and, Z being a domain, none vanishes
+            mono, p = (self, other) if len(self.terms) == 1 else (other, self)
+            [(mu, c)] = mono.terms.items()
+            m, datum = mu.coords, self.datum
+            return self._new({Weight._canonical(
+                datum, tuple([a + b for a, b in zip(w.coords, m)])): c * d
+                for w, d in p.terms.items()})
         acc = {}
         rhs = [(w.coords, c) for w, c in other.terms.items()]
         for w1, c1 in self.terms.items():

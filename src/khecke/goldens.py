@@ -9,7 +9,6 @@ reports every discrepancy; an empty report is the acceptance condition.
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 from . import weyl
 from .grothendieck import GrothendieckEngine
@@ -26,7 +25,10 @@ _FILES = {
 
 
 def load_golden(kind: str) -> dict:
-    """The shipped golden ``kind`` table; ValueError for an unknown kind."""
+    """The shipped golden ``kind`` table; ValueError for an unknown kind.
+    ``importlib.resources`` is imported here, off every other command's path."""
+    from importlib import resources
+
     if kind not in _FILES:
         raise ValueError(f"unknown table kind {kind!r}; known kinds: "
                          f"{', '.join(TABLE_KINDS)}")

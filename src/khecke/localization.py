@@ -11,8 +11,12 @@ Grassmannian expansion, whose pivot psi^u(u) = prod_{beta in Inv(u)}
 
 The big-torus GKM condition psi(r_alpha w) = psi(w) mod (1 - e^alpha) is
 tested by comparing residues in Z[P]/(1 - e^alpha) = Z[P/Z alpha]
-(``cartan.residue_mod_one_minus_e``): each psi value is reduced once per
-root and no difference is formed.  The small-torus conditions, modulo
+(``cartan.residue_mod_one_minus_e``): each nonzero psi value is reduced
+once per root, a zero value has residue {} unreduced, and no difference
+is formed.  ``psi_right`` reads each w(alpha_i) from the engine's memo
+(``PsiEngine.root_image``) and takes one product per step, by the
+one-term factor e^{-w(alpha_i)}, which ``LaurentPoly`` multiplies as a
+shift.  The small-torus conditions, modulo
 (1 - e^alpha)^d, test line moments (``cartan.divisible_by_one_minus_e``).
 
 Flavors: "big" works over the datum's own lattice (R(T) or R(T_af));
@@ -44,6 +48,7 @@ class PsiEngine:
         self._action = datum.simple_action(self.coeffs)
         self._right: dict = {}
         self._left: dict = {}
+        self._roots: dict = {}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -54,16 +59,16 @@ class PsiEngine:
         return LaurentPoly.one(self.coeffs)
 
     def root_image(self, w: WeylElt, i) -> "Weight":
-        """w(alpha_i) in the coefficient lattice."""
-        return weyl.simple_root_image(w, i, self.coeffs)
+        """w(alpha_i) in the coefficient lattice: ``weyl.simple_root_image``
+        once per (w, i), then remembered in the engine."""
+        key = (w, i)
+        lam = self._roots.get(key)
+        if lam is None:
+            lam = self._roots[key] = weyl.simple_root_image(w, i, self.coeffs)
+        return lam
 
     def act(self, i, p: LaurentPoly) -> LaurentPoly:
         return weyl_reflect_poly(self.datum, i, p)
-
-    def act_elt(self, w: WeylElt, p: LaurentPoly) -> LaurentPoly:
-        for i in reversed(w.word):
-            p = self.act(i, p)
-        return p
 
     # -- the three algorithms -----------------------------------------------------
 
@@ -177,8 +182,9 @@ def gkm_check_big(psi_of, pairs) -> bool:
     real root and w an element of the same Weyl group; psi_of maps
     WeylElt -> LaurentPoly.  The difference lies in the ideal exactly when
     psi(r_alpha w) and psi(w) have the same residue in Z[P/Z alpha]; the
-    residues are memoised per (x, alpha) within the call, and r_alpha w is
-    the edge remembered on w (``weyl.left_reflection``).
+    residues are memoised per (x, alpha) within the call, a zero value
+    (psi^v(x) = 0 unless v <= x) has residue {} without reduction, and
+    r_alpha w is the edge remembered on w (``weyl.left_reflection``).
     """
     residues = {}
 
@@ -186,7 +192,8 @@ def gkm_check_big(psi_of, pairs) -> bool:
         key = (x, alpha)
         r = residues.get(key)
         if r is None:
-            r = residues[key] = residue_mod_one_minus_e(psi_of(x), alpha)
+            p = psi_of(x)
+            r = residues[key] = residue_mod_one_minus_e(p, alpha) if p else {}
         return r
 
     for alpha, w in pairs:

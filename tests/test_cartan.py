@@ -14,6 +14,14 @@ def poly(datum, coords_coeffs):
     return LaurentPoly(datum, {datum.weight(c): v for c, v in coords_coeffs})
 
 
+def null_root(datum):
+    """delta = sum_i a_i alpha_i of an affine datum, from its marks."""
+    delta = datum.zero()
+    for i in datum.nodes:
+        delta = delta + datum.simple_root(i).scaled(datum.marks[i])
+    return delta
+
+
 def rand_poly(datum, rng, size=3, box=2):
     terms = {}
     for _ in range(size):
@@ -43,7 +51,7 @@ class TestRootDatum:
 
     def test_affine_marks_null_root(self, af2, af3):
         for datum in (af2, af3):
-            delta = datum.null_root()
+            delta = null_root(datum)
             for i in datum.nodes:
                 assert datum.pairing(i, delta) == 0
 
@@ -205,7 +213,7 @@ class TestPhi0Eta:
 class TestProjection:
     def test_kernel(self, af2):
         fin = af2.finite
-        delta = af2.null_root()
+        delta = null_root(af2)
         lam0 = af2.fundamental_weight(0)
         a1 = af2.simple_root(1)
         proj = af2.project(a1 + delta.scaled(3))
@@ -213,7 +221,7 @@ class TestProjection:
         assert af2.project(lam0).is_zero()
 
     def test_poly_projection(self, af2, level_zero_project):
-        p = LaurentPoly(af2, {af2.simple_root(1): 2, af2.null_root(): 1})
+        p = LaurentPoly(af2, {af2.simple_root(1): 2, null_root(af2): 1})
         q = level_zero_project(p, af2)
         fin = af2.finite
         assert q == LaurentPoly(fin, {fin.simple_root(1): 2, fin.zero(): 1})
@@ -458,7 +466,7 @@ class TestCanonicalWeights:
         af = RootDatum.affine_sl(n)
         assert Weight(af, (1,) * n + (0, 0)) == af.zero()
         assert Weight(af, (3,) * n + (1, 2)) == af.weight((0,) * n + (1, 2))
-        assert Weight(af, (1,) * n + (0, 0)) != af.null_root()
+        assert Weight(af, (1,) * n + (0, 0)) != null_root(af)
 
     @given(st.sampled_from(RING_DATA), coords_st, coords_st, st.integers(-3, 3))
     def test_ops_match_datum_weight(self, datum, x, y, k):
@@ -500,6 +508,30 @@ class TestRingOracle:
         assert as_oracle(eta(p)) == {datum.canon(tuple(-u for u in x)): c
                                      for x, c in po.items()}
         assert (p - p).is_zero() and (p + (-p)).is_zero()
+
+    @given(st.sampled_from(RING_DATA), coords_st, coords_st,
+           st.sampled_from([1, -1, 2, -3]), st.integers(-3, 3), terms_st)
+    def test_one_term_factor(self, datum, x, y, c, d, pt):
+        # c e^mu * p is a shift of p by mu scaled by c, on either side; a
+        # product of two single terms is one term
+        mono = LaurentPoly.monomial(datum.weight(cut(datum, x)), c)
+        other = LaurentPoly.monomial(datum.weight(cut(datum, y)), d)
+        p = build(datum, pt)
+        mo, oo, po = as_oracle(mono), as_oracle(other), as_oracle(p)
+        assert as_oracle(mono * p) == as_oracle(p * mono) == oracle_mul(datum, mo, po)
+        assert as_oracle(mono * other) == oracle_mul(datum, mo, oo)
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_one_term_factor_explicit(self, c):
+        # e^mu p, p e^mu and c e^mu p with an explicit c outside {1, -1}
+        import random
+        rng = random.Random(c)
+        for datum in RING_DATA:
+            mono = LaurentPoly.monomial(datum.simple_root(datum.nodes[-1]), c)
+            p = rand_poly(datum, rng, size=4)
+            mo, po = as_oracle(mono), as_oracle(p)
+            assert as_oracle(mono * p) == as_oracle(p * mono) == oracle_mul(datum, mo, po)
+            assert as_oracle(mono * mono) == oracle_mul(datum, mo, mo)
 
     @given(st.sampled_from(RING_DATA), terms_st, terms_st)
     def test_forced_cancellation(self, datum, pt, qt):

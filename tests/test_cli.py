@@ -432,6 +432,15 @@ class TestConjecturesAndCache:
                              text=True, check=True, env={"PYTHONPATH": str(src)})
         assert out.stdout.strip() == "False False"
 
+    def test_import_leaves_importlib_resources_unloaded(self):
+        # only reading a golden file needs it; -S keeps a site-packages .pth
+        # file from importing it before khecke does
+        src = Path(khecke.__file__).resolve().parents[1]
+        probe = "import sys, khecke.cli; print('importlib.resources' in sys.modules)"
+        out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                             text=True, check=True, env={"PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
+
     @pytest.mark.parametrize("lines_read, flags", [(0, ()), (1, ("-u",))],
                              ids=["buffered-unread", "unbuffered-one-line"])
     def test_closed_stdout_is_quiet(self, lines_read, flags):

@@ -23,6 +23,13 @@ def reduced_words(w):
     return out
 
 
+def act_elt(engine, w, p):
+    """w . p, one simple reflection per letter of w's word."""
+    for i in reversed(w.word):
+        p = engine.act(i, p)
+    return p
+
+
 def table_json(engine, max_len):
     """All values psi^v(w) for l(v), l(w) <= max_len as JSON records."""
     els = weyl.all_elements(engine.datum, max_len)
@@ -126,8 +133,8 @@ class TestAgreement:
         els = weyl.all_elements(A2, 3)
         for v in els:
             for w in els:
-                rhs = eta(eng_A2.act_elt(
-                    w, eng_A2.psi_right(weyl.inverse(v), weyl.inverse(w))))
+                rhs = eta(act_elt(eng_A2, w, eng_A2.psi_right(
+                    weyl.inverse(v), weyl.inverse(w))))
                 assert eng_A2.psi_right(v, w) == rhs
 
     def test_kloc_group_expansion(self, A2, eng_A2, lz2):
@@ -185,9 +192,10 @@ class TestGKMBig:
         return [(a, w) for a in roots for w in els]
 
     def test_constant_function(self, A2):
-        one = LaurentPoly.one(A2)
+        # zero values take residue {} without reduction
         pairs = self._pairs(A2, weyl.all_elements(A2, 3))
-        assert gkm_check_big(lambda w: one, pairs)
+        for c in (LaurentPoly.one(A2), LaurentPoly.zero(A2)):
+            assert gkm_check_big(lambda w: c, pairs)
 
     def test_psi_tables_pass(self, A2, eng_A2):
         els = weyl.all_elements(A2, 3)
@@ -210,6 +218,18 @@ class TestGKMBig:
         def bad(x):
             p = eng_A2.psi_right(v, x)
             return p + LaurentPoly.one(A2) if x == w0 else p
+        assert not gkm_check_big(bad, pairs)
+
+    def test_perturbation_at_a_zero_value_fails(self, A2, eng_A2):
+        # psi^v(x) = 0 for v = r_1 not <= x = r_2; raising it to 1 breaks the
+        # pair (alpha_2, x), whose neighbour r_2 x = e still has residue {}
+        els = weyl.all_elements(A2, 3)
+        pairs = self._pairs(A2, els)
+        v, x = weyl.simple(A2, 1), weyl.simple(A2, 2)
+        assert eng_A2.psi_right(v, x).is_zero()
+
+        def bad(y):
+            return LaurentPoly.one(A2) if y == x else eng_A2.psi_right(v, y)
         assert not gkm_check_big(bad, pairs)
 
 
@@ -434,6 +454,27 @@ class TestPsiRightStep:
         assert got == psi_right_two_products(engine, v, w, memo)
         assert got == engine.psi_left(v, w)
         assert got == engine.psi_graham_willems(v, w)
+
+
+ROOT_IMAGE_CASES = [("A2~", "big"), ("A2~", "level-zero"), ("A1~", "big"),
+                    ("A1~", "level-zero"), ("C2~", "big"), ("G2~", "big"),
+                    ("B2", "big"), ("G2", "big")]
+
+
+class TestRootImage:
+    @pytest.mark.parametrize("typ,flavor", ROOT_IMAGE_CASES)
+    def test_remembered_root_image_matches_the_action(self, typ, flavor):
+        # the engine remembers w(alpha_i) per (w, i); weyl.apply acts letter
+        # by letter (or by the window's finite part on level zero)
+        datum = RootDatum.of_type(typ)
+        engine = PsiEngine(datum, flavor)
+        alphas = {i: datum.to_lattice(datum.simple_root(i), engine.coeffs)
+                  for i in datum.nodes}
+        els = weyl.all_elements(datum, 4)
+        for _ in range(2):
+            for w in els:
+                for i, alpha in alphas.items():
+                    assert engine.root_image(w, i) == weyl.apply(w, alpha), (w, i)
 
 
 class TestLevelZeroNeedsCompanion:
