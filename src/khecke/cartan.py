@@ -30,7 +30,8 @@ zero, so the weight operations build their results with the private
 supported map from keys to nonzero coefficients (ints or LaurentPolys) with
 sums, negation, scaling, equality and hashing.  LaurentPoly, the 0-Hecke
 elements (``hecke``) and the symmetric functions (``symfunc``) subclass it
-and add their own constructors and products.
+and add their own constructors and products.  ``spread`` beside it is the
+one sum of rows, for ``demazure``, ``symfunc`` and ``grothendieck``.
 
 LaurentPoly is the integer group algebra of the weight lattice: a finitely
 supported map Weight -> nonzero int.  The public constructor checks each
@@ -496,6 +497,7 @@ class Combination:
     __slots__ = ("terms",)
 
     def __add__(self, other):
+        """Merge into a copy of self's terms (``spread`` would rebuild both)."""
         host = self._compat(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
@@ -533,6 +535,16 @@ class Combination:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+
+def spread(terms: Mapping, row) -> dict:
+    """sum c * row(key) over {key: c}, zeros dropped: the forward twin of
+    ``symfunc.peel``, with row(key) yielding (key', a) pairs."""
+    out = {}
+    for key, c in terms.items():
+        for mu, a in row(key):
+            out[mu] = out.get(mu, 0) + c * a
+    return {mu: c for mu, c in out.items() if c}
 
 
 class LaurentPoly(Combination):
@@ -586,6 +598,7 @@ class LaurentPoly(Combination):
     # -- products ---------------------------------------------------------------
 
     def __mul__(self, other):
+        """Summed over coordinate tuples, not ``spread``: GKM checks' hot path."""
         if isinstance(other, int):
             return self.scaled(other)
         self._compat(other)
@@ -666,27 +679,15 @@ def demazure(datum: RootDatum, i, p: LaurentPoly) -> LaurentPoly:
     """
     row, alpha = datum.simple_action(p.datum)[i]
     dot = RootDatum._dot
-    out = {}
 
-    def add(w, c):
-        s = out.get(w, 0) + c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-
-    for lam, c in p.terms.items():
+    def image(lam):  # T_i . e^lam as (weight, coefficient) pairs
         m = dot(row, lam.coords)
-        if m == 0:
-            continue
         if m > 0:
             w = lam - alpha.scaled(m)  # e^{r_i lam}
-            for k in range(m):
-                add(w + alpha.scaled(k), c)
-        else:
-            for k in range(-m):
-                add(lam + alpha.scaled(k), -c)
-    return p._new(out)
+            return [(w + alpha.scaled(k), 1) for k in range(m)]
+        return [(lam + alpha.scaled(k), -1) for k in range(-m)]
+
+    return p._new(spread(p.terms, image))
 
 
 def weyl_reflect_poly(datum: RootDatum, i, p: LaurentPoly) -> LaurentPoly:
@@ -745,7 +746,8 @@ def residue_mod_one_minus_e(p: LaurentPoly, alpha: Weight) -> dict[tuple, int]:
     """The image of p in Z[P]/(1 - e^alpha) = Z[P/Z alpha].
 
     Returns {line key: coefficient sum of p on that alpha-line}, zero sums
-    dropped; the keys are those of ``_alpha_lines``.
+    dropped; the keys are those of ``_alpha_lines``.  Not a ``spread``: it
+    is on the big-torus GKM check's hot path.
     """
     sums: dict[tuple, int] = {}
     for key, _, c in _line_terms(p, alpha):

@@ -126,7 +126,8 @@ def int_mul(a: dict, b: dict) -> dict:
     """Product of integer elements {WeylElt: int} of the 0-Hecke ring.
 
     Each fold T_u T_v = sign T_w is remembered on the interned left factor u,
-    as ``weyl.left_simple`` remembers edges, so a pair is folded once."""
+    as ``weyl.left_simple`` remembers edges, so a pair is folded once.  Not
+    a ``spread``: the fold memo sits in the scan's innermost loop."""
     out = {}
     for u, c in a.items():
         folds = u._folds = u._folds or {}

@@ -245,7 +245,7 @@ def _finite_reflection(datum: RootDatum, alpha_vee) -> WeylElt:
     j = next(k for k, c in enumerate(alpha_vee) if c == -1)
     win = list(range(1, n + 1))
     win[i], win[j] = win[j], win[i]
-    return weyl._from_window(datum, tuple(win))
+    return weyl._intern(datum, tuple(win))
 
 
 # -- affine SL_2 closed forms -------------------------------------------------------

@@ -1,7 +1,8 @@
 """Partitions and symmetric functions in the m, h, s bases over Z.
 
 Transition matrices go through Kostka numbers (semistandard tableau counts,
-cached per degree).  A change of basis is a sum of rows (``spread``) or an
+cached per degree).  A change of basis is a sum of rows (``spread``, from
+``cartan``; so are the h x h product and Delta(h_lam)) or an
 exact integer unitriangular solve (``peel``), which visits a fixed key
 order once: the partitions of each degree in lex order, which refines
 dominance.  The Hall pairing is the h/m duality <h_lam, m_mu> = delta.
@@ -23,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .cartan import Combination
+from .cartan import Combination, spread
 
 Partition = tuple  # weakly decreasing positive ints
 
@@ -216,23 +217,14 @@ def _h_to_s_row(mu: Partition) -> tuple:
                         if kostka(lam, mu)))
 
 
-def spread(terms: Mapping, row) -> dict:
-    """sum c * row(key) over {key: c}, zeros dropped: the forward twin of
-    ``peel``, with row(key) yielding (key', a) pairs."""
-    out = {}
-    for key, c in terms.items():
-        for mu, a in row(key):
-            out[mu] = out.get(mu, 0) + c * a
-    return {mu: c for mu, c in out.items() if c}
-
-
 def peel(terms: Mapping, order, row) -> tuple[dict, dict]:
     """Solve terms = sum c_key * row(key) by unitriangular peeling: visit the
     keys of ``order`` once each, in order, skipping those not in the
     residual; at a key with residual coefficient c record c and subtract
     c * row(key), whose (key', a) pairs hold key with a = 1.  Exact when each
     row adds only keys later in ``order`` or outside it.  Returns the
-    coefficients and the leftover residual."""
+    coefficients and the leftover residual, which it updates in place
+    rather than by ``spread``, as it reads it key by key."""
     residual = {key: c for key, c in terms.items() if c}
     out = {}
     for key in order:
@@ -287,16 +279,8 @@ def convert(f: SymFunc, target: str) -> SymFunc:
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     """Product; h x h concatenates parts, anything else goes through h."""
     if f.basis == "h" and g.basis == "h":
-        out = {}
-        for lam, a in f.terms.items():
-            for mu, b in g.terms.items():
-                nu = make_partition(lam + mu)
-                s = out.get(nu, 0) + a * b
-                if s:
-                    out[nu] = s
-                else:
-                    del out[nu]
-        return SymFunc("h", out, f.n or g.n)
+        return SymFunc._trusted("h", spread(f.terms, lambda lam: [
+            (make_partition(lam + mu), b) for mu, b in g.terms.items()]), f.n or g.n)
     fh, gh = convert(f, "h"), convert(g, "h")
     prod = multiply(fh, gh)
     if f.basis == g.basis and f.basis in ("m", "s"):
@@ -367,13 +351,9 @@ def _delta_h(lam: Partition) -> tuple:
     """Delta(h_lam) as an item tuple of ((left, right), coefficient)."""
     acc = {((), ()): 1}
     for r in lam:
-        nxt = {}
-        for (left, right), a in acc.items():
-            for j in range(r + 1):
-                key = (make_partition(left + ((j,) if j else ())),
-                       make_partition(right + ((r - j,) if r - j else ())))
-                nxt[key] = nxt.get(key, 0) + a
-        acc = nxt
+        acc = spread(acc, lambda key: [
+            ((make_partition(key[0] + (j,)), make_partition(key[1] + (r - j,))), 1)
+            for j in range(r + 1)])
     return tuple(acc.items())
 
 

@@ -10,9 +10,9 @@ There i is a left descent of w iff <alpha_i^vee, w(rho)> < 0, a right
 descent iff the right edge w r_i is shorter, a product uv is u's word
 applied to v(rho), and w^{-1} is the element of the reversed word.
 
-A product or inverse is computed as a key and looked up.  The first time a
-key is met its word is derived by walking down smallest left descents only
-as far as the first interned element.
+A product or inverse is computed as a key and looked up (``_intern``).  The
+first time a key is met its word is derived by walking down smallest left
+descents only as far as the first interned element.
 Each element also remembers its edges: the left edges r_i w
 (``left_simple``), so the 0-Hecke fold, the Bruhat walk and
 ``psi_left`` multiply once per (w, i); the right edges w r_i
@@ -21,10 +21,10 @@ root edges r_alpha w (``left_reflection``) for the big-torus GKM check.
 Elements stay immutable values: the memo is derived from the element alone,
 and interning makes each edge one object.
 
-Equality is identity.  ``_DatumOps.__init__``, ``_from_window`` and
-``_from_rho`` are the only places a ``WeylElt`` is constructed, and each
-looks the key up in its datum's table first, so equal elements are the same
-object; ``_DatumOps._registry`` keeps every datum alive, so no ``id`` is
+Equality is identity.  ``_DatumOps.__init__`` and ``_intern`` are the only
+places a ``WeylElt`` is constructed, and each looks the key up in its
+datum's table first, so equal elements are the same object;
+``_DatumOps._registry`` keeps every datum alive, so no ``id`` is
 reused.  Dicts and sets keyed by elements therefore hash in C.
 
 Words in tables and CLI output are read left to right: "210" is r2*r1*r0.
@@ -138,8 +138,9 @@ class WeylElt:
     the window in affine type A, else w(rho).
 
     Compared and hashed by identity, which is equality because elements are
-    interned: construct them only at the three interning sites named in the
-    module docstring, never directly, by copying or by unpickling."""
+    interned: construct them only in ``_DatumOps.__init__`` (the identity and
+    the simple reflections) and ``_intern`` (everything else), never
+    directly, by copying or by unpickling."""
 
     __slots__ = ("datum", "word", "length", "window", "_rho",
                  "_left", "_right", "_roots", "_rdesc", "_grass", "_folds")
@@ -173,23 +174,6 @@ class WeylElt:
         return out
 
 
-def _word_via_interned(interned, key, down):
-    """Canonical word of the element whose interning key is ``key``.
-
-    Walks down smallest left descents, ``down(key) -> (j, key of r_j x)``, to
-    the first interned element and appends that element's word.  This is the
-    greedy word: the identity and the simple reflections are interned with
-    theirs, and every other element is built by this rule."""
-    word = []
-    while key not in interned:
-        step = down(key)
-        if step is None:
-            raise ValueError("action did not reduce to the identity")
-        word.append(step[0])
-        key = step[1]
-    return tuple(word) + interned[key].word
-
-
 def _win_down(win):
     """(j, r_j x) for the smallest left descent j of the window x."""
     inv = _win_inverse(win)
@@ -208,22 +192,22 @@ def _rho_down(lam):
     return None
 
 
-def _from_window(datum, win) -> WeylElt:
+def _intern(datum, key) -> WeylElt:
+    """The element of ``datum`` with interning key ``key`` (its window, else
+    w(rho)).  A new key gets the greedy word: ``_win_down`` or ``_rho_down``
+    to the first interned element, then that element's word."""
     interned = _DatumOps.of(datum).interned
-    elt = interned.get(win)
+    elt = interned.get(key)
     if elt is None:
-        word = _word_via_interned(interned, win, _win_down)
-        elt = interned[win] = WeylElt(datum, word, win)
-    return elt
-
-
-def _from_rho(datum, lam) -> WeylElt:
-    """The element x of a datum without a window with x(rho) = lam."""
-    interned = _DatumOps.of(datum).interned
-    elt = interned.get(lam)
-    if elt is None:
-        word = _word_via_interned(interned, lam, _rho_down)
-        elt = interned[lam] = WeylElt(datum, word, lam)
+        down = _win_down if datum.window_n is not None else _rho_down
+        word, x = [], key
+        while x not in interned:
+            step = down(x)
+            if step is None:
+                raise ValueError("action did not reduce to the identity")
+            word.append(step[0])
+            x = step[1]
+        elt = interned[key] = WeylElt(datum, tuple(word) + interned[x].word, key)
     return elt
 
 
@@ -298,8 +282,8 @@ def multiply(u: WeylElt, v: WeylElt) -> WeylElt:
     if v.is_identity():
         return u
     if u.window is not None:
-        return _from_window(u.datum, _win_compose(u.window, v.window))
-    return _from_rho(u.datum, apply(u, v._rho))
+        return _intern(u.datum, _win_compose(u.window, v.window))
+    return _intern(u.datum, apply(u, v._rho))
 
 
 def left_simple(i, w: WeylElt) -> WeylElt:
@@ -344,9 +328,9 @@ def inverse(w: WeylElt) -> WeylElt:
     """w^{-1}: the inverse window, else the element of the reversed word."""
     datum = w.datum
     if w.window is not None:
-        return _from_window(datum, _win_inverse(w.window))
+        return _intern(datum, _win_inverse(w.window))
     rho = identity(datum)._rho
-    return _from_rho(datum, _act(datum.simple_action(datum), w.word, rho))
+    return _intern(datum, _act(datum.simple_action(datum), w.word, rho))
 
 
 def _act(action, letters, lam: Weight) -> Weight:
@@ -496,7 +480,7 @@ def translation(datum, lam) -> WeylElt:
     lam = tuple(lam)
     if len(lam) != n or sum(lam) != 0:
         raise ValueError("translation needs a length-n integer vector summing to 0")
-    return _from_window(datum, tuple(i + n * lam[i - 1] for i in range(1, n + 1)))
+    return _intern(datum, tuple(i + n * lam[i - 1] for i in range(1, n + 1)))
 
 
 def is_grassmannian(w: WeylElt) -> bool:
@@ -515,7 +499,7 @@ def grassmannian_part(w: WeylElt):
     """(Grassmannian representative of wW, lam with wW = t_lam W)."""
     n = _require_window(w.datum)
     win = tuple(sorted(w.window))
-    rep = _from_window(w.datum, win)
+    rep = _intern(w.datum, win)
     lam = [0] * n
     for val in win:
         q, r = divmod(val - 1, n)

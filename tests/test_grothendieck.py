@@ -134,6 +134,22 @@ class TestgAndKSchur:
                     if sum(mu) == sum(lam):
                         assert engine.pair_with_F(ks, u) == (1 if mu == lam else 0)
 
+    @pytest.mark.parametrize("n, cap, nonzero",
+                             [(2, 6, 22), (3, 6, 63), (4, 6, 86), (5, 5, 49)])
+    def test_G_side_and_g_side_agree_by_duality(self, n, cap, nonzero):
+        # {g, G} and {kschur, F} are dual pairs, so [F_mu] G_lam and
+        # [g_lam] kschur_mu both equal <kschur_mu, G_lam>: the first comes
+        # from the G-side peel over the kappa table, the second from the
+        # g-side columns
+        engine = GrothendieckEngine.get(n)
+        bounded = engine.bounded(cap)
+        G_side = {(lam, mu): c for lam in bounded for mu, c in engine.m_to_F(
+            engine.G_of(engine.grassmannian(lam), cap)).terms.items()}
+        g_side = {(lam, mu): c for mu in bounded
+                  for lam, c in engine.expand_in_g(engine.kschur_of(mu)).items()}
+        assert G_side == g_side
+        assert len(G_side) == nonzero
+
     def test_g_top_component_is_kschur(self, e2, e3, e4):
         for engine in (e2, e3, e4):
             for lam in engine.bounded(6):
