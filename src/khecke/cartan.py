@@ -31,7 +31,8 @@ supported map from keys to nonzero coefficients (ints or LaurentPolys) with
 sums, negation, scaling, equality and hashing.  LaurentPoly, the 0-Hecke
 elements (``hecke``) and the symmetric functions (``symfunc``) subclass it
 and add their own constructors and products.  ``spread`` beside it is the
-one sum of rows, for ``demazure``, ``symfunc`` and ``grothendieck``.
+one sum of rows, for ``demazure``, ``symfunc``, ``grothendieck`` and the
+R(T) products of ``hecke``; ``Combination.__radd__`` takes its int start.
 
 LaurentPoly is the integer group algebra of the weight lattice: a finitely
 supported map Weight -> nonzero int.  The public constructor checks each
@@ -159,10 +160,10 @@ class RootDatum:
         return datum
 
     @staticmethod
-    def from_cartan(matrix, labels=None, name=None) -> "RootDatum":
-        """Finite datum from a GCM, weights in the omega basis."""
+    def from_cartan(matrix, name=None) -> "RootDatum":
+        """Finite datum from a GCM, nodes 1..r, weights in the omega basis."""
         r = len(matrix)
-        labels = tuple(labels) if labels else tuple(range(1, r + 1))
+        labels = tuple(range(1, r + 1))
         cartan = {labels[i]: {labels[j]: matrix[i][j] for j in range(r)}
                   for i in range(r)}
         roots = {labels[j]: tuple(matrix[i][j] for i in range(r)) for j in range(r)}
@@ -174,25 +175,21 @@ class RootDatum:
                          coroots, fund, "finite")
 
     @staticmethod
-    def affinize_cartan(matrix, marks, labels=None, name=None) -> "RootDatum":
-        """Affine datum from an affine GCM (node 0 first), Lambda basis + delta.
+    def affinize_cartan(matrix, marks, name=None) -> "RootDatum":
+        """Affine datum from an affine GCM (nodes 0..r-1), Lambda basis + delta.
 
         ``marks`` are the a_i with sum_j a_ij a_j = 0; alpha_0 carries the
         delta coordinate.  Used to cross-check the window representation.
         """
         r = len(matrix)
-        labels = tuple(labels) if labels else tuple(range(r))
-        cartan = {labels[i]: {labels[j]: matrix[i][j] for j in range(r)}
-                  for i in range(r)}
-        roots = {labels[j]: tuple(matrix[i][j] for i in range(r))
-                 + ((1,) if j == 0 else (0,)) for j in range(r)}
-        coroots = {labels[i]: tuple(1 if t == i else 0 for t in range(r)) + (0,)
-                   for i in range(r)}
-        fund = {labels[i]: tuple(1 if t == i else 0 for t in range(r)) + (0,)
-                for i in range(r)}
-        return RootDatum(name or f"gcm~{matrix}", labels, cartan, r + 1, roots,
-                         coroots, fund, "affine",
-                         marks={labels[i]: marks[i] for i in range(r)})
+        nodes = tuple(range(r))
+        cartan = {i: {j: matrix[i][j] for j in nodes} for i in nodes}
+        roots = {j: tuple(matrix[i][j] for i in nodes) + ((1,) if j == 0 else (0,))
+                 for j in nodes}
+        coroots = {i: tuple(1 if t == i else 0 for t in nodes) + (0,) for i in nodes}
+        fund = {i: tuple(1 if t == i else 0 for t in nodes) + (0,) for i in nodes}
+        return RootDatum(name or f"gcm~{matrix}", nodes, cartan, r + 1, roots,
+                         coroots, fund, "affine", marks=dict(zip(nodes, marks)))
 
     _NAMED = {
         "B2": [[2, -1], [-2, 2]],
@@ -509,6 +506,10 @@ class Combination:
                     continue
             out[key] = c
         return host._new(out)
+
+    def __radd__(self, other):
+        """0 + self is self, so ``spread``'s int start sums ring coefficients."""
+        return self if other == 0 else NotImplemented
 
     def __sub__(self, other):
         return self + (-other)

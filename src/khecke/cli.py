@@ -92,6 +92,8 @@ def _emit(args, text_value, json_value, latex_value=None):
 
 def _datum_for(args, default_n=None) -> RootDatum:
     if args.type:
+        if args.n is not None:
+            raise DomainError("give --type or --n, not both")
         return RootDatum.of_type(args.type)
     n = default_n if args.n is None else args.n
     if n is None:
@@ -284,8 +286,6 @@ def cmd_gkm_check(args):
         if args.max_len < 1:
             raise DomainError("--max-len must be >= 1 for --mode big: the "
                               "identity alone has no root to check")
-        if args.type and args.n is not None:
-            raise DomainError("give --type or --n, not both")
         datum = _datum_for(args, default_n=2)
         engine = PsiEngine(datum, "big")
         els = weyl.all_elements(datum, args.max_len)

@@ -15,7 +15,9 @@ subwords) goes through it, walking the edges r_i w that each Weyl element
 caches (``weyl.left_simple``), so a letter costs one lookup once its edge
 is known.  ``int_mul`` is the product of integer elements {WeylElt: int},
 with no LaurentPoly wrapping, and folds each pair (u, v) once; ``t_mul``
-over R(T) is its test oracle.
+over R(T) is its test oracle.  The products over R(T) (``_gen_mul``,
+``t_mul``, ``tensor_mul``, ``coproduct``) each sum their rows with one
+``cartan.spread`` over their left factor's terms.
 
 Where no coefficient lattice is passed, R(T) is
 ``RootDatum.coefficient_lattice()``: the level-zero (finite) lattice on
@@ -26,7 +28,7 @@ for the big-torus variant used by localization.
 from __future__ import annotations
 
 from .cartan import (Combination, DatumMismatchError, LaurentPoly, demazure, phi0,
-                     weyl_reflect_poly)
+                     spread, weyl_reflect_poly)
 from . import weyl
 from .weyl import WeylElt
 
@@ -64,10 +66,6 @@ class HeckeElt(_RCombination):
     __slots__ = ()
 
     # -- constructors ----------------------------------------------------------
-
-    @staticmethod
-    def zero(datum, coeffs) -> "HeckeElt":
-        return HeckeElt(datum, coeffs)
 
     @staticmethod
     def one(datum, coeffs) -> "HeckeElt":
@@ -144,45 +142,33 @@ def int_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _gen_mul(datum, coeffs, i, a: HeckeElt) -> HeckeElt:
-    """T_i * a."""
-    out = {}
+def _gen_mul(i, a: HeckeElt) -> HeckeElt:
+    """T_i * a: the rows (T_i . q) T_w and (r_i . q) T_i T_w of each term
+    q T_w, spread at weight 1 because each row acts on its coefficient."""
+    datum = a.datum
 
-    def add(w, p):
-        s = out.get(w)
-        s = p if s is None else s + p
-        if s.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
-
-    for w, q in a.terms.items():
-        if q.is_constant():
-            tq, rq = None, q
-        else:
-            tq = demazure(datum, i, q)
-            rq = weyl_reflect_poly(datum, i, q)
-        if tq is not None and not tq.is_zero():
-            add(w, tq)
+    def row(w):
+        q = a.terms[w]
         sign, z = fold_T((i,), w)
-        add(z, rq if sign > 0 else -rq)
-    return HeckeElt(datum, coeffs, out)
+        if q.is_constant():  # T_i . q = 0 and r_i . q = q
+            return [(z, sign * q)]
+        return [(w, demazure(datum, i, q)),
+                (z, sign * weyl_reflect_poly(datum, i, q))]
+
+    return a._new(spread(dict.fromkeys(a.terms, 1), row))
 
 
-def t_word_mul(datum, coeffs, word, a: HeckeElt) -> HeckeElt:
+def t_word_mul(word, a: HeckeElt) -> HeckeElt:
     """T_{word} * a (word need not be canonical but must be reduced)."""
     for i in reversed(word):
-        a = _gen_mul(datum, coeffs, i, a)
+        a = _gen_mul(i, a)
     return a
 
 
 def t_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
-    a._compat(b)
-    result = HeckeElt.zero(a.datum, a.coeffs)
-    for u, p in a.terms.items():
-        part = t_word_mul(a.datum, a.coeffs, u.word, b)
-        result = result + part.scaled(p)
-    return result
+    """a * b: T_u * b spread over the terms p T_u of a."""
+    return a._compat(b)._new(
+        spread(a.terms, lambda u: t_word_mul(u.word, b).terms.items()))
 
 
 def demazure_act(a: HeckeElt, p: LaurentPoly) -> LaurentPoly:
@@ -208,7 +194,7 @@ def group_elt_to_T(w: WeylElt, coeffs=None) -> HeckeElt:
     acc = HeckeElt.one(datum, coeffs)
     for i in reversed(w.word):
         factor = LaurentPoly.one(coeffs) - LaurentPoly.monomial(action[i][1])
-        acc = acc + _gen_mul(datum, coeffs, i, acc).scaled(factor)
+        acc = acc + _gen_mul(i, acc).scaled(factor)
     return acc
 
 
@@ -274,23 +260,15 @@ def tensor_mul(A: TensorElt, B: TensorElt) -> TensorElt:
     product T_u (q T_{u2}) is a genuine K-product (the scalar twists through
     T_u via the commutation rule); the right slot multiplies as pure T's.
     """
-    A._compat(B)
-    out = {}
-    for (u, v), p in A.terms.items():
+    def row(uv):
+        u, v = uv
         for (u2, v2), q in B.terms.items():
-            s2, vv = fold_T(v.word, v2)
-            left = t_word_mul(A.datum, A.coeffs,
-                              u.word, HeckeElt(A.datum, A.coeffs, {u2: q}))
+            sign, vv = fold_T(v.word, v2)
+            left = t_word_mul(u.word, HeckeElt(A.datum, A.coeffs, {u2: q}))
             for z, c in left.terms.items():
-                term = (p * c).scaled(s2)
-                key = (z, vv)
-                s = out.get(key)
-                s = term if s is None else s + term
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return TensorElt(A.datum, A.coeffs, out)
+                yield (z, vv), sign * c
+
+    return A._compat(B)._new(spread(A.terms, row))
 
 
 def coproduct_T_simple(datum, coeffs, i) -> TensorElt:
@@ -306,14 +284,15 @@ def coproduct_T_simple(datum, coeffs, i) -> TensorElt:
 
 
 def coproduct(a: HeckeElt) -> TensorElt:
-    """Delta on K: fold Delta(T_i) along canonical words, R(T)-linear on the left."""
-    out = TensorElt.zero(a.datum, a.coeffs)
-    for w, p in a.terms.items():
+    """Delta on K: fold Delta(T_i) along canonical words, R(T)-linear on the
+    left, spread over the terms of a."""
+    def row(w):
         acc = TensorElt.one(a.datum, a.coeffs)
         for i in w.word:
             acc = tensor_mul(acc, coproduct_T_simple(a.datum, a.coeffs, i))
-        out = out + acc.scaled(p)
-    return out
+        return acc.terms.items()
+
+    return TensorElt(a.datum, a.coeffs, spread(a.terms, row))
 
 
 def structure_constants_c(w: WeylElt, coeffs=None) -> dict:

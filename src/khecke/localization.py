@@ -279,18 +279,17 @@ def _geom_sum_binom(coeffs_datum, step, a: int, m: int) -> LaurentPoly:
     return LaurentPoly(coeffs_datum, terms)
 
 
-def sl2_psi_closed(m: int, j: int, fin: RootDatum | None = None) -> LaurentPoly:
+def sl2_psi_closed(m: int, j: int) -> LaurentPoly:
     """Closed form for psi^{sigma_m}(sigma_j) over level-zero R(T), x = e^alpha."""
-    if fin is None:
-        fin = RootDatum.sl(2)
+    fin = RootDatum.sl(2)
     alpha = fin.simple_root(1)
     one = LaurentPoly.one(fin)
     if m < 0:
-        return eta(sl2_psi_closed(-m, -j, fin))
+        return eta(sl2_psi_closed(-m, -j))
     if m == 0:
         return one
     if j < 0:
-        return sl2_psi_closed(m, -j - 1, fin)
+        return sl2_psi_closed(m, -j - 1)
     if j < m:
         return LaurentPoly.zero(fin)
     # (1-x)^m S^m_{<=a}(x) on one parity family, the x -> 1/x mirror on the other

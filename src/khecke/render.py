@@ -94,6 +94,6 @@ def render_tensor(t: TensorSym, latex: bool = False) -> str:
     return _signed_sum((c < 0, term(mu, nu, c)) for (mu, nu), c in t.sorted_terms())
 
 
-def render_int_map(pairs, label=lambda k: str(k)) -> str:
+def render_int_map(pairs, label) -> str:
     bits = [f"{label(k)}: {v}" for k, v in pairs]
     return "{" + ", ".join(bits) + "}"

@@ -116,7 +116,7 @@ def test_criterion_06_sl2_closed_forms_and_small_gkm():
         lz = PsiEngine(af2, "level-zero")
         for m in range(-10, 11):
             for j in range(-10, 11):
-                assert sl2_psi_closed(m, j, fin) == \
+                assert sl2_psi_closed(m, j) == \
                     lz.psi_right(sl2_sigma(af2, m), sl2_sigma(af2, j))
         alpha = fin.simple_root(1)
         for m in range(-10, 11):

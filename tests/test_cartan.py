@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from khecke.cartan import (DatumMismatchError, LaurentPoly, RootDatum, Weight,
                            _alpha_lines, _divide_line_once, demazure,
                            divisible_by_one_minus_e, eta, exact_divide_one_minus_e,
-                           phi0, residue_mod_one_minus_e, weyl_reflect_poly)
+                           phi0, residue_mod_one_minus_e, spread, weyl_reflect_poly)
 
 
 def poly(datum, coords_coeffs):
@@ -80,6 +80,16 @@ class TestRootDatum:
         w = sl3.weight((2, 5, 3))
         assert w.coords[-1] == 0
         assert w == sl3.weight((-1, 2, 0))
+
+
+class TestSpread:
+    def test_laurent_coefficients(self, sl2):
+        # 0 + p is p (Combination.__radd__), so ring coefficients sum as ints
+        # do: u gets x * x + 1 * 1, and v's terms x * 1 and 1 * (-x) cancel
+        one = LaurentPoly.one(sl2)
+        x = LaurentPoly.monomial(sl2.simple_root(1))
+        rows = {"a": [("u", x), ("v", one)], "b": [("u", one), ("v", -x)]}
+        assert spread({"a": x, "b": one}, rows.__getitem__) == {"u": x * x + one}
 
 
 class TestDemazure:

@@ -150,6 +150,14 @@ class TestErrors:
         assert "Traceback" not in err
         assert err == "error: k-sl2 needs exactly one of --r and --partition\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("psi", "--type", "A2", "--n", "3", "--v", "1", "--w", "1"),
+        ("expand-group", "--type", "A2", "--n", "3", "--word", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_type_and_n_refused(self, capsys, argv):
+        # both once ran on --type and ignored --n
+        assert run(capsys, *argv) == (1, "", "error: give --type or --n, not both\n")
+
     def test_cross_check_failure_exits_2(self, capsys, monkeypatch):
         from khecke.grothendieck import GrothendieckEngine
         monkeypatch.setattr(GrothendieckEngine, "g_multiply", lambda self, lam, mu: {})
@@ -196,6 +204,20 @@ class TestErrors:
         assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+def tamper_golden(monkeypatch, kind, n, tamper):
+    """Make ``goldens.load_golden`` hand out ``kind`` with ``tamper`` applied
+    to its rank-n rows."""
+    import khecke.goldens as goldens
+    real = goldens.load_golden
+
+    def tampered(which):
+        data = real(which)
+        if which == kind:
+            tamper(data[str(n)])
+        return data
+    monkeypatch.setattr(goldens, "load_golden", tampered)
+
+
 class TestTables:
     def test_diff_all(self, capsys):
         code, out, _ = run(capsys, "tables", "--diff")
@@ -228,19 +250,36 @@ class TestTables:
     ], ids=["bijection", "k", "g", "coproduct", "G"])
     def test_corrupted_golden_detected(self, capsys, monkeypatch, kind, label, tamper):
         # one entry of one n = 3 row changes; the diff names that row
-        import khecke.goldens as goldens
-        real = goldens.load_golden
-
-        def tampered(which):
-            data = real(which)
-            if which == kind:
-                tamper(data["3"])
-            return data
-        monkeypatch.setattr(goldens, "load_golden", tampered)
+        tamper_golden(monkeypatch, kind, 3, tamper)
         code, out, _ = run(capsys, "tables", "--which", kind, "--n", "3", "--diff")
         assert code == 2
         assert f"tables {kind} n=3: MISMATCH" in out
         assert f"{kind} n=3 row {label}: " in out
+
+    def test_commuted_k_term_matches(self, capsys, monkeypatch):
+        # 0 and 2 commute in A3~, so 02 and 20 are one element
+        def tamper(rows):
+            rows["10"]["20"] = rows["10"].pop("02")
+        tamper_golden(monkeypatch, "k", 4, tamper)
+        assert run(capsys, "tables", "--which", "k", "--n", "4", "--diff") == \
+            (0, "tables k n=4: OK\n", "")
+
+    def test_commuted_bijection_word_matches(self, capsys, monkeypatch):
+        # 1 and 3 commute in A3~, so 130 and 310 are one element
+        def tamper(rows):
+            assert rows["21"] == "130"
+            rows["21"] = "310"
+        tamper_golden(monkeypatch, "bijection", 4, tamper)
+        assert run(capsys, "tables", "--which", "bijection", "--n", "4", "--diff") == \
+            (0, "tables bijection n=4: OK\n", "")
+
+    def test_duplicate_element_in_k_row(self, capsys, monkeypatch):
+        # 02 and 20 name one element: a row holding both is malformed
+        def tamper(rows):
+            rows["10"]["20"] = rows["10"]["02"]
+        tamper_golden(monkeypatch, "k", 4, tamper)
+        assert run(capsys, "tables", "--which", "k", "--n", "4", "--diff") == \
+            (1, "", "error: duplicate element 20 in table row\n")
 
 
 class TestConjecturesAndCache:

@@ -284,24 +284,23 @@ class TestSl2ClosedForms:
         fin = af2.finite
         one = LaurentPoly.one(fin)
         x = LaurentPoly.monomial(fin.simple_root(1))
-        assert sl2_psi_closed(2, 2, fin) == (one - x) * (one - x)
+        assert sl2_psi_closed(2, 2) == (one - x) * (one - x)
 
     def test_psi_0_row(self, af2):
         fin = af2.finite
         for j in range(-8, 9):
-            assert sl2_psi_closed(0, j, fin) == LaurentPoly.one(fin)
+            assert sl2_psi_closed(0, j) == LaurentPoly.one(fin)
 
     def test_matches_recurrence(self, af2, lz2):
         for m in range(-10, 11):
             for j in range(-10, 11):
-                assert sl2_psi_closed(m, j, af2.finite) == \
+                assert sl2_psi_closed(m, j) == \
                     lz2.psi_right(sl2_sigma(af2, m), sl2_sigma(af2, j)), (m, j)
 
-    def test_eta_mirror(self, af2):
-        fin = af2.finite
+    def test_eta_mirror(self):
         for m in range(-5, 6):
             for j in range(-5, 6):
-                assert sl2_psi_closed(-m, -j, fin) == eta(sl2_psi_closed(m, j, fin))
+                assert sl2_psi_closed(-m, -j) == eta(sl2_psi_closed(m, j))
 
     def test_sigma_index_roundtrip(self, af2):
         for j in range(-9, 10):
