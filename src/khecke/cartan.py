@@ -1,6 +1,8 @@
 """Root data, weight lattices, and the Laurent coefficient ring Z[P].
 
-Three kinds of root datum are supported:
+Three kinds of root datum are supported, each given by its simple roots,
+coroot rows, fundamental weights and (affine) marks; ``RootDatum`` derives
+the GCM, rank and flavor from them and ``_check_gcm`` checks that matrix:
 
 * ``RootDatum.sl(n)`` -- finite type A_{n-1} with weights in Z^n modulo the
   all-ones vector, canonicalized so the last coordinate is zero.  This keeps
@@ -65,23 +67,25 @@ class VerificationError(RuntimeError):
 class RootDatum:
     """A symmetrizable generalized Cartan matrix embedded in a lattice.
 
-    ``nodes`` is the ordered Dynkin index set; ``cartan[i][j]`` is
-    <alpha_i^vee, alpha_j>.  ``flavor`` is ``"finite"`` or ``"affine"``;
-    affine data carry marks a_i with delta = sum a_i alpha_i.
+    ``nodes`` is the ordered Dynkin index set.  Derived, not given:
+    ``cartan[i][j]`` = <alpha_i^vee, alpha_j>, ``rank`` (the length of the
+    coordinates) and ``flavor``, ``"affine"`` exactly when marks a_i with
+    delta = sum a_i alpha_i are given, else ``"finite"``.
     """
 
-    def __init__(self, name, nodes, cartan, rank, simple_roots, coroot_rows,
-                 fundamental_weights, flavor, quotient_vector=None,
-                 marks=None, finite=None):
+    def __init__(self, name, nodes, simple_roots, coroot_rows,
+                 fundamental_weights, quotient_vector=None, marks=None,
+                 finite=None):
         self.name = name
         self.nodes = tuple(nodes)
-        self.cartan = {i: dict(row) for i, row in cartan.items()}
-        self.rank = rank
         self._simple_roots = {i: tuple(v) for i, v in simple_roots.items()}
         # row vectors: <alpha_i^vee, lam> = dot(coroot_rows[i], lam.coords)
         self._coroot_rows = {i: tuple(v) for i, v in coroot_rows.items()}
         self._fundamental = {i: tuple(v) for i, v in fundamental_weights.items()}
-        self.flavor = flavor
+        self.cartan = {i: {j: self._dot(self._coroot_rows[i], self._simple_roots[j])
+                           for j in self.nodes} for i in self.nodes}
+        self.rank = len(next(iter(self._fundamental.values()), ()))  # 0: no nodes
+        self.flavor = "affine" if marks else "finite"
         self.quotient_vector = tuple(quotient_vector) if quotient_vector else None
         self._qlast = None
         if self.quotient_vector is not None:
@@ -108,14 +112,12 @@ class RootDatum:
         if n < 2:
             raise ValueError("sl(n) needs n >= 2")
         nodes = tuple(range(1, n))
-        cartan = {i: {j: (2 if i == j else (-1 if abs(i - j) == 1 else 0))
-                      for j in nodes} for i in nodes}
         e = lambda k: tuple(1 if t == k else 0 for t in range(n))
         roots = {i: tuple(a - b for a, b in zip(e(i - 1), e(i))) for i in nodes}
         coroots = dict(roots)  # pairing <alpha_i^vee, .> = x_i - x_{i+1}
         fund = {i: tuple(1 if t < i else 0 for t in range(n)) for i in nodes}
-        datum = RootDatum(f"A{n-1}:sl{n}", nodes, cartan, n, roots, coroots,
-                          fund, "finite", quotient_vector=(1,) * n)
+        datum = RootDatum(f"A{n-1}:sl{n}", nodes, roots, coroots, fund,
+                          quotient_vector=(1,) * n)
         RootDatum._sl_cache[n] = datum
         return datum
 
@@ -128,19 +130,6 @@ class RootDatum:
             raise ValueError("affine_sl(n) needs n >= 2")
         fin = RootDatum.sl(n)
         nodes = tuple(range(n))
-        cartan = {}
-        for i in nodes:
-            row = {}
-            for j in nodes:
-                d = (i - j) % n
-                if i == j:
-                    row[j] = 2
-                elif d in (1, n - 1):
-                    row[j] = -2 if n == 2 else -1
-                else:
-                    row[j] = 0
-            cartan[i] = row
-        rank = n + 2
         ext = lambda v, lev, deg: tuple(v) + (lev, deg)
         roots = {i: ext(fin._simple_roots[i], 0, 0) for i in fin.nodes}
         # alpha_0 = delta - theta, theta = e_1 - e_n
@@ -152,9 +141,9 @@ class RootDatum:
         fund = {i: ext(fin._fundamental[i], 1, 0) for i in fin.nodes}
         fund[0] = ext((0,) * n, 1, 0)
         marks = {i: 1 for i in nodes}
-        datum = RootDatum(f"A{n-1}~:sl{n}", nodes, cartan, rank, roots, coroots,
-                          fund, "affine", quotient_vector=(1,) * n + (0, 0),
-                          marks=marks, finite=fin)
+        datum = RootDatum(f"A{n-1}~:sl{n}", nodes, roots, coroots, fund,
+                          quotient_vector=(1,) * n + (0, 0), marks=marks,
+                          finite=fin)
         datum.window_n = n
         RootDatum._affine_cache[n] = datum
         return datum
@@ -164,15 +153,12 @@ class RootDatum:
         """Finite datum from a GCM, nodes 1..r, weights in the omega basis."""
         r = len(matrix)
         labels = tuple(range(1, r + 1))
-        cartan = {labels[i]: {labels[j]: matrix[i][j] for j in range(r)}
-                  for i in range(r)}
         roots = {labels[j]: tuple(matrix[i][j] for i in range(r)) for j in range(r)}
         coroots = {labels[i]: tuple(1 if t == i else 0 for t in range(r))
                    for i in range(r)}
         fund = {labels[i]: tuple(1 if t == i else 0 for t in range(r))
                 for i in range(r)}
-        return RootDatum(name or f"gcm{matrix}", labels, cartan, r, roots,
-                         coroots, fund, "finite")
+        return RootDatum(name or f"gcm{matrix}", labels, roots, coroots, fund)
 
     @staticmethod
     def affinize_cartan(matrix, marks, name=None) -> "RootDatum":
@@ -183,13 +169,12 @@ class RootDatum:
         """
         r = len(matrix)
         nodes = tuple(range(r))
-        cartan = {i: {j: matrix[i][j] for j in nodes} for i in nodes}
         roots = {j: tuple(matrix[i][j] for i in nodes) + ((1,) if j == 0 else (0,))
                  for j in nodes}
         coroots = {i: tuple(1 if t == i else 0 for t in nodes) + (0,) for i in nodes}
         fund = {i: tuple(1 if t == i else 0 for t in nodes) + (0,) for i in nodes}
-        return RootDatum(name or f"gcm~{matrix}", nodes, cartan, r + 1, roots,
-                         coroots, fund, "affine", marks=dict(zip(nodes, marks)))
+        return RootDatum(name or f"gcm~{matrix}", nodes, roots, coroots, fund,
+                         marks=dict(zip(nodes, marks)))
 
     _NAMED = {
         "B2": [[2, -1], [-2, 2]],
@@ -246,9 +231,6 @@ class RootDatum:
                     raise ValueError("GCM zero pattern must be symmetric")
         for i in self.nodes:
             for j in self.nodes:
-                got = self._dot(self._coroot_rows[i], self._simple_roots[j])
-                if got != self.cartan[i][j]:
-                    raise ValueError("stored pairing does not match GCM")
                 want = 1 if i == j else 0
                 if self._dot(self._coroot_rows[i], self._fundamental[j]) != want:
                     raise ValueError("fundamental weights not dual to coroots")

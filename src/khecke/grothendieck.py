@@ -101,20 +101,18 @@ class GrothendieckEngine:
 
     # -- the G / F side ----------------------------------------------------------------
 
-    def _m_terms(self, v: weyl.WeylElt, degrees) -> dict:
-        """{lam: [T_v] kappa_lam} over the bounded lam of ``degrees``, zeros dropped."""
-        return {lam: c for d in degrees for lam in partitions_of(d, self.n - 1)
-                if (c := self.kappa_product(lam).get(v))}
-
     def G_of(self, v: weyl.WeylElt, max_degree: int) -> SymFunc:
-        """G_v in the m basis through total degree max_degree (kappa_lam has
-        no term longer than |lam|, so degrees below l(v) contribute nothing)."""
-        return SymFunc._trusted(
-            "m", self._m_terms(v, range(v.length, max_degree + 1)), self.n)
+        """G_v in the m basis through total degree max_degree: {lam: [T_v]
+        kappa_lam} over the bounded lam, zeros dropped (kappa_lam has no
+        term longer than |lam|, so degrees below l(v) contribute nothing)."""
+        return SymFunc._trusted("m", {
+            lam: c for d in range(v.length, max_degree + 1)
+            for lam in partitions_of(d, self.n - 1)
+            if (c := self.kappa_product(lam).get(v))}, self.n)
 
     def F_of(self, v: weyl.WeylElt) -> SymFunc:
         """Affine Stanley function: the degree-l(v) part of G_v, in m."""
-        return SymFunc._trusted("m", self._m_terms(v, [v.length]), self.n)
+        return self.G_of(v, v.length)
 
     def m_to_F(self, f: SymFunc) -> SymFunc:
         """Rewrite an m-expansion over the affine Schur functions F_u."""

@@ -228,24 +228,19 @@ def small_gkm_grassmannian_check(psi_of, datum: RootDatum, alpha_vee, alpha,
 
 def small_gkm_check(psi_of, datum: RootDatum, alpha_vee, alpha, d: int,
                     w: WeylElt) -> bool:
-    """psi((1 - t_{alpha^vee})^{d-1} (1 - r_alpha) w) in (1-e^alpha)^d R(T)."""
+    """psi((1 - t_{alpha^vee})^{d-1} (1 - r_alpha) w) in (1-e^alpha)^d R(T).
+
+    r_alpha is the reflection in the level-zero real root alpha^vee (type A:
+    root and coroot agree), taken positive, as r_alpha = r_{-alpha}."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    r_alpha_w = weyl.multiply(_finite_reflection(datum, alpha_vee), w)
+    root = datum.weight(tuple(alpha_vee) + (0, 0))
+    if next(c for c in alpha_vee if c) < 0:
+        root = -root
+    r_alpha_w = weyl.left_reflection(root, w)
     total = _translation_sum(psi_of, datum, alpha_vee, alpha.datum, d - 1, w) \
         - _translation_sum(psi_of, datum, alpha_vee, alpha.datum, d - 1, r_alpha_w)
     return divisible_by_one_minus_e(total, alpha, d)
-
-
-def _finite_reflection(datum: RootDatum, alpha_vee) -> WeylElt:
-    """The finite reflection r_alpha embedded in the affine group (type A:
-    alpha^vee = e_i - e_j gives the transposition (i j))."""
-    n = len(alpha_vee)
-    i = next(k for k, c in enumerate(alpha_vee) if c == 1)
-    j = next(k for k, c in enumerate(alpha_vee) if c == -1)
-    win = list(range(1, n + 1))
-    win[i], win[j] = win[j], win[i]
-    return weyl._intern(datum, tuple(win))
 
 
 # -- affine SL_2 closed forms -------------------------------------------------------

@@ -12,12 +12,13 @@ applied to v(rho), and w^{-1} is the element of the reversed word.
 
 A product or inverse is computed as a key and looked up (``_intern``).  The
 first time a key is met its word is derived by walking down smallest left
-descents only as far as the first interned element.
+descents only as far as the first interned element; each step r_j x is the
+product of windows in affine type A, else r_j applied to x(rho).
 Each element also remembers its edges: the left edges r_i w
 (``left_simple``), so the 0-Hecke fold, the Bruhat walk and
 ``psi_left`` multiply once per (w, i); the right edges w r_i
 (``right_simple``) and the smallest right descent for ``psi_right``; and the
-root edges r_alpha w (``left_reflection``) for the big-torus GKM check.
+root edges r_alpha w (``left_reflection``) for the GKM checks.
 Elements stay immutable values: the memo is derived from the element alone,
 and interning makes each edge one object.
 
@@ -86,15 +87,10 @@ def _win_simple(n, i):
     return tuple(w)
 
 
-def _win_eval(win, j):
-    n = len(win)
-    q, r = divmod(j - 1, n)
-    return win[r] + q * n
-
-
 def _win_compose(u, v):
-    """Window of the product u*v (u after v)."""
-    return tuple(_win_eval(u, x) for x in v)
+    """Window of the product u*v (u after v): u(q n + r + 1) = u[r] + q n."""
+    n = len(u)
+    return tuple([u[(x - 1) % n] + (x - 1) // n * n for x in v])
 
 
 def _win_inverse(win):
@@ -115,22 +111,6 @@ def _win_right_descent(win, i):
 
 def _win_left_descent(win, i):
     return _win_right_descent(_win_inverse(win), i)
-
-
-def _win_mult_simple_left(win, i):
-    """Window of r_i * w: swap values i, i+1 (mod n) everywhere."""
-    n = len(win)
-    out = []
-    for val in win:
-        q, r = divmod(val - 1, n)
-        r += 1
-        if r == i or (i == 0 and r == n):
-            out.append(val + 1)
-        elif r == i + 1 or (i == 0 and r == 1):
-            out.append(val - 1)
-        else:
-            out.append(val)
-    return tuple(out)
 
 
 class WeylElt:
@@ -177,8 +157,9 @@ class WeylElt:
 def _win_down(win):
     """(j, r_j x) for the smallest left descent j of the window x."""
     inv = _win_inverse(win)
-    j = next((i for i in range(len(win)) if _win_right_descent(inv, i)), None)
-    return None if j is None else (j, _win_mult_simple_left(win, j))
+    n = len(win)
+    j = next((i for i in range(n) if _win_right_descent(inv, i)), None)
+    return None if j is None else (j, _win_compose(_win_simple(n, j), win))
 
 
 def _rho_down(lam):
@@ -484,14 +465,10 @@ def translation(datum, lam) -> WeylElt:
 
 
 def is_grassmannian(w: WeylElt) -> bool:
-    """Minimal in its coset wW: no right descent at a finite node.  Tested
-    once per w and remembered on it, as in ``smallest_right_descent``."""
+    """Minimal in wW: no right descent at a finite node (O(1) on a window).
+    Tested once per w and remembered on it, as in ``smallest_right_descent``."""
     if w._grass is None:
-        if w.window is not None:
-            win = w.window
-            w._grass = all(win[i] < win[i + 1] for i in range(len(win) - 1))
-        else:
-            w._grass = not any(has_right_descent(w, i) for i in w.datum.nodes if i != 0)
+        w._grass = not any(has_right_descent(w, i) for i in w.datum.nodes if i != 0)
     return w._grass
 
 

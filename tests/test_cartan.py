@@ -4,6 +4,7 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
+from khecke import weyl
 from khecke.cartan import (DatumMismatchError, LaurentPoly, RootDatum, Weight,
                            _alpha_lines, _divide_line_once, demazure,
                            divisible_by_one_minus_e, eta, exact_divide_one_minus_e,
@@ -288,6 +289,56 @@ SOLVER_DATA = (
     + [RootDatum.of_type(t) for t in ("A1", "A2", "A3", "B2", "C2", "G2")]
     + [RootDatum.affinize_cartan(m, marks, name=f"gcm-{name}")
        for name, (m, marks) in AFFINE_GCMS.items()])
+
+
+def as_matrix(datum):
+    """``datum.cartan`` as a list of rows in node order."""
+    return [[datum.cartan[i][j] for j in datum.nodes] for i in datum.nodes]
+
+
+class TestDerivedCartan:
+    """The GCM, rank and flavor are derived from the roots, coroots and marks;
+    the matrices that were once typed in beside them are the references."""
+
+    @pytest.mark.parametrize("n, name", [(2, "A1~"), (3, "A2~")])
+    def test_affine_sl_small(self, n, name):
+        assert as_matrix(RootDatum.affine_sl(n)) == AFFINE_GCMS[name][0]
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_affine_sl_cyclic(self, n):
+        want = [[2 if i == j else (-1 if (i - j) % n in (1, n - 1) else 0)
+                 for j in range(n)] for i in range(n)]
+        assert as_matrix(RootDatum.affine_sl(n)) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_sl_path(self, n):
+        nodes = range(1, n)
+        want = [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in nodes]
+                for i in nodes]
+        assert as_matrix(RootDatum.sl(n)) == want
+
+    @pytest.mark.parametrize("typ", ["B2", "C2", "G2", "C2~", "G2~"])
+    def test_named_types(self, typ):
+        named = RootDatum._NAMED.get(typ) or RootDatum._NAMED_AFFINE[typ][0]
+        assert as_matrix(RootDatum.of_type(typ)) == named
+
+    def test_rank_and_flavor(self):
+        want = {"A1~:sl2": (4, "affine"), "A2~:sl3": (5, "affine"),
+                "A3~:sl4": (6, "affine"), "A4~:sl5": (7, "affine"),
+                "A1:sl2": (2, "finite"), "A2:sl3": (3, "finite"),
+                "A3:sl4": (4, "finite"), "A1": (1, "finite"), "A2": (2, "finite"),
+                "A3": (3, "finite"), "B2": (2, "finite"), "C2": (2, "finite"),
+                "G2": (2, "finite"), "gcm-A1~": (3, "affine"),
+                "gcm-A2~": (4, "affine"), "gcm-C2~": (4, "affine"),
+                "gcm-G2~": (4, "affine")}
+        assert {d.name: (d.rank, d.flavor) for d in SOLVER_DATA} == want
+
+    def test_rank_zero(self):
+        datum = RootDatum.from_cartan([])
+        assert (datum.rank, datum.flavor, datum.nodes, datum.cartan) == \
+            (0, "finite", (), {})
+        assert datum.rho == datum.zero()
+        assert [w.word for w in weyl.all_elements(datum, 3)] == [()]
 
 
 def lattice_point(datum, combo, noise, scale):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import logging
 import subprocess
@@ -667,3 +668,60 @@ class TestGkmCheck:
         assert err == ("error: level-zero flavor needs an affine datum with a "
                        "finite companion; C2~ has none\n")
         assert run(capsys, "psi", "--type", "C2~", "--v", "0", "--w", "01")[2] == err
+
+
+# The machine contract: stdout and exit code of each command, pinned by sha256
+# and unchanged by refactors.  Every command gets a fresh cache directory.
+STDOUT_CONTRACT = [
+    ("gkm-check --mode small --n 2 --max-len 5 --max-d 3", 0,
+     "c7df0a3b1b1aa4a4f03539ee4c700c243950360c7f1cbd6dc554067536571927"),
+    ("gkm-check --mode small --n 3 --max-len 2 --max-d 2 --format json", 0,
+     "83ba77fb46da68a3268f033e47e44dc843d4a2eb5df945485a6eb6340c3bfd0e"),
+    ("gkm-check --mode big --type A2~ --max-len 3", 0,
+     "362faadede08862cec8c99e0580b5202a0ddb3b666068fb9af37c6ca87e0c4ca"),
+    ("gkm-check --mode big --type C2~ --max-len 3", 0,
+     "09087e933e98ed40f51e3d2a138932b31a5398335b135317efe8149a3a65da6c"),
+    ("gkm-check --mode big --type G2 --max-len 4", 0,
+     "a650f4609f739091801e77cbcdfcadd152be2bf374e2d84797ed35cc3f29502c"),
+    ("psi --type G2 --v 12 --w 2121 --algorithm left", 0,
+     "57caf5d0789aea428025a58e60b223a15f162a3c2700453551dcf785544e7797"),
+    ("psi --type B2 --v 1 --w 1212 --format json", 0,
+     "66c692ad1c2c452e9974a95476929457f8788323548046fc02d0f3a2964862e8"),
+    ("psi --n 3 --v 01 --w 0120 --flavor big --format json", 0,
+     "4bf1af38860b5e0e14c7274da08dcec8944edd24d3deb53101a77b316ddcfbc5"),
+    ("expand-group --n 3 --word 0120", 0,
+     "1cbfe4394f85fbd9a7f9d24b4d08610f1caed626d65148f9c91c711f9893bd08"),
+    ("expand-group --type G2 --word 1212 --format json", 0,
+     "b8e5fc7e8b73b727f22f03621cfc35b872e78fdc33d09f79c96d1909026bd040"),
+    ("k-sl2 --r 3", 0,
+     "975bdf2256c37b1d3faef16ebe2f43a6d2bb11854bc239f545f582257ea97306"),
+    ("k-sl2 --r 5 --format json", 0,
+     "b1efe9fc0cafe0be7d6342e86f5878089c8218f5e2859e03ae44e9aad8600978"),
+    ("G --n 3 --partition 21 --max-degree 6", 0,
+     "e42efa852cf8a28a5b956b801327b1b4a303940926443df8a651339d3ebfbb53"),
+    ("G --n 4 --partition 1 --max-degree 5 --basis F --format json", 0,
+     "3c769745a8dd597def0172ea243545575475f3a623273d6a5d02385a4ba60f55"),
+    ("kschur --n 4 --partition 321 --basis m", 0,
+     "d30d3e7fa8bc26b369f6e1d2d984c6f9f6bfe3b7f8254d7281de0c45db22880e"),
+    ("check-conjectures --n 4 --max-len 6 --cross --format json", 0,
+     "ab0a8eddac1d00aeddc8fa32594eedb70e6be0031b69da41b865ba3cc96f50c7"),
+    ("tables --diff", 0,
+     "83f1dff2507e1437490e4fdcd84818d04eaa0a5339f2240cd202c059a23fcdc7"),
+    ("tables --format json", 0,
+     "8a45e12a5810834cb9930a8a7a7ed1214cf64fa6554a70a09f4ed3ab0cf5cb91"),
+    ("structure --n 4 --u 21 --v 2", 0,
+     "bbcf6222c63d15457ffdf28b921141afa3b20ab6d7538fad39dc9d034df49266"),
+    ("coproduct --n 4 --partition 321", 0,
+     "92b16a754a8d93a5da0fc963a2ce5317823e718ec5045fb946b3e5f87e1e586a"),
+    ("pieri --n 3 --i 2 --partition 21", 0,
+     "cd75960b7862fd2b4f2ddace154442b74f2dcd7797cd1c319b24c2039443914c"),
+    ("kappa --n 4 --i 2", 0,
+     "021059663d3527b1717ddd30e67b964ad2aae76aae928ae9f1db865154a10fac"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", STDOUT_CONTRACT,
+                         ids=[c for c, _, _ in STDOUT_CONTRACT])
+def test_stdout_contract(capsys, tmp_path, command, code, digest):
+    got, out, _ = run(capsys, *command.split(), "--cache-dir", str(tmp_path))
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

@@ -278,6 +278,39 @@ class TestSmallGKM:
                         assert small_gkm_check(
                             psi_of, af3, avee, alpha, d, w)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_reflects_by_the_transposition(self, n):
+        # with d = 1 the check evaluates psi at w and at r_alpha w only; the
+        # oracle builds r_alpha, alpha^vee = e_i - e_j, as the window of (i j)
+        datum = RootDatum.affine_sl(n)
+        zero = LaurentPoly.zero(datum.finite)
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                avee = tuple(int(t == i) - int(t == j) for t in range(n))
+                win = list(weyl._win_identity(n))
+                win[i], win[j] = win[j], win[i]
+                r_alpha = weyl._intern(datum, tuple(win))
+                for w in weyl.all_elements(datum, 3):
+                    seen = []
+                    assert small_gkm_check(lambda x: seen.append(x) or zero, datum,
+                                           avee, datum.finite.weight(avee), 1, w)
+                    assert seen == [w, weyl.multiply(r_alpha, w)]
+
+    @pytest.mark.parametrize("n, avee", [(2, (-1, 1)), (3, (0, -1, 1)),
+                                         (3, (-1, 0, 1))])
+    def test_negative_coroot(self, n, avee):
+        datum = RootDatum.affine_sl(n)
+        engine = PsiEngine(datum, "level-zero")
+        alpha = datum.finite.weight(avee)
+        els = weyl.all_elements(datum, 3)
+        for v in [v for v in els if weyl.is_grassmannian(v)]:
+            psi_of = lambda x, v=v: engine.psi_right(v, x)
+            for d in (1, 2):
+                for w in els[:8]:
+                    assert small_gkm_check(psi_of, datum, avee, alpha, d, w)
+
 
 class TestSl2ClosedForms:
     def test_psi_2_2(self, af2):

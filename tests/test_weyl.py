@@ -325,6 +325,22 @@ def random_word(draw, datum, max_len):
     return tuple(draw(st.lists(st.sampled_from(datum.nodes), max_size=max_len)))
 
 
+def swap_values(win, i):
+    """Window of r_i * w, independently of ``_win_compose``: swap the values
+    i, i+1 (mod n) everywhere."""
+    n = len(win)
+    out = []
+    for val in win:
+        r = (val - 1) % n + 1
+        if r == i or (i == 0 and r == n):
+            out.append(val + 1)
+        elif r == i + 1 or (i == 0 and r == 1):
+            out.append(val - 1)
+        else:
+            out.append(val)
+    return tuple(out)
+
+
 def win_canonical_word(win):
     """Greedy smallest-left-descent word of a window, reduced from scratch."""
     word = []
@@ -335,7 +351,7 @@ def win_canonical_word(win):
         if i is None:
             break
         word.append(i)
-        win = weyl._win_mult_simple_left(win, i)
+        win = swap_values(win, i)
     if win != weyl._win_identity(n):
         raise ValueError("window did not reduce to the identity")
     return tuple(word)
@@ -410,6 +426,18 @@ class TestInterning:
         assert uv.word == win_canonical_word(win)
         assert uv is weyl.from_word(datum, u.word + v.word)
         assert weyl.inverse(u) is weyl.from_word(datum, u.word[::-1])
+
+    @given(st.integers(2, 5), st.data())
+    def test_simple_times_window_swaps_values(self, n, data):
+        # a window: a permutation of 1..n shifted by multiples of n summing to 0
+        perm = data.draw(st.permutations(range(1, n + 1)))
+        shifts = data.draw(st.lists(st.integers(-3, 3), min_size=n - 1,
+                                    max_size=n - 1))
+        shifts.append(-sum(shifts))
+        win = tuple(p + n * q for p, q in zip(perm, shifts))
+        for i in range(n):
+            assert weyl._win_compose(weyl._win_simple(n, i), win) == \
+                swap_values(win, i)
 
     @given(st.sampled_from(GENERIC_DATA), st.data())
     def test_matrix_multiply(self, datum, data):
