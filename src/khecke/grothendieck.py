@@ -2,18 +2,23 @@
 noncommutative lift into the affine 0-Hecke ring.
 
 Everything is driven by the elements kappa_i (sums of T_w over cyclically
-decreasing w of length i) and their products: the coefficient of m_lam in
+decreasing w of length i) and their products.  The coefficient of m_lam in
 G_v is the coefficient of T_v in kappa_{lam_1} kappa_{lam_2} ...; G_v reads
-the coefficient of T_v from each product of the degrees it needs.  The g
-side reads the pairing <h_nu, G_mu> = [T_{u_mu}] kappa_nu through one table
-of Grassmannian columns, memoised per partition nu: the dual family g_v in
-Z[h_1, ..., h_{n-1}] is peeled against it from the top degree down, and the
-g/k-Schur expansions and the g-coproduct are sparse sums over it.  The
-k-Schur function of v is read off as the top homogeneous component of g_v,
-not solved for again.  Every unitriangular system goes through
-``symfunc.peel`` along a fixed key order, and every sum of rows through
-``spread`` (defined in ``cartan``, imported through ``symfunc``), except
-``g_coproduct``'s outer product of two column sums, kept factored.
+it from the full product of each degree it needs.  The g side reads the
+pairing <h_nu, G_mu> = [T_{u_mu}] kappa_nu from one table of Grassmannian
+columns, memoised per partition nu and built one factor kappa_{nu_1} at a
+time on Grassmannian elements only: T_x T_u = +-T_z has u a right suffix of
+z, and every right suffix of a Grassmannian element is Grassmannian.  The
+dual family g_v in Z[h_1, ..., h_{n-1}] is peeled against the columns from
+the top degree down, and the g/k-Schur expansions and the g-coproduct are
+sparse sums over them.  The k-Schur function of v is read off as the top
+homogeneous component of g_v, not solved for again.  phi_0(k_lam) =
+varphi(g_lam) is built by the K-homology Pieri rule, one kappa_{lam_1} times
+phi_0(k_{lam[1:]}) per partition; the full products stay as its oracle.
+Every unitriangular system goes through ``symfunc.peel`` along a fixed key
+order, and every sum of rows through ``spread`` (defined in ``cartan``,
+imported through ``symfunc``), except ``g_coproduct``'s outer product of two
+column sums, kept factored.
 """
 
 from __future__ import annotations
@@ -39,8 +44,9 @@ class GrothendieckEngine:
         self.fin = self.datum.coefficient_lattice()
         self._kappa: dict[int, HeckeElt] = {}
         self._kprod: dict[tuple, dict] = {(): {weyl.identity(self.datum): 1}}
-        self._cols: dict[tuple, dict] = {}
-        self._fs: dict[tuple, dict] = {}
+        self._cols: dict[tuple, dict] = {(): {(): 1}}
+        self._fs: dict[tuple, dict] = {(): {weyl.identity(self.datum): 1}}
+        self._fs_open: set[tuple] = set()
         self._g: dict[tuple, SymFunc] = {}
 
     @classmethod
@@ -90,9 +96,14 @@ class GrothendieckEngine:
 
     def _column(self, nu: tuple) -> dict:
         """{mu: [T_{u_mu}] kappa_nu} = {mu: <h_nu, G_mu>} for a bounded
-        partition nu, memoised: callers must not mutate the returned dict."""
+        partition nu, memoised: callers must not mutate the returned dict.
+        Built as kappa_{nu_1} times the column of nu[1:], kept Grassmannian:
+        a Grassmannian T_z in T_x T_u has u Grassmannian (a right suffix of
+        z), so the full product kappa_nu is never formed."""
         if nu not in self._cols:
-            self._cols[nu] = self.grassmannian_terms(self.kappa_product(nu))
+            rest = {self.grassmannian(mu): c for mu, c in self._column(nu[1:]).items()}
+            self._cols[nu] = self.grassmannian_terms(
+                int_mul(self.kappa_product(nu[:1]), rest))
         return self._cols[nu]
 
     def g_coeff(self, u: weyl.WeylElt, lam: tuple) -> int:
@@ -235,10 +246,41 @@ class GrothendieckEngine:
 
     def varphi_g(self, lam) -> dict:
         """{w: int} terms of varphi(g_lam) = phi_0(k_w), w of partition lam,
-        memoised per partition: callers must not mutate the returned dict."""
-        lam = make_partition(lam)
-        if lam not in self._fs:
-            self._fs[lam] = self._varphi_int(self.g_of(lam))
+        memoised per partition: callers must not mutate the returned dict.
+        ``varphi(g_of(lam))`` is its oracle."""
+        return self._phi_g(make_partition(lam))
+
+    def _phi_g(self, lam: tuple) -> dict:
+        """varphi_g by the K-homology Pieri rule.  For lam = (r, nu) the
+        product h_r g_nu = sum_mu c_mu g_mu has c_lam = 1, and every other mu
+        of lower degree or lex-greater, so as varphi(h_r) = kappa_r,
+        phi_0(k_lam) = kappa_r phi_0(k_nu) - sum_{mu != lam} c_mu phi_0(k_mu).
+        The c_mu are checked against the Pieri rule in the 0-Hecke ring,
+        the Grassmannian terms of kappa_r T_{u_nu}."""
+        if lam in self._fs:
+            return self._fs[lam]
+        if lam in self._fs_open:
+            raise VerificationError(f"Pieri recursion for phi_0(k_{lam}) met {lam} again")
+        self._fs_open.add(lam)
+        try:
+            r, nu = lam[0], lam[1:]
+            kappa_r = self.kappa_product(lam[:1])
+            c = spread(self.g_of(nu).terms,
+                       lambda a: self._column(make_partition((r,) + a)).items())
+            if c.get(lam) != 1:
+                raise VerificationError(
+                    f"coefficient of g_{lam} in h_{r} g_{nu} is {c.get(lam, 0)}, not 1")
+            pieri = self.grassmannian_terms(int_mul(kappa_r, {self.grassmannian(nu): 1}))
+            if c != pieri:
+                raise VerificationError(
+                    f"h_{r} g_{nu} = {c} in the g basis, but the Pieri rule gives {pieri}")
+            # kappa_r phi_0(k_nu) at weight 1 for lam, -c_mu phi_0(k_mu) for the rest
+            self._fs[lam] = spread(
+                {mu: 1 if mu == lam else -a for mu, a in c.items()},
+                lambda mu: (int_mul(kappa_r, self._phi_g(nu)) if mu == lam
+                            else self._phi_g(mu)).items())
+        finally:
+            self._fs_open.discard(lam)
         return self._fs[lam]
 
     # -- G-basis expansions ----------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 the centralizer-at-0 subalgebra, the K-homology Pieri rule, structure
 constants, equivariant k_w for affine SL_2, and conjecture scans.
 
-phi_0(k_w) is produced through the symmetric-function route (the Hopf lift
-of g_w); an independent integer linear-system solver is kept as an oracle.
+phi_0(k_w) is produced by the K-homology Pieri rule in
+``GrothendieckEngine.varphi_g``; the Hopf lift varphi(g_w) of the full kappa
+products and an independent integer linear-system solver are kept as oracles.
 """
 
 from __future__ import annotations
@@ -122,9 +123,10 @@ def structure_d(engine: GrothendieckEngine, lam, mu) -> dict:
     g-basis coordinates of g_lam g_mu in Lambda_(n), which is K-homology of
     the affine Grassmannian with the Schubert class of u going to g_lam.
 
-    Both routes read the kappa table and ``g_of``.  The formula folds T_x T_v
-    for each x in phi_0(k_u) = varphi(g_lam); ``g_multiply`` multiplies in
-    the h basis and pairs through the column table.  The product route,
+    The formula folds T_x T_v for each x in phi_0(k_u) = varphi(g_lam), read
+    from the Pieri-built table ``varphi_g``; ``g_multiply`` multiplies g_lam
+    g_mu in the h basis and pairs through the Grassmannian-restricted
+    columns.  Neither forms a full kappa product.  The product route,
     ``expand_in_fs_basis(int_mul(k_u, k_v))``, is a third and costlier one,
     kept as a test oracle."""
     lam, mu = make_partition(lam), make_partition(mu)
@@ -254,6 +256,18 @@ def _alternating(sign_exponent: int, value: int) -> bool:
     return value * (-1 if sign_exponent % 2 else 1) >= 0
 
 
+def _G_in_F(engine: GrothendieckEngine, labels: list) -> dict:
+    """{lam: {mu: coefficient of F_mu in G_lam}} over the labels mu, by
+    duality: the coefficient is <s^(k)_mu, G_lam>, the g-coordinate at lam
+    of ``kschur_of(mu)``.  Each row lists its mu in the order of ``labels``:
+    degree ascending, lex-descending within a degree."""
+    out = {}
+    for mu in labels:
+        for lam, c in engine.expand_in_g(engine.kschur_of(mu)).items():
+            out.setdefault(lam, {})[mu] = c
+    return out
+
+
 def conjecture_scan(n: int, max_len: int) -> ConjectureReport:
     """Scan CJ:sign, C:g(1)(2), C:G(1)(2) and products (C:G(3)) up to max_len.
 
@@ -261,12 +275,18 @@ def conjecture_scan(n: int, max_len: int) -> ConjectureReport:
     dual bases, so the coefficient of G_lam in G_w is <g_lam, G_w> =
     [T_w] varphi(g_lam), and l(w) <= |lam| on that table.  The G-basis peel
     ``GrothendieckEngine.G_in_G_basis`` is the tests' oracle for it.
+
+    C:G(2) is read through duality too, from the column table: ``_G_in_F``
+    builds the F-expansions of every G_lam before the main loop, in the
+    order of its oracle ``m_to_F(G_of(u_lam, max_len))``, so a failing
+    scan lists its violations as that route did.
     """
     engine = GrothendieckEngine.get(n)
     report = ConjectureReport(
         conjectures=["CJ:sign-k", "CJ:sign-d/C:G3", "C:g1", "C:g2", "C:G1", "C:G2"],
         n=n, max_length=max_len)
     labels = engine.bounded(max_len)
+    G_in_F = _G_in_F(engine, labels)
 
     for lam in labels:
         ell = sum(lam)
@@ -291,8 +311,7 @@ def conjecture_scan(n: int, max_len: int) -> ConjectureReport:
             elif not _alternating(ell - sum(mu) - sum(nu), c):
                 report.record("C:g2", f"lam={lam}, ({mu},{nu})", c)
         # C:G(2): G_lam is alternating in the affine Schur functions
-        G = engine.G_of(engine.grassmannian(lam), max_len)
-        for mu, c in engine.m_to_F(G).terms.items():
+        for mu, c in G_in_F[lam].items():
             report.checked += 1
             if not _alternating(sum(mu) - ell, c):
                 report.record("C:G2", f"lam={lam}, F={mu}", c)

@@ -414,6 +414,8 @@ def _reflection_for_root(datum, alpha: Weight) -> WeylElt:
     coords = datum.root_coords(alpha)
     if coords is None:
         raise ValueError("not in the root lattice")
+    if all(c <= 0 for c in coords):
+        raise ValueError("reflection_for_root needs a positive root")
     for i in datum.nodes:
         if alpha == datum.simple_root(i):
             return simple(datum, i)

@@ -717,6 +717,10 @@ STDOUT_CONTRACT = [
      "cd75960b7862fd2b4f2ddace154442b74f2dcd7797cd1c319b24c2039443914c"),
     ("kappa --n 4 --i 2", 0,
      "021059663d3527b1717ddd30e67b964ad2aae76aae928ae9f1db865154a10fac"),
+    ("check-conjectures --n 5 --max-len 7 --format json", 0,
+     "cf47ec388820483e8a32d2b0eae894916809461ef68f2289b2557853ae9d4927"),
+    ("G --n 4 --partition 321 --max-degree 8 --basis F", 0,
+     "26b9970672cb92afb0bf1db21a22ea1b478f09dfb01f8ae590900dce4632db6c"),
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from khecke import weyl
+from khecke.cartan import VerificationError
 from khecke.grothendieck import GrothendieckEngine
 from khecke.hecke import t_mul
 from khecke.symfunc import (SymFunc, coproduct_h, hall_pair, multiply,
@@ -384,6 +385,59 @@ class TestColumnExpansions:
             want = {mu: engine.g_coeff(engine.grassmannian(mu), nu)
                     for mu in engine.bounded(sum(nu))}
             assert engine._column(nu) == {mu: c for mu, c in want.items() if c}, nu
+
+
+class TestFastPathOracles:
+    """Each fast path against the full kappa products it replaces."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_restricted_column_matches_full_product(self, n):
+        engine = GrothendieckEngine(n)
+        for nu in engine.bounded(7):
+            assert engine._column(nu) == \
+                engine.grassmannian_terms(engine.kappa_product(nu)), nu
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_pieri_varphi_g_matches_hopf_lift(self, n):
+        engine = GrothendieckEngine(n)
+        for lam in engine.bounded(7):
+            assert engine.varphi_g(lam) == engine._varphi_int(engine.g_of(lam)), lam
+        assert not engine._fs_open
+
+
+class TestPieriRecursionChecks:
+    """The three ways the Pieri recursion for varphi_g refuses to go on."""
+
+    def test_leading_coefficient_not_one(self, monkeypatch):
+        engine = GrothendieckEngine(3)
+        g_of = engine.g_of
+        monkeypatch.setattr(engine, "g_of", lambda lam: g_of(lam).scaled(2))
+        with pytest.raises(VerificationError, match=r"h_1 g_\(\) is 2, not 1"):
+            engine.varphi_g((1,))
+        assert (1,) not in engine._fs and not engine._fs_open
+
+    def test_pieri_rule_mismatch(self, monkeypatch):
+        engine = GrothendieckEngine(3)
+        engine.g_of(())
+        engine._column((1,))
+        terms = engine.grassmannian_terms
+        monkeypatch.setattr(engine, "grassmannian_terms",
+                            lambda t: {**terms(t), (): 7})
+        with pytest.raises(VerificationError, match="Pieri rule gives"):
+            engine.varphi_g((1,))
+        assert (1,) not in engine._fs and not engine._fs_open
+
+    def test_partition_met_again(self, monkeypatch):
+        engine = GrothendieckEngine(3)
+        g_of = engine.g_of
+
+        def reentrant_g_of(lam):
+            engine.varphi_g((2, 1))
+            return g_of(lam)
+        monkeypatch.setattr(engine, "g_of", reentrant_g_of)
+        with pytest.raises(VerificationError, match=r"met \(2, 1\) again"):
+            engine.varphi_g((2, 1))
+        assert (2, 1) not in engine._fs and not engine._fs_open
 
 
 def dual_solve_by_g_coeff(engine, lam, top_only):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from khecke.hecke import (HeckeElt, coproduct, int_mul, phi0_hecke,
                           phi0_tensor, t_mul, TensorElt)
 from khecke.localization import sl2_sigma
 from khecke.peterson import (ConjectureReport, SupportTruncationError,
-                             _check_centralizer, conjecture_scan,
+                             _G_in_F, _check_centralizer, conjecture_scan,
                              cross_k_scan, equivariant_k_sl2,
                              expand_in_fs_basis, fomin_stanley_elt,
                              fomin_stanley_via_linear_system, l0_membership,
@@ -423,6 +424,33 @@ class TestScans:
         assert rep.passed, rep.summary()
         assert rep.checked == 45473
 
+    def test_n4_len7_scan_report_pinned(self):
+        rep = conjecture_scan(4, 7)
+        assert rep.passed, rep.summary()
+        assert rep.checked == 2601
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == \
+            "47b01d29fd77137eef8ff5c71448a7bb83c2ae712ec66e7e9e6cd6b3d2153768"
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_G_in_F_by_duality_matches_m_to_F(self, n):
+        engine = GrothendieckEngine(n)
+        labels = engine.bounded(7)
+        table = _G_in_F(engine, labels)
+        assert list(table) == labels
+        for lam in labels:
+            G = engine.G_of(engine.grassmannian(lam), 7)
+            assert list(table[lam].items()) == \
+                list(engine.m_to_F(G).terms.items()), lam
+
+    def test_scans_form_no_full_kappa_product(self, monkeypatch):
+        engines = {n: GrothendieckEngine(n) for n in (4, 5)}
+        for n, engine in engines.items():
+            monkeypatch.setitem(GrothendieckEngine._instances, n, engine)
+        assert conjecture_scan(4, 7).passed
+        assert cross_k_scan(4, 8).passed
+        for engine in engines.values():
+            assert all(len(nu) <= 1 for nu in engine._kprod), engine.n
+
     def test_n7_len10_scan_passes(self):
         rep = conjecture_scan(7, 10)
         assert rep.passed, rep.summary()
@@ -433,7 +461,7 @@ class TestScans:
         assert rep.passed
 
     def test_cross_scan_n4_deg10_passes(self):
-        for n, degree, checked in ((4, 10, 277), (5, 8, 93)):
+        for n, degree, checked in ((4, 10, 277), (5, 8, 93), (7, 10, 187)):
             rep = cross_k_scan(n, degree)
             assert rep.passed, rep.summary()
             assert rep.checked == checked

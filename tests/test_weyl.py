@@ -702,6 +702,17 @@ class TestReflectionMemo:
             weyl.reflection_for_root(af2, af2.fundamental_weight(0))
         assert af2.fundamental_weight(0) not in weyl._DatumOps.of(af2).reflections
 
+    @pytest.mark.parametrize("typ, nodes", [("A2~", (1,)), ("A2~", (1, 2)),
+                                            ("G2~", (1, 2))])
+    def test_rejects_negative_roots(self, typ, nodes):
+        datum = RootDatum.of_type(typ)
+        alpha = sum((datum.simple_root(i) for i in nodes[1:]), datum.simple_root(nodes[0]))
+        assert weyl.apply(weyl.reflection_for_root(datum, alpha), alpha) == -alpha
+        for _ in range(2):
+            with pytest.raises(ValueError, match="positive root"):
+                weyl.reflection_for_root(datum, -alpha)
+            assert -alpha not in weyl._DatumOps.of(datum).reflections
+
 
 DESCENT_DATA = [RootDatum.of_type(t) for t in ("B2", "G2", "C2~", "G2~")] + [
     RootDatum.sl(4)]
