@@ -460,6 +460,9 @@ def main(argv=None) -> int:
     except (DomainError, ValueError, SupportTruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except RecursionError:
+        print("error: input too deep for this computation", file=sys.stderr)
+        return USAGE_ERROR
     return 0
 
 

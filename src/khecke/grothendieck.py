@@ -10,15 +10,15 @@ columns, memoised per partition nu and built one factor kappa_{nu_1} at a
 time on Grassmannian elements only: T_x T_u = +-T_z has u a right suffix of
 z, and every right suffix of a Grassmannian element is Grassmannian.  The
 dual family g_v in Z[h_1, ..., h_{n-1}] is peeled against the columns from
-the top degree down, and the g/k-Schur expansions and the g-coproduct are
-sparse sums over them.  The k-Schur function of v is read off as the top
-homogeneous component of g_v, not solved for again.  phi_0(k_lam) =
-varphi(g_lam) is built by the K-homology Pieri rule, one kappa_{lam_1} times
-phi_0(k_{lam[1:]}) per partition; the full products stay as its oracle.
-Every unitriangular system goes through ``symfunc.peel`` along a fixed key
-order, and every sum of rows through ``spread`` (defined in ``cartan``,
-imported through ``symfunc``), except ``g_coproduct``'s outer product of two
-column sums, kept factored.
+the top degree down, and the g/k-Schur expansions are sparse sums over
+them.  The k-Schur function of v is read off as the top homogeneous
+component of g_v, not solved for again.  phi_0(k_lam) =
+varphi(g_lam) and the g-coproduct Delta(g_lam) are built by the K-homology
+Pieri rule, one h_{lam_1} times the image of g_{lam[1:]} per partition; the
+full products and the h (x) h coproduct stay as their oracles.  Every
+unitriangular system goes through ``symfunc.peel`` along a fixed key order,
+and every sum of rows through ``spread`` (defined in ``cartan``, imported
+through ``symfunc``).
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from __future__ import annotations
 from .cartan import RootDatum, VerificationError
 from . import weyl
 from .hecke import HeckeElt, int_mul
-from .symfunc import (SymFunc, TensorSym, convert, coproduct_h, hall_pair,
-                      make_partition, multiply, partitions_of, partitions_up_to,
-                      peel, spread)
+from .symfunc import (SymFunc, TensorSym, convert, hall_pair, make_partition,
+                      multiply, partitions_of, partitions_up_to, peel, spread)
 
 
 class GrothendieckEngine:
@@ -47,6 +46,9 @@ class GrothendieckEngine:
         self._cols: dict[tuple, dict] = {(): {(): 1}}
         self._fs: dict[tuple, dict] = {(): {weyl.identity(self.datum): 1}}
         self._fs_open: set[tuple] = set()
+        self._dg: dict[tuple, dict] = {(): {((), ()): 1}}
+        self._dg_open: set[tuple] = set()
+        self._pieri: dict[tuple, dict] = {}
         self._g: dict[tuple, SymFunc] = {}
 
     @classmethod
@@ -214,19 +216,33 @@ class GrothendieckEngine:
     # -- coproduct and product on the g basis ----------------------------------------------------
 
     def g_coproduct(self, lam) -> TensorSym:
-        """Delta(g_lam) expanded over g (x) g: each left factor h_a spreads over
-        column a, times its right row summed through the columns.  Kept
-        factored, the outer product takes half the time of a flat ``spread``."""
-        left_rows: dict[tuple, dict] = {}
-        for (a, b), c in coproduct_h(self.g_of(lam)).terms.items():
-            left_rows.setdefault(a, {})[b] = c
-        out = {}
-        for a, row in left_rows.items():
-            right = spread(row, lambda nu: self._column(nu).items())
-            for mu, ca in self._column(a).items():
-                for nu, val in right.items():
-                    out[mu, nu] = out.get((mu, nu), 0) + ca * val
-        return TensorSym._trusted(("g", "g"), {k: c for k, c in out.items() if c}, self.n)
+        """Delta(g_lam) over g (x) g, by the K-homology Pieri rule.  The terms
+        are ``_delta_g``'s memo, not to be mutated.  A failing scan lists its
+        C:g2 violations in their order: as ``spread`` first meets them, walking
+        the Pieri row h_r g_nu for lam = (r, nu) and taking, at each g_mu in
+        it, Delta(h_r) Delta(g_nu) if mu = lam and Delta(g_mu) otherwise."""
+        return TensorSym._trusted(("g", "g"), self._delta_g(make_partition(lam)), self.n)
+
+    def _delta_g(self, lam: tuple) -> dict:
+        """{(mu, nu): c} of Delta(g_lam).  Delta is multiplicative and
+        Delta(h_r) = sum_j h_j (x) h_{r-j}, so Delta(h_r) Delta(g_nu) spreads
+        each g_a (x) g_b over the Pieri rows h_j g_a (x) h_{r-j} g_b.  Checked
+        on each result: the counit on either side, and cocommutativity."""
+        def times_h(r, delta_nu):
+            return spread(delta_nu, lambda ab: [
+                ((mu, nu), x * y) for j in range(r + 1)
+                for mu, x in self._pieri_row(j, ab[0]).items()
+                for nu, y in self._pieri_row(r - j, ab[1]).items()])
+
+        def check(lam, delta):
+            counit = {k: c for k, c in delta.items() if not all(k)}
+            if counit != {((), lam): 1, (lam, ()): 1}:
+                raise VerificationError(f"counit of Delta(g_{lam}) leaves {counit}")
+            if any(delta.get((b, a)) != c for (a, b), c in delta.items()):
+                raise VerificationError(f"Delta(g_{lam}) is not cocommutative")
+
+        return self._by_pieri(self._dg, self._dg_open, lam, "Delta(g_{})",
+                              self._pieri_row, times_h, check)
 
     def g_multiply(self, lam, mu) -> dict:
         """g_lam g_mu expanded in the g basis."""
@@ -251,37 +267,59 @@ class GrothendieckEngine:
         return self._phi_g(make_partition(lam))
 
     def _phi_g(self, lam: tuple) -> dict:
-        """varphi_g by the K-homology Pieri rule.  For lam = (r, nu) the
-        product h_r g_nu = sum_mu c_mu g_mu has c_lam = 1, and every other mu
-        of lower degree or lex-greater, so as varphi(h_r) = kappa_r,
-        phi_0(k_lam) = kappa_r phi_0(k_nu) - sum_{mu != lam} c_mu phi_0(k_mu).
-        The c_mu are checked against the Pieri rule in the 0-Hecke ring,
-        the Grassmannian terms of kappa_r T_{u_nu}."""
-        if lam in self._fs:
-            return self._fs[lam]
-        if lam in self._fs_open:
-            raise VerificationError(f"Pieri recursion for phi_0(k_{lam}) met {lam} again")
-        self._fs_open.add(lam)
-        try:
-            r, nu = lam[0], lam[1:]
-            kappa_r = self.kappa_product(lam[:1])
+        """varphi_g by the K-homology Pieri rule: varphi(h_r) = kappa_r.  The
+        coordinates of h_r g_nu are read in Lambda_(n), through the columns,
+        and checked against the Pieri rule in the 0-Hecke ring."""
+        def coords(r, nu):
             c = spread(self.g_of(nu).terms,
                        lambda a: self._column(make_partition((r,) + a)).items())
+            if c.get((r,) + nu) == 1 and c != self._pieri_row(r, nu):
+                raise VerificationError(f"h_{r} g_{nu} = {c} in the g basis, but the "
+                                        f"Pieri rule gives {self._pieri_row(r, nu)}")
+            return c
+
+        return self._by_pieri(
+            self._fs, self._fs_open, lam, "phi_0(k_{})", coords,
+            lambda r, phi_nu: int_mul(self.kappa_product((r,)), phi_nu))
+
+    def _pieri_row(self, j: int, a: tuple) -> dict:
+        """{mu: c} with h_j g_a = sum c g_mu: the Grassmannian terms of
+        kappa_j T_{u_a} (the K-homology Pieri rule), memoised: callers must
+        not mutate the returned dict."""
+        if (j, a) not in self._pieri:
+            self._pieri[j, a] = self.grassmannian_terms(
+                int_mul(self.kappa_product((j,)), {self.grassmannian(a): 1}))
+        return self._pieri[j, a]
+
+    def _by_pieri(self, memo: dict, open_: set, lam: tuple, what: str, coords,
+                  times_h, check=None) -> dict:
+        """memo[lam], the image of g_lam under a ring map on Lambda_(n).  For
+        lam = (r, nu), h_r g_nu = sum_mu c_mu g_mu (c = coords(r, nu)) has
+        c_lam = 1 and every other mu of lower degree or lex-greater, so
+        image(g_lam) = times_h(r, image(g_nu)) - sum_{mu != lam} c_mu image(g_mu);
+        image(g_nu) comes first, so each part of lam is one level of recursion."""
+        if lam in memo:
+            return memo[lam]
+        if lam in open_:
+            raise VerificationError(
+                f"Pieri recursion for {what.format(lam)} met {lam} again")
+        open_.add(lam)
+        try:
+            r, nu = lam[0], lam[1:]
+            c = coords(r, nu)
             if c.get(lam) != 1:
                 raise VerificationError(
                     f"coefficient of g_{lam} in h_{r} g_{nu} is {c.get(lam, 0)}, not 1")
-            pieri = self.grassmannian_terms(int_mul(kappa_r, {self.grassmannian(nu): 1}))
-            if c != pieri:
-                raise VerificationError(
-                    f"h_{r} g_{nu} = {c} in the g basis, but the Pieri rule gives {pieri}")
-            # kappa_r phi_0(k_nu) at weight 1 for lam, -c_mu phi_0(k_mu) for the rest
-            self._fs[lam] = spread(
-                {mu: 1 if mu == lam else -a for mu, a in c.items()},
-                lambda mu: (int_mul(kappa_r, self._phi_g(nu)) if mu == lam
-                            else self._phi_g(mu)).items())
+            top = times_h(r, self._by_pieri(memo, open_, nu, what, coords, times_h, check))
+            out = spread({mu: 1 if mu == lam else -a for mu, a in c.items()},
+                         lambda mu: (top if mu == lam else self._by_pieri(
+                             memo, open_, mu, what, coords, times_h, check)).items())
+            if check:
+                check(lam, out)
+            memo[lam] = out
         finally:
-            self._fs_open.discard(lam)
-        return self._fs[lam]
+            open_.discard(lam)
+        return memo[lam]
 
     # -- G-basis expansions ----------------------------------------------------------------------------
 

@@ -113,8 +113,7 @@ def pieri(engine: GrothendieckEngine, i: int, lam) -> dict:
     cyclically decreasing x with T_x T_v = +-T_w."""
     if not 1 <= i <= engine.n - 1:
         raise ValueError("pieri needs 1 <= i <= n-1")
-    v = engine.grassmannian(lam)
-    return engine.grassmannian_terms(int_mul(engine.kappa_product((i,)), {v: 1}))
+    return dict(engine._pieri_row(i, make_partition(lam)))
 
 
 def structure_d(engine: GrothendieckEngine, lam, mu) -> dict:

@@ -37,16 +37,40 @@ def make_partition(parts: Iterable[int]) -> Partition:
 
 
 def partitions_of(n: int, max_part: int | None = None) -> list[Partition]:
-    """Partitions of n (parts <= max_part), lex-descending."""
-    return list(_partitions(n, n if max_part is None else min(max_part, n)))
+    """Partitions of n (parts <= max_part), lex-descending.  Refuses with
+    ValueError to list more than MAX_PARTITIONS of them."""
+    key = (n, n if max_part is None else min(max_part, n))
+    if key not in _PARTITIONS:
+        ways = [1] + [0] * max(n, 0)  # ways[m]: partitions of m, parts so far
+        for p in range(1, key[1] + 1):
+            for m in range(p, n + 1):
+                ways[m] += ways[m - p]
+        if ways[n] > MAX_PARTITIONS:
+            raise ValueError(f"{n} has {ways[n]} partitions with parts <= {key[1]}, "
+                             f"more than {MAX_PARTITIONS} to list")
+        _fill_partitions(key)
+    return list(_PARTITIONS[key])
 
 
-@lru_cache(maxsize=None)
-def _partitions(n: int, cap: int) -> tuple:
-    if n == 0:
-        return ((),)
-    return tuple((p,) + rest for p in range(min(cap, n), 0, -1)
-                 for rest in _partitions(n - p, p))
+MAX_PARTITIONS = 10**6
+_PARTITIONS: dict[tuple[int, int], tuple] = {}
+
+
+def _fill_partitions(key: tuple[int, int]):
+    """Memoise the partitions of m with parts <= c for (m, c) = key: p then
+    each partition of m - p with parts <= p, for p from min(c, m) down.  The
+    (m - p, p) are filled first, from an explicit stack, so a long partition
+    costs no recursion."""
+    stack = [key]
+    while stack:
+        m, c = stack[-1]
+        subs = [(m - p, p) for p in range(min(c, m), 0, -1)]
+        todo = [sub for sub in subs if sub not in _PARTITIONS]
+        stack += todo
+        if not todo:
+            stack.pop()
+            _PARTITIONS[m, c] = tuple((p,) + rest for rest_m, p in subs
+                                      for rest in _PARTITIONS[rest_m, p]) if m else ((),)
 
 
 def partitions_up_to(n: int, max_part: int | None = None) -> list[Partition]:

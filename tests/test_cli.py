@@ -159,6 +159,25 @@ class TestErrors:
         # both once ran on --type and ignored --n
         assert run(capsys, *argv) == (1, "", "error: give --type or --n, not both\n")
 
+    def test_recursion_error_exits_1(self, capsys, monkeypatch):
+        from khecke.grothendieck import GrothendieckEngine
+
+        def too_deep(self, lam):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr(GrothendieckEngine, "g_coproduct", too_deep)
+        assert run(capsys, "coproduct", "--n", "3", "--partition", "1") == \
+            (1, "", "error: input too deep for this computation\n")
+
+    def test_long_partition_refused_in_one_line(self, capsys, monkeypatch):
+        # the k-Schur function of 1^400 is computed (on a fresh engine); its
+        # s-expansion would list the partitions of 400, which once hit the
+        # recursion limit
+        from khecke.grothendieck import GrothendieckEngine
+        monkeypatch.setattr(GrothendieckEngine, "_instances", {})
+        code, out, err = run(capsys, "kschur", "--n", "2", "--partition", "1" * 400)
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("error: 400 has ") and "partitions" in err
+
     def test_cross_check_failure_exits_2(self, capsys, monkeypatch):
         from khecke.grothendieck import GrothendieckEngine
         monkeypatch.setattr(GrothendieckEngine, "g_multiply", lambda self, lam, mu: {})
@@ -721,6 +740,10 @@ STDOUT_CONTRACT = [
      "cf47ec388820483e8a32d2b0eae894916809461ef68f2289b2557853ae9d4927"),
     ("G --n 4 --partition 321 --max-degree 8 --basis F", 0,
      "26b9970672cb92afb0bf1db21a22ea1b478f09dfb01f8ae590900dce4632db6c"),
+    ("coproduct --n 5 --partition 4321 --format json", 0,
+     "89747b42dcc2a21931604dedf975de27ccb1bad80acbd14edfb653167c1b528b"),
+    ("coproduct --n 2 --partition 1,1,1,1,1,1,1,1 --format latex-table", 0,
+     "e015ca69777a57e0ff91416ca43f127fd09ca59958a523c8e6d3c4f171975b02"),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import comb
 
@@ -9,7 +10,7 @@ from khecke.cartan import VerificationError
 from khecke.grothendieck import GrothendieckEngine
 from khecke.hecke import t_mul
 from khecke.symfunc import (SymFunc, coproduct_h, hall_pair, multiply,
-                            partitions_of, partitions_up_to)
+                            partitions_of, partitions_up_to, spread)
 
 
 class TestKappa:
@@ -205,6 +206,88 @@ def g_coproduct_by_g_coeff(engine, lam):
                 cb = engine.g_coeff(engine.grassmannian(nu), b)
                 out[(mu, nu)] = out.get((mu, nu), 0) + c * ca * cb
     return {key: c for key, c in out.items() if c}
+
+
+def g_coproduct_via_h(engine, lam):
+    """Oracle for g_coproduct: Delta(g_lam) through the h basis.  Each left
+    factor h_a of Delta(h_mu) over the h-terms of g_lam spreads over column a,
+    times its right row summed through the columns."""
+    left_rows = {}
+    for (a, b), c in coproduct_h(engine.g_of(lam)).terms.items():
+        left_rows.setdefault(a, {})[b] = c
+    out = {}
+    for a, row in left_rows.items():
+        right = spread(row, lambda nu: engine._column(nu).items())
+        for mu, ca in engine._column(a).items():
+            for nu, val in right.items():
+                out[mu, nu] = out.get((mu, nu), 0) + ca * val
+    return {k: c for k, c in out.items() if c}
+
+
+class TestGCoproductByPieri:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_h_route(self, n):
+        engine = GrothendieckEngine(n)
+        for lam in engine.bounded(7):
+            assert engine.g_coproduct(lam).terms == g_coproduct_via_h(engine, lam), lam
+        assert not engine._dg_open
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_pieri_rows_match_lambda_side(self, n):
+        # the coproduct reads rows with j < a_1, which varphi_g never checks
+        engine = GrothendieckEngine(n)
+        for j in range(n):
+            h_j = SymFunc.gen("h", (j,) if j else ())
+            for a in engine.bounded(7 - j):
+                assert engine._pieri_row(j, a) == \
+                    engine.expand_in_g(multiply(h_j, engine.g_of(a))), (j, a)
+
+    def test_coproduct_terms_pinned(self):
+        # sha256 taken on the h (x) h route it replaced
+        engine = GrothendieckEngine(4)
+        terms = [(lam, sorted(engine.g_coproduct(lam).terms.items()))
+                 for lam in engine.bounded(7)]
+        assert hashlib.sha256(repr(terms).encode()).hexdigest() == \
+            "1f7837a9e288e50d3ec5bc46500521cad73f4de67c26e5357a099b53c83796ab"
+
+
+class TestCoproductRecursionChecks:
+    """The four ways the Pieri recursion for Delta(g_lam) refuses to go on;
+    each leaves the memo and the in-progress set as they were."""
+
+    @staticmethod
+    def refused(engine, lam, match):
+        with pytest.raises(VerificationError, match=match):
+            engine.g_coproduct(lam)
+        assert lam not in engine._dg and not engine._dg_open
+
+    def test_leading_coefficient_not_one(self, monkeypatch):
+        engine = GrothendieckEngine(3)
+        row = engine._pieri_row
+        monkeypatch.setattr(engine, "_pieri_row",
+                            lambda j, a: {mu: 2 * c for mu, c in row(j, a).items()})
+        self.refused(engine, (1,), r"h_1 g_\(\) is 2, not 1")
+
+    def test_partition_met_again(self, monkeypatch):
+        engine = GrothendieckEngine(3)
+        row = engine._pieri_row
+
+        def reentrant_row(j, a):
+            if (j, a) == (2, (1,)):
+                engine.g_coproduct((2, 1))
+            return row(j, a)
+        monkeypatch.setattr(engine, "_pieri_row", reentrant_row)
+        self.refused(engine, (2, 1), r"Delta\(g_\(2, 1\)\) met \(2, 1\) again")
+
+    def test_counit(self):
+        engine = GrothendieckEngine(3)
+        engine._dg[(1,)] = {**engine.g_coproduct((1,)).terms, ((), (2,)): 1}
+        self.refused(engine, (1, 1), r"counit of Delta\(g_\(1, 1\)\) leaves")
+
+    def test_cocommutativity(self):
+        engine = GrothendieckEngine(3)
+        engine._dg[(1,)] = {**engine.g_coproduct((1,)).terms, ((2,), (1,)): 1}
+        self.refused(engine, (1, 1), r"Delta\(g_\(1, 1\)\) is not cocommutative")
 
 
 class TestGOfTrusted:

@@ -214,6 +214,11 @@ class TestPieri:
         with pytest.raises(ValueError):
             pieri(e3, 3, (1,))
 
+    def test_returns_a_copy_of_the_row(self):
+        engine = GrothendieckEngine(3)
+        pieri(engine, 1, (1,)).clear()
+        assert pieri(engine, 1, (1,)) == engine._pieri_row(1, (1,)) != {}
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_agrees_with_product_expansion(self, n):
         engine = GrothendieckEngine.get(n)

@@ -57,6 +57,34 @@ class TestPartitionMemo:
             for cap in [None, *range(n + 2)]:
                 assert partitions_of(n, cap) == partitions_unmemoised(n, cap), (n, cap)
 
+    def test_matches_recursive_enumeration_and_memo(self, monkeypatch):
+        memo = {}
+
+        def recursive(n, cap):
+            if (n, cap) not in memo:
+                memo[n, cap] = ((),) if n == 0 else tuple(
+                    (p,) + rest for p in range(min(cap, n), 0, -1)
+                    for rest in recursive(n - p, p))
+            return memo[n, cap]
+        monkeypatch.setattr(symfunc, "_PARTITIONS", {})
+        for n in range(26):
+            for cap in [None, *range(n + 2)]:
+                assert partitions_of(n, cap) == \
+                    list(recursive(n, n if cap is None else min(cap, n))), (n, cap)
+        assert symfunc._PARTITIONS == memo
+
+    def test_long_partition_does_not_recurse(self, monkeypatch):
+        monkeypatch.setattr(symfunc, "_PARTITIONS", {})
+        assert partitions_of(2000, 1) == [(1,) * 2000]
+
+    def test_refuses_to_list_too_many(self, monkeypatch):
+        monkeypatch.setattr(symfunc, "_PARTITIONS", {})
+        monkeypatch.setattr(symfunc, "MAX_PARTITIONS", 41)
+        assert len(partitions_of(9)) == 30
+        with pytest.raises(ValueError, match="10 has 42 partitions with parts <= 10"):
+            partitions_of(10)
+        assert (10, 10) not in symfunc._PARTITIONS
+
     def test_returned_list_is_a_copy(self):
         first = partitions_of(5, 3)
         first.append((9,))
