@@ -16,6 +16,7 @@ partial record.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from pathlib import Path
@@ -26,11 +27,19 @@ ENV_VAR = "KHECKE_CACHE"
 SCHEMA = 3
 
 
-def default_cache_dir() -> Path:
+def default_cache_dir() -> Path | None:
+    """$KHECKE_CACHE, else $XDG_CACHE_HOME/khecke, else ~/.cache/khecke; None
+    when neither variable is set and there is no home directory."""
     env = os.environ.get(ENV_VAR)
     if env:
         return Path(env)
-    return Path(os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache")) / "khecke"
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    if xdg:
+        return Path(xdg) / "khecke"
+    try:
+        return Path.home() / ".cache" / "khecke"
+    except RuntimeError:
+        return None
 
 
 def _warn(message: str):
@@ -63,23 +72,32 @@ class ResultCache:
                 / f"{_checksum(_encode(key))}.json")
 
     def store(self, key: dict, payload) -> Path | None:
-        """Path of the written entry, or None (with a warning) if it cannot be written."""
+        """Path of the written entry, or None (with a warning) if it cannot be
+        written; a failed write removes its temporary file."""
+        if self.root is None:
+            _warn("cannot write cache entry: no cache directory "
+                  f"(no ${ENV_VAR}, $XDG_CACHE_HOME or home directory)")
+            return None
         record = {"key": key, "payload": payload}
         record["checksum"] = _checksum(_encode(record))
         path = self.path(key)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
             tmp.write_text(json.dumps(record, sort_keys=True), "utf-8")
             tmp.replace(path)
         except OSError as exc:
             _warn(f"cannot write cache entry {path}: {exc}")
+            with contextlib.suppress(OSError):
+                tmp.unlink()
             return None
         return path
 
     def load(self, key: dict):
         """Payload, or None when missing, stored under another key or corrupt
         (corrupt entries log a warning)."""
+        if self.root is None:
+            return None
         path = self.path(key)
         if not path.exists():
             return None

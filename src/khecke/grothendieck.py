@@ -26,8 +26,8 @@ from __future__ import annotations
 from .cartan import RootDatum, VerificationError
 from . import weyl
 from .hecke import HeckeElt, int_mul
-from .symfunc import (SymFunc, TensorSym, convert, hall_pair, make_partition,
-                      multiply, partitions_of, partitions_up_to, peel, spread)
+from .symfunc import (SymFunc, TensorSym, convert, make_partition, multiply,
+                      partitions_of, partitions_up_to, peel, spread)
 
 
 class GrothendieckEngine:
@@ -108,10 +108,6 @@ class GrothendieckEngine:
                 int_mul(self.kappa_product(nu[:1]), rest))
         return self._cols[nu]
 
-    def g_coeff(self, u: weyl.WeylElt, lam: tuple) -> int:
-        """[T_u] kappa_lam = coefficient of m_lam in G_u ((n-1)-bounded lam)."""
-        return self.kappa_product(lam).get(u, 0)
-
     # -- the G / F side ----------------------------------------------------------------
 
     def G_of(self, v: weyl.WeylElt, max_degree: int) -> SymFunc:
@@ -143,24 +139,6 @@ class GrothendieckEngine:
         each row is m_lam + lex-smaller terms of degree |lam| + higher degrees."""
         return peel(terms, [lam for d in degrees for lam in partitions_of(d, self.n - 1)],
                     lambda lam: row(self.grassmannian(lam)).terms.items())
-
-    # -- pairings ------------------------------------------------------------------------
-
-    def _check_h(self, f: SymFunc, who: str):
-        if f.basis != "h":
-            raise ValueError(f"{who} expects the h basis")
-        if any(lam and lam[0] >= self.n for lam in f.terms):
-            raise ValueError(f"{who} needs parts < n")
-
-    def pair_with_G(self, f: SymFunc, u: weyl.WeylElt) -> int:
-        """<f, G_u> for f in the h basis: sum f_lam [T_u] kappa_lam."""
-        self._check_h(f, "pair_with_G")
-        return hall_pair(f, self.G_of(u, f.max_degree()))
-
-    def pair_with_F(self, f: SymFunc, u: weyl.WeylElt) -> int:
-        """<f, F_u>: only the degree-l(u) part of f contributes."""
-        self._check_h(f, "pair_with_F")
-        return hall_pair(f, self.F_of(u))
 
     # -- the g / k-Schur side ---------------------------------------------------------------
 
@@ -195,6 +173,12 @@ class GrothendieckEngine:
         return out
 
     # -- expansions in the dual families -------------------------------------------------------
+
+    def _check_h(self, f: SymFunc, who: str):
+        if f.basis != "h":
+            raise ValueError(f"{who} expects the h basis")
+        if any(lam and lam[0] >= self.n for lam in f.terms):
+            raise ValueError(f"{who} needs parts < n")
 
     def expand_in_g(self, f: SymFunc) -> dict:
         """{mu: <f, G_mu>} -- the g-basis coordinates of f in Lambda_(n)."""

@@ -171,20 +171,6 @@ def t_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
         spread(a.terms, lambda u: t_word_mul(u.word, b).terms.items()))
 
 
-def demazure_act(a: HeckeElt, p: LaurentPoly) -> LaurentPoly:
-    """Apply sum a_w T_w to p in R(T)."""
-    out = LaurentPoly.zero(a.coeffs)
-    for w, q in a.terms.items():
-        cur = p
-        for i in reversed(w.word):
-            cur = demazure(a.datum, i, cur)
-            if cur.is_zero():
-                break
-        if not cur.is_zero():
-            out = out + q * cur
-    return out
-
-
 def group_elt_to_T(w: WeylElt, coeffs=None) -> HeckeElt:
     """Expansion of the group element w via r_i = 1 + (1 - e^{alpha_i}) T_i."""
     datum = w.datum
@@ -233,17 +219,6 @@ class TensorElt(_RCombination):
 
     def coefficient(self, u, v) -> LaurentPoly:
         return self.terms.get((u, v), LaurentPoly.zero(self.coeffs))
-
-    def apply_counit_left(self) -> HeckeElt:
-        """Contract the left slot with psi^id (coefficient of T_id)."""
-        e = weyl.identity(self.datum)
-        return HeckeElt(self.datum, self.coeffs,
-                        {v: p for (u, v), p in self.terms.items() if u == e})
-
-    def apply_counit_right(self) -> HeckeElt:
-        e = weyl.identity(self.datum)
-        return HeckeElt(self.datum, self.coeffs,
-                        {u: p for (u, v), p in self.terms.items() if v == e})
 
     def __repr__(self):
         bits = [f"({p!r})T[{weyl.word_str(u.word) or 'id'}]xT[{weyl.word_str(v.word) or 'id'}]"

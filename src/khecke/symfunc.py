@@ -90,12 +90,6 @@ def dominates(lam: Partition, mu: Partition) -> bool:
     return True
 
 
-def conjugate(lam: Partition) -> Partition:
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= k) for k in range(1, lam[0] + 1))
-
-
 @lru_cache(maxsize=None)
 def kostka(lam: Partition, mu: Partition) -> int:
     """Number of SSYT of shape lam and content mu."""
@@ -166,10 +160,6 @@ class SymFunc(Combination):
         return SymFunc(basis, {}, n)
 
     @staticmethod
-    def one(basis="m", n=None) -> "SymFunc":
-        return SymFunc(basis, {(): 1}, n)
-
-    @staticmethod
     def gen(basis, lam, n=None) -> "SymFunc":
         return SymFunc(basis, {make_partition(lam): 1}, n)
 
@@ -190,9 +180,6 @@ class SymFunc(Combination):
 
     def max_degree(self) -> int:
         return max((sum(lam) for lam in self.terms), default=0)
-
-    def min_degree(self) -> int:
-        return min((sum(lam) for lam in self.terms), default=0)
 
     def degree_part(self, d: int) -> "SymFunc":
         return SymFunc(self.basis,
@@ -297,7 +284,7 @@ def convert(f: SymFunc, target: str) -> SymFunc:
     raise ValueError(f"cannot convert basis {f.basis!r}")
 
 
-# -- products, pairing, quotient, coproduct ---------------------------------------
+# -- products, pairing, coproduct -------------------------------------------------
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -310,13 +297,6 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     if f.basis == g.basis and f.basis in ("m", "s"):
         return convert(prod, f.basis)
     return prod
-
-
-def truncate(f: SymFunc, n: int) -> SymFunc:
-    """Image in Lambda^(n): drop m_lam with lam_1 >= n."""
-    fm = convert(f, "m") if f.basis != "m" else f
-    return SymFunc("m", {lam: c for lam, c in fm.terms.items()
-                         if not lam or lam[0] < n}, n)
 
 
 def hall_pair(f: SymFunc, g: SymFunc) -> int:

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import json
 import logging
@@ -18,6 +19,10 @@ from khecke.symfunc import SymFunc
 
 
 KEY = {"command": "g", "n": 3, "partition": [2, 1], "basis": "h"}
+
+
+def no_home():
+    raise RuntimeError("Could not determine home directory.")
 
 
 def run(capsys, *argv):
@@ -473,6 +478,44 @@ class TestConjecturesAndCache:
         assert len(bad.stderr.splitlines()) == 1
         assert "cannot write cache entry" in bad.stderr
         assert "Traceback" not in bad.stderr
+
+    def test_xdg_cache_home_skips_home_lookup(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("KHECKE_CACHE", raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(Path, "home", no_home)
+        assert ResultCache().root == tmp_path / "khecke"
+
+    @pytest.mark.parametrize("argv", [
+        ("g", "--n", "3", "--partition", "21"),
+        ("G", "--n", "2", "--partition", "11", "--max-degree", "3"),
+        ("check-conjectures", "--n", "2", "--max-len", "2"),
+    ], ids=["g", "G", "check-conjectures"])
+    def test_no_cache_location_warns_once(self, capsys, caplog, tmp_path,
+                                          monkeypatch, argv):
+        code, want, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0
+        monkeypatch.delenv("KHECKE_CACHE", raising=False)
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        monkeypatch.setattr(Path, "home", no_home)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="khecke"):
+            code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == want
+        records = [r for r in caplog.records if r.name == "khecke"]
+        assert [r.levelno for r in records] == [logging.WARNING]
+        assert "no cache directory" in records[0].getMessage()
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, caplog, monkeypatch):
+        def full(self, target):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(Path, "replace", full)
+        with caplog.at_level(logging.WARNING, logger="khecke"):
+            assert ResultCache(tmp_path).store(KEY, {"x": 1}) is None
+        assert list(tmp_path.rglob("*.tmp")) == []
+        records = [r for r in caplog.records if r.name == "khecke"]
+        assert [r.levelno for r in records] == [logging.WARNING]
+        assert "No space left on device" in records[0].getMessage()
 
     def test_import_leaves_hashlib_unloaded(self):
         src = Path(khecke.__file__).resolve().parents[1]

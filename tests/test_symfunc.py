@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from khecke import symfunc
-from khecke.symfunc import (SymFunc, TensorSym, conjugate, convert,
-                            coproduct_h, dominates, hall_pair, kostka,
-                            make_partition, multiply, partitions_of,
-                            partitions_up_to, peel, truncate)
+from khecke.symfunc import (SymFunc, TensorSym, convert, coproduct_h,
+                            dominates, hall_pair, kostka, make_partition,
+                            multiply, partitions_of, partitions_up_to, peel)
 
 
 def rand_symfunc(basis, rng, degree):
@@ -30,10 +29,6 @@ class TestPartitions:
         assert dominates((3, 1), (2, 2))
         assert not dominates((2, 2), (3, 1))
         assert dominates((2, 1), (2, 1))
-
-    def test_conjugate(self):
-        assert conjugate((3, 1)) == (2, 1, 1)
-        assert conjugate(()) == ()
 
 
 def partitions_unmemoised(n, max_part=None):
@@ -255,10 +250,6 @@ class TestMultiplyTruncate:
     def test_h_concat(self):
         assert multiply(SymFunc.gen("h", (1,)), SymFunc.gen("h", (1,))) == \
             SymFunc.gen("h", (1, 1))
-
-    def test_truncate(self):
-        f = SymFunc("m", {(2,): 1, (1, 1): 1})
-        assert truncate(f, 2) == SymFunc("m", {(1, 1): 1}, 2)
 
     def test_commutative_associative(self):
         rng = random.Random(2)
