@@ -41,8 +41,8 @@ class GrothendieckEngine:
         self.n = n
         self.datum = RootDatum.affine_sl(n)
         self.fin = self.datum.coefficient_lattice()
-        self._kappa: dict[int, HeckeElt] = {}
         self._kprod: dict[tuple, dict] = {(): {weyl.identity(self.datum): 1}}
+        self._rows: dict[int, dict] = {}  # r -> {x: kappa_r T_x}
         self._cols: dict[tuple, dict] = {(): {(): 1}}
         self._fs: dict[tuple, dict] = {(): {weyl.identity(self.datum): 1}}
         self._fs_open: set[tuple] = set()
@@ -71,10 +71,7 @@ class GrothendieckEngine:
         """kappa_i = sum of T_w over cyclically decreasing w of length i."""
         if not 0 <= i <= self.n - 1:
             raise ValueError("kappa_i needs 0 <= i <= n-1")
-        if i not in self._kappa:
-            self._kappa[i] = HeckeElt.from_int_terms(self.datum, self.fin,
-                                                     self.kappa_product((i,)))
-        return self._kappa[i]
+        return HeckeElt.from_int_terms(self.datum, self.fin, self.kappa_product((i,)))
 
     def kappa_product(self, lam) -> dict:
         """{w: int} coefficients of kappa_{lam_1} ... kappa_{lam_k}."""
@@ -86,10 +83,22 @@ class GrothendieckEngine:
                 self._kprod[lam] = {
                     w: 1 for w in weyl.cyclically_decreasing(self.datum, lam[0])}
             else:
-                # kappa_{lam_1} (kappa_{lam_2} ...): fold the short words left
-                self._kprod[lam] = int_mul(self.kappa_product(lam[:1]),
-                                           self.kappa_product(lam[1:]))
+                self._kprod[lam] = self._kappa_times(lam[0], self.kappa_product(lam[1:]))
         return self._kprod[lam]
+
+    def _kappa_times(self, r: int, terms: dict) -> dict:
+        """{w: int} of kappa_r * sum c_x T_x: a ``spread`` of the rows kappa_r
+        T_x, each folded once per engine.  Every 0-Hecke product here is kappa_r
+        times something, so these rows are the folds that repeat."""
+        kappa = self.kappa_product((r,))
+        rows = self._rows.setdefault(r, {})
+
+        def row(x):
+            out = rows.get(x)
+            if out is None:
+                out = rows[x] = int_mul(kappa, {x: 1})
+            return out.items()
+        return spread(terms, row)
 
     def grassmannian_terms(self, terms: dict) -> dict:
         """{partition of w: c} over the Grassmannian w of {w: c}."""
@@ -103,9 +112,9 @@ class GrothendieckEngine:
         a Grassmannian T_z in T_x T_u has u Grassmannian (a right suffix of
         z), so the full product kappa_nu is never formed."""
         if nu not in self._cols:
-            rest = {self.grassmannian(mu): c for mu, c in self._column(nu[1:]).items()}
-            self._cols[nu] = self.grassmannian_terms(
-                int_mul(self.kappa_product(nu[:1]), rest))
+            rest = {weyl.grassmannian_from_partition(self.datum, mu): c
+                    for mu, c in self._column(nu[1:]).items()}
+            self._cols[nu] = self.grassmannian_terms(self._kappa_times(nu[0], rest))
         return self._cols[nu]
 
     # -- the G / F side ----------------------------------------------------------------
@@ -262,17 +271,16 @@ class GrothendieckEngine:
                                         f"Pieri rule gives {self._pieri_row(r, nu)}")
             return c
 
-        return self._by_pieri(
-            self._fs, self._fs_open, lam, "phi_0(k_{})", coords,
-            lambda r, phi_nu: int_mul(self.kappa_product((r,)), phi_nu))
+        return self._by_pieri(self._fs, self._fs_open, lam, "phi_0(k_{})", coords,
+                              self._kappa_times)
 
     def _pieri_row(self, j: int, a: tuple) -> dict:
         """{mu: c} with h_j g_a = sum c g_mu: the Grassmannian terms of
         kappa_j T_{u_a} (the K-homology Pieri rule), memoised: callers must
         not mutate the returned dict."""
         if (j, a) not in self._pieri:
-            self._pieri[j, a] = self.grassmannian_terms(
-                int_mul(self.kappa_product((j,)), {self.grassmannian(a): 1}))
+            self._pieri[j, a] = self.grassmannian_terms(self._kappa_times(
+                j, {weyl.grassmannian_from_partition(self.datum, a): 1}))
         return self._pieri[j, a]
 
     def _by_pieri(self, memo: dict, open_: set, lam: tuple, what: str, coords,

@@ -14,15 +14,15 @@ right tensor slot, the Pieri rule, structure constants, Graham-Willems
 subwords) goes through it, walking the edges r_i w that each Weyl element
 caches (``weyl.left_simple``), so a letter costs one lookup once its edge
 is known.  ``int_mul`` is the product of integer elements {WeylElt: int},
-with no LaurentPoly wrapping, and folds each pair (u, v) once; ``t_mul``
+with no LaurentPoly wrapping, and remembers nothing: the folds that repeat
+are the rows kappa_r T_x, which ``GrothendieckEngine`` keeps; ``t_mul``
 over R(T) is its test oracle.  The products over R(T) (``_gen_mul``,
 ``t_mul``, ``tensor_mul``, ``coproduct``) each sum their rows with one
 ``cartan.spread`` over their left factor's terms.
 
-Where no coefficient lattice is passed, R(T) is
+``group_elt_to_T``, ``y_elt`` and ``structure_constants_c`` take R(T) to be
 ``RootDatum.coefficient_lattice()``: the level-zero (finite) lattice on
-affine data, the datum's own on finite data.  Pass the affine lattice itself
-for the big-torus variant used by localization.
+affine data, the datum's own on finite data.
 """
 
 from __future__ import annotations
@@ -123,17 +123,11 @@ def fold_T(word, v: WeylElt) -> tuple[int, WeylElt]:
 def int_mul(a: dict, b: dict) -> dict:
     """Product of integer elements {WeylElt: int} of the 0-Hecke ring.
 
-    Each fold T_u T_v = sign T_w is remembered on the interned left factor u,
-    as ``weyl.left_simple`` remembers edges, so a pair is folded once.  Not
-    a ``spread``: the fold memo sits in the scan's innermost loop."""
+    Not a ``spread``: it is the inner loop of every kappa_r row."""
     out = {}
     for u, c in a.items():
-        folds = u._folds = u._folds or {}
         for v, d in b.items():
-            sign_w = folds.get(v)
-            if sign_w is None:
-                sign_w = folds[v] = fold_T(u.word, v)
-            sign, w = sign_w
+            sign, w = fold_T(u.word, v)
             s = out.get(w, 0) + sign * c * d
             if s:
                 out[w] = s
@@ -171,11 +165,10 @@ def t_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
         spread(a.terms, lambda u: t_word_mul(u.word, b).terms.items()))
 
 
-def group_elt_to_T(w: WeylElt, coeffs=None) -> HeckeElt:
+def group_elt_to_T(w: WeylElt) -> HeckeElt:
     """Expansion of the group element w via r_i = 1 + (1 - e^{alpha_i}) T_i."""
     datum = w.datum
-    if coeffs is None:
-        coeffs = datum.coefficient_lattice()
+    coeffs = datum.coefficient_lattice()
     action = datum.simple_action(coeffs)
     acc = HeckeElt.one(datum, coeffs)
     for i in reversed(w.word):
@@ -184,11 +177,10 @@ def group_elt_to_T(w: WeylElt, coeffs=None) -> HeckeElt:
     return acc
 
 
-def y_elt(w: WeylElt, coeffs=None) -> HeckeElt:
+def y_elt(w: WeylElt) -> HeckeElt:
     """y_w = sum_{v <= w} T_v."""
     datum = w.datum
-    if coeffs is None:
-        coeffs = datum.coefficient_lattice()
+    coeffs = datum.coefficient_lattice()
     return HeckeElt(datum, coeffs,
                     {v: LaurentPoly.one(coeffs) for v in weyl.bruhat_ideal(w)})
 
@@ -207,10 +199,6 @@ class TensorElt(_RCombination):
     """sum c_{u,v} T_u (x) T_v over R(T), scalars pulled to the left slot."""
 
     __slots__ = ()
-
-    @staticmethod
-    def zero(datum, coeffs):
-        return TensorElt(datum, coeffs)
 
     @staticmethod
     def one(datum, coeffs):
@@ -270,11 +258,9 @@ def coproduct(a: HeckeElt) -> TensorElt:
     return TensorElt(a.datum, a.coeffs, spread(a.terms, row))
 
 
-def structure_constants_c(w: WeylElt, coeffs=None) -> dict:
+def structure_constants_c(w: WeylElt) -> dict:
     """c_w^{uv} with Delta(T_w) = sum c_w^{uv} T_u (x) T_v."""
-    if coeffs is None:
-        coeffs = w.datum.coefficient_lattice()
-    return dict(coproduct(HeckeElt.T(w, coeffs)).terms)
+    return dict(coproduct(HeckeElt.T(w, w.datum.coefficient_lattice())).terms)
 
 
 def phi0_tensor(A: TensorElt) -> TensorElt:

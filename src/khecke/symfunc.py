@@ -156,10 +156,6 @@ class SymFunc(Combination):
         return f
 
     @staticmethod
-    def zero(basis="m", n=None) -> "SymFunc":
-        return SymFunc(basis, {}, n)
-
-    @staticmethod
     def gen(basis, lam, n=None) -> "SymFunc":
         return SymFunc(basis, {make_partition(lam): 1}, n)
 

@@ -20,7 +20,8 @@ Each element also remembers its edges: the left edges r_i w
 (``right_simple``) and the smallest right descent for ``psi_right``; and the
 root edges r_alpha w (``left_reflection``) for the GKM checks.
 Elements stay immutable values: the memo is derived from the element alone,
-and interning makes each edge one object.
+and interning makes each edge one object.  No 0-Hecke fold is kept here:
+``GrothendieckEngine`` keeps the rows kappa_r T_x it folds.
 
 Equality is identity.  ``_DatumOps.__init__`` and ``_intern`` are the only
 places a ``WeylElt`` is constructed, and each looks the key up in its
@@ -123,7 +124,7 @@ class WeylElt:
     directly, by copying or by unpickling."""
 
     __slots__ = ("datum", "word", "length", "window", "_rho",
-                 "_left", "_right", "_roots", "_rdesc", "_grass", "_folds")
+                 "_left", "_right", "_roots", "_rdesc", "_grass")
 
     def __init__(self, datum, word, key):
         self.datum = datum
@@ -137,7 +138,6 @@ class WeylElt:
         self._roots = None  # positive real root alpha -> r_alpha w, by left_reflection
         self._rdesc = None  # smallest right descent, by smallest_right_descent
         self._grass = None  # minimal in wW, by is_grassmannian
-        self._folds = None  # v -> (sign, z) with T_w T_v = sign T_z, by hecke.int_mul
 
     # -- identity / generators ------------------------------------------------
 

@@ -271,7 +271,7 @@ def test_criterion_09_identity_suite():
                         t_mul(engine.kappa(j), engine.kappa(i))
             for r in range(1, n):
                 got = phi0_tensor(coproduct(engine.kappa(r)))
-                want = TensorElt.zero(engine.datum, engine.fin)
+                want = TensorElt(engine.datum, engine.fin)
                 for jj in range(r + 1):
                     terms = {(u, v): LaurentPoly.one(engine.fin)
                              for u in engine.kappa(jj).int_terms()

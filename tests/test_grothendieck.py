@@ -5,10 +5,10 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from khecke import weyl
+from khecke import hecke, weyl
 from khecke.cartan import VerificationError
 from khecke.grothendieck import GrothendieckEngine
-from khecke.hecke import t_mul
+from khecke.hecke import fold_T, int_mul, t_mul
 from khecke.symfunc import (SymFunc, coproduct_h, hall_pair, multiply,
                             partitions_of, partitions_up_to, spread)
 
@@ -43,6 +43,76 @@ class TestKappa:
             for j in range(i, n):
                 assert t_mul(engine.kappa(i), engine.kappa(j)) == \
                     t_mul(engine.kappa(j), engine.kappa(i))
+
+
+def int_elements(draw, datum, max_len):
+    """A random integer element {WeylElt: nonzero int} of the 0-Hecke ring."""
+    return draw(st.dictionaries(st.sampled_from(weyl.all_elements(datum, max_len)),
+                                st.integers(-3, 3).filter(bool), max_size=5))
+
+
+class TestKappaRows:
+    """kappa_r times an integer element, as a spread of remembered rows."""
+
+    @given(st.integers(2, 5), st.data())
+    def test_matches_int_mul(self, n, data):
+        engine = GrothendieckEngine.get(n)
+        r = data.draw(st.integers(0, n - 1))
+        terms = int_elements(data.draw, engine.datum, 3)
+        assert engine._kappa_times(r, terms) == int_mul(engine.kappa_product((r,)), terms)
+
+    def test_cancelling_terms(self, e3):
+        # kappa_1 (1 + T_0): T_0 T_0 = -T_0 cancels the T_0 of kappa_1
+        e, r0 = weyl.identity(e3.datum), weyl.simple(e3.datum, 0)
+        terms = {e: 1, r0: 1}
+        got = e3._kappa_times(1, terms)
+        assert got == int_mul(e3.kappa_product((1,)), terms)
+        assert r0 not in got and all(got.values())
+
+    def test_second_call_folds_nothing(self, monkeypatch):
+        engine = GrothendieckEngine(4)
+        x = weyl.from_word(engine.datum, (1, 0))
+        calls = []
+
+        def counted(word, v):
+            calls.append(v)
+            return fold_T(word, v)
+        monkeypatch.setattr(hecke, "fold_T", counted)
+        first = engine._kappa_times(2, {x: 1})
+        assert len(calls) == len(engine.kappa_product((2,)))
+        calls.clear()
+        assert engine._kappa_times(2, {x: 3}) == {w: 3 * c for w, c in first.items()}
+        assert calls == []
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_unbounded_r_is_a_value_error(self, r):
+        engine = GrothendieckEngine(3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="partition must be 2-bounded"):
+                engine._kappa_times(r, {weyl.identity(engine.datum): 1})
+
+
+class TestKappaLayerPins:
+    """Values of the kappa layer at n = 6, where the other tests pin counts."""
+
+    @staticmethod
+    def digest(rows):
+        return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+    def test_varphi_g_pinned(self):
+        engine = GrothendieckEngine(6)
+        rows = [(lam, sorted((w.word, c) for w, c in engine.varphi_g(lam).items()))
+                for lam in engine.bounded(8)]
+        assert len(rows) == 60
+        assert self.digest(rows) == \
+            "fe9832af7a6e3ae2f08e0187fbc5cdf8192745f7a78f5fd2e185949d3ecd4d26"
+
+    def test_g_coproduct_pinned(self):
+        engine = GrothendieckEngine(6)
+        rows = [(lam, sorted(engine.g_coproduct(lam).terms.items()))
+                for lam in engine.bounded(8)]
+        assert self.digest(rows) == \
+            "cb2f169f7de02f0ff12e97bb49ae5d8bb3bae12876707016004a83790239e7ab"
 
 
 class TestG:
@@ -190,7 +260,7 @@ class TestCoproductAndProduct:
 
     def test_product_consistent_with_h_arithmetic(self, e2):
         prod = multiply(e2.g_of((1,)), e2.g_of((1, 1)))
-        back = SymFunc.zero("h", 2)
+        back = SymFunc("h", {}, 2)
         for mu, c in e2.g_multiply((1,), (1, 1)).items():
             back = back + e2.g_of(mu).scaled(c)
         assert back == prod
@@ -445,7 +515,7 @@ class TestColumnExpansions:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_zero_element(self, n):
         engine = GrothendieckEngine.get(n)
-        zero = SymFunc.zero("h", n)
+        zero = SymFunc("h", {}, n)
         assert engine.expand_in_g(zero) == engine.expand_in_kschur(zero) == {}
 
     def test_g_combination_reads_back(self, e3):

@@ -145,7 +145,7 @@ def h_expansions(max_degree=5):
 
 def expand_per_term(f, row, target):
     """Oracle for the row expansions of ``convert``: one SymFunc per term."""
-    out = SymFunc.zero(target, f.n)
+    out = SymFunc(target, {}, f.n)
     for lam, c in f.terms.items():
         out = out + SymFunc(target, dict(row(lam)), f.n).scaled(c)
     return out
