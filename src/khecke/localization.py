@@ -12,11 +12,11 @@ Grassmannian expansion, whose pivot psi^u(u) = prod_{beta in Inv(u)}
 The big-torus GKM condition psi(r_alpha w) = psi(w) mod (1 - e^alpha) is
 tested by comparing residues in Z[P]/(1 - e^alpha) = Z[P/Z alpha]
 (``cartan.residue_mod_one_minus_e``): each nonzero psi value is reduced
-once per root, a zero value has residue {} unreduced, and no difference
-is formed.  ``psi_right`` reads each w(alpha_i) from the engine's memo
-(``PsiEngine.root_image``) and takes one product per step, by the
-one-term factor e^{-w(alpha_i)}, which ``LaurentPoly`` multiplies as a
-shift.  The small-torus conditions, modulo
+once per root, keyed by the value and not the point, a zero value has
+residue {} unreduced, and no difference is formed.  ``psi_right`` reads
+each w(alpha_i) from the engine's memo (``PsiEngine.root_image``) and
+takes one product per step, by the one-term factor e^{-w(alpha_i)}, which
+``LaurentPoly`` multiplies as a shift.  The small-torus conditions, modulo
 (1 - e^alpha)^d, test line moments (``cartan.divisible_by_one_minus_e``).
 
 Flavors: "big" works over the datum's own lattice (R(T) or R(T_af));
@@ -180,24 +180,28 @@ def gkm_check_big(psi_of, pairs) -> bool:
 
     ``pairs`` iterates over (alpha: Weight, w: WeylElt) with alpha a positive
     real root and w an element of the same Weyl group; psi_of maps
-    WeylElt -> LaurentPoly.  The difference lies in the ideal exactly when
-    psi(r_alpha w) and psi(w) have the same residue in Z[P/Z alpha]; the
-    residues are memoised per (x, alpha) within the call, a zero value
-    (psi^v(x) = 0 unless v <= x) has residue {} without reduction, and
+    WeylElt -> LaurentPoly, is called at both ends of every pair and should
+    be memoised (``PsiEngine.psi_right`` is).  The difference lies in the
+    ideal exactly when psi(r_alpha w) and psi(w) have the same residue in
+    Z[P/Z alpha].  Residues are memoised per (id of the value, alpha) within
+    the call, stored beside the value so that no id is reused; a pair whose
+    ends are one object (``psi_right`` shares psi^v(w r_i) = psi^v(w) when
+    l(v r_i) > l(v)) is skipped, a zero value has residue {} unreduced, and
     r_alpha w is the edge remembered on w (``weyl.left_reflection``).
     """
     residues = {}
 
-    def residue(x, alpha):
-        key = (x, alpha)
-        r = residues.get(key)
-        if r is None:
-            p = psi_of(x)
-            r = residues[key] = residue_mod_one_minus_e(p, alpha) if p else {}
-        return r
+    def residue(p, alpha):
+        key = (id(p), alpha)
+        hit = residues.get(key)
+        if hit is None:
+            r = residue_mod_one_minus_e(p, alpha) if p else {}
+            hit = residues[key] = (p, r)
+        return hit[1]
 
     for alpha, w in pairs:
-        if residue(weyl.left_reflection(alpha, w), alpha) != residue(w, alpha):
+        p, q = psi_of(weyl.left_reflection(alpha, w)), psi_of(w)
+        if p is not q and residue(p, alpha) != residue(q, alpha):
             return False
     return True
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from khecke.cartan import LaurentPoly, RootDatum
@@ -78,3 +80,18 @@ def _level_zero_project(p, affine_datum):
 def level_zero_project():
     """Oracle for the level-zero flavor: the projection P_af -> P on R(T)."""
     return _level_zero_project
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """``child_env(*paths)``: the environment of a child interpreter a test
+    starts.  It holds PYTHONPATH from ``paths`` and nothing else of the
+    caller's but PYTHONDONTWRITEBYTECODE, when set, so that a run which
+    writes no bytecode keeps its children from writing ``__pycache__``
+    into the checkout."""
+    def build(*paths):
+        env = {"PYTHONPATH": os.pathsep.join(str(p) for p in paths)}
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:
+            env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+        return env
+    return build

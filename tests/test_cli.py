@@ -3,6 +3,7 @@ import errno
 import hashlib
 import json
 import logging
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -398,7 +399,7 @@ class TestConjecturesAndCache:
         assert cache.load(KEY) == {"x": 1}
         assert not caplog.records
 
-    def test_concurrent_writers_of_one_key(self, tmp_path):
+    def test_concurrent_writers_of_one_key(self, tmp_path, child_env):
         # writers of one key must not share a temporary file: one writer's
         # rename could move another's half-written record into place
         src = Path(khecke.__file__).resolve().parents[1]
@@ -410,7 +411,7 @@ class TestConjecturesAndCache:
                   "          or cache.load(key) != payload for _ in range(400)))\n")
         procs = [subprocess.Popen([sys.executable, "-c", script, str(tmp_path)],
                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                  text=True, env={"PYTHONPATH": str(src)})
+                                  text=True, env=child_env(src))
                  for _ in range(3)]
         results = [proc.communicate(timeout=120) for proc in procs]
         assert [proc.returncode for proc in procs] == [0, 0, 0]
@@ -461,7 +462,7 @@ class TestConjecturesAndCache:
         ("g", "--n", "3", "--partition", "21"),
         ("check-conjectures", "--n", "2", "--max-len", "2"),
     ], ids=["g", "check-conjectures"])
-    def test_unwritable_cache_warns_once(self, tmp_path, argv):
+    def test_unwritable_cache_warns_once(self, tmp_path, argv, child_env):
         # the cache directory lies below a regular file, so no entry can be written
         (tmp_path / "file").write_text("", "utf-8")
         src = Path(khecke.__file__).resolve().parents[1]
@@ -469,7 +470,7 @@ class TestConjecturesAndCache:
         def cli(cache_dir):
             return subprocess.run([sys.executable, "-m", "khecke.cli", *argv,
                                    "--cache-dir", str(cache_dir)], capture_output=True,
-                                  text=True, env={"PYTHONPATH": str(src)})
+                                  text=True, env=child_env(src))
         good = cli(tmp_path / "writable")
         bad = cli(tmp_path / "file" / "cache")
         assert bad.returncode == good.returncode == 0
@@ -517,41 +518,41 @@ class TestConjecturesAndCache:
         assert [r.levelno for r in records] == [logging.WARNING]
         assert "No space left on device" in records[0].getMessage()
 
-    def test_import_leaves_hashlib_unloaded(self):
+    def test_import_leaves_hashlib_unloaded(self, child_env):
         src = Path(khecke.__file__).resolve().parents[1]
         probe = "import sys, khecke.cli; print('hashlib' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                             text=True, check=True, env={"PYTHONPATH": str(src)})
+                             text=True, check=True, env=child_env(src))
         assert out.stdout.strip() == "False"
 
-    def test_import_leaves_dataclasses_and_inspect_unloaded(self):
+    def test_import_leaves_dataclasses_and_inspect_unloaded(self, child_env):
         # dataclasses pulls in inspect, ast, dis and tokenize, which would
         # add to the start-up of every CLI process
         src = Path(khecke.__file__).resolve().parents[1]
         probe = ("import sys, khecke.cli; "
                  "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                             text=True, check=True, env={"PYTHONPATH": str(src)})
+                             text=True, check=True, env=child_env(src))
         assert out.stdout.strip() == "False False"
 
-    def test_import_leaves_importlib_resources_unloaded(self):
+    def test_import_leaves_importlib_resources_unloaded(self, child_env):
         # only reading a golden file needs it; -S keeps a site-packages .pth
         # file from importing it before khecke does
         src = Path(khecke.__file__).resolve().parents[1]
         probe = "import sys, khecke.cli; print('importlib.resources' in sys.modules)"
         out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
-                             text=True, check=True, env={"PYTHONPATH": str(src)})
+                             text=True, check=True, env=child_env(src))
         assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("lines_read, flags", [(0, ()), (1, ("-u",))],
                              ids=["buffered-unread", "unbuffered-one-line"])
-    def test_closed_stdout_is_quiet(self, lines_read, flags):
+    def test_closed_stdout_is_quiet(self, lines_read, flags, child_env):
         # the reader closes the pipe early, as ``| head -1`` does
         src = Path(khecke.__file__).resolve().parents[1]
         argv = [sys.executable, *flags, "-m", "khecke.cli",
                 "tables", "--which", "all", "--n", "3", "--diff"]
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                text=True, env={"PYTHONPATH": str(src)})
+                                text=True, env=child_env(src))
         head = [proc.stdout.readline() for _ in range(lines_read)]
         proc.stdout.close()
         err = proc.stderr.read()
@@ -618,6 +619,31 @@ class TestConjecturesAndCache:
         monkeypatch.setenv("KHECKE_CACHE", str(tmp_path / "envcache"))
         from khecke.cache import default_cache_dir
         assert str(default_cache_dir()) == str(tmp_path / "envcache")
+
+
+class TestChildEnv:
+    # the env of the tests' child interpreters: a run that writes no
+    # bytecode must leave no __pycache__ in the checkout through them either
+    def test_bare_without_the_flag(self, child_env, monkeypatch):
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        assert child_env("a", Path("b")) == {"PYTHONPATH": f"a{os.pathsep}b"}
+
+    def test_passes_the_flag_through(self, child_env, monkeypatch):
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        monkeypatch.setenv("KHECKE_UNRELATED", "x")
+        assert child_env("a") == {"PYTHONPATH": "a", "PYTHONDONTWRITEBYTECODE": "1"}
+
+    @pytest.mark.parametrize("flag", [None, "1"], ids=["unset", "set"])
+    def test_child_bytecode_follows_the_flag(self, child_env, monkeypatch,
+                                             tmp_path, flag):
+        if flag is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", flag)
+        (tmp_path / "probe_module.py").write_text("X = 1\n", "utf-8")
+        subprocess.run([sys.executable, "-S", "-c", "import probe_module"],
+                       check=True, env=child_env(tmp_path))
+        assert (tmp_path / "__pycache__").exists() == (flag is None)
 
 
 class TestGkmCheck:
@@ -787,6 +813,14 @@ STDOUT_CONTRACT = [
      "89747b42dcc2a21931604dedf975de27ccb1bad80acbd14edfb653167c1b528b"),
     ("coproduct --n 2 --partition 1,1,1,1,1,1,1,1 --format latex-table", 0,
      "e015ca69777a57e0ff91416ca43f127fd09ca59958a523c8e6d3c4f171975b02"),
+    ("psi --type A2 --v 1 --w 121 --format json", 0,
+     "43ef40df71ef55f7ded208d3001981fd6526515170bd7708482b662be3beff6e"),
+    ("psi --n 3 --v 0 --w 010 --format json", 0,
+     "c3d877833cf7306efb4e62ce37ace54fd111849337a19724e6bb5cbc985d6595"),
+    ("gkm-check --mode big --type G2~ --max-len 3", 0,
+     "cf9313edc7ded20028a29bb3e15d7fdbb6f001c8abcea7b3ccbeb5cec0ff27d0"),
+    ("gkm-check --mode big --n 4 --max-len 3", 0,
+     "c648072514bdb5e079e6398dbf08e5db224d079f527cf1bdf901d7e3fccaac11"),
 ]
 
 

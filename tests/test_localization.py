@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from khecke.cartan import (LaurentPoly, RootDatum, divisible_by_one_minus_e, eta,
                            exact_divide_one_minus_e)
-from khecke import weyl
+from khecke import localization, weyl
 from khecke.hecke import group_elt_to_T
 from khecke.localization import (PsiEngine, gkm_check_big,
                                  grassmannian_expansion, sl2_psi_closed,
@@ -186,7 +186,8 @@ class TestKostantKumar:
 
 
 class TestGKMBig:
-    def _pairs(self, datum, els):
+    @staticmethod
+    def _pairs(datum, els):
         roots = sorted({a for v in els for a in weyl.inversions(v)},
                        key=lambda a: a.coords)
         return [(a, w) for a in roots for w in els]
@@ -231,6 +232,120 @@ class TestGKMBig:
         def bad(y):
             return LaurentPoly.one(A2) if y == x else eng_A2.psi_right(v, y)
         assert not gkm_check_big(bad, pairs)
+
+    @staticmethod
+    def _pairwise(psi_of, pairs):
+        """Oracle: form each difference and test it for divisibility."""
+        return all(divisible_by_one_minus_e(
+            psi_of(weyl.left_reflection(a, w)) - psi_of(w), a) for a, w in pairs)
+
+    @pytest.mark.parametrize("name", ["A2~", "C2~", "G2~"])
+    def test_matches_pairwise_oracle(self, name):
+        datum, eng, els, pairs = big_torus(name, 3)
+        for v in els:
+            psi_of = lambda x, v=v: eng.psi_right(v, x)
+            assert gkm_check_big(psi_of, pairs)
+            assert self._pairwise(psi_of, pairs)
+
+    def test_affine_perturbation_fails_both_routes(self):
+        datum, eng, els, pairs = big_torus("A2~", 3)
+        v, x = weyl.simple(datum, 0), weyl.from_word(datum, (0, 1, 2))
+
+        def bad(y):
+            p = eng.psi_right(v, y)
+            return p + LaurentPoly.one(p.datum) if y == x else p
+        assert not gkm_check_big(bad, pairs)
+        assert not self._pairwise(bad, pairs)
+
+
+def big_torus(name, max_len):
+    """(datum, big-torus engine, elements to max_len, gkm-check's pairs)."""
+    datum = RootDatum.of_type(name)
+    els = weyl.all_elements(datum, max_len)
+    return datum, PsiEngine(datum, "big"), els, TestGKMBig._pairs(datum, els)
+
+
+def shared_steps(els):
+    """(v, w, w r_i) with i the smallest right descent of w and
+    l(v r_i) > l(v), where psi_right's recurrence returns psi^v(w r_i)."""
+    for v in els:
+        for w in els:
+            if not w.is_identity():
+                i = weyl.smallest_right_descent(w)
+                if weyl.right_simple(v, i).length > v.length:
+                    yield v, w, weyl.right_simple(w, i)
+
+
+class TestGKMBigResidueMemo:
+    """gkm_check_big memoises residues by (id of the psi value, alpha)."""
+
+    @staticmethod
+    def _count_reductions(monkeypatch):
+        calls = []
+        reduce = localization.residue_mod_one_minus_e
+
+        def counted(p, alpha):
+            calls.append(alpha)
+            return reduce(p, alpha)
+        monkeypatch.setattr(localization, "residue_mod_one_minus_e", counted)
+        return calls
+
+    def test_fresh_copies_reduce_every_nonzero_end(self, monkeypatch):
+        # a psi_of that is not memoised: every value is a new object, so an
+        # id-keyed memo that dropped its values would meet reused ids
+        datum, eng, els, pairs = big_torus("A2~", 3)
+        calls = self._count_reductions(monkeypatch)
+        nonzero = 0
+        for v in els:
+            def fresh(x, v=v):
+                p = eng.psi_right(v, x)
+                return LaurentPoly(p.datum, p.terms)
+            assert gkm_check_big(fresh, pairs)
+            nonzero += sum(bool(eng.psi_right(v, x))
+                           for a, w in pairs for x in (weyl.left_reflection(a, w), w))
+        assert len(calls) == nonzero == 2562
+
+    def test_perturbing_one_end_of_a_shared_value_fails(self):
+        # psi^v(w) and psi^v(w r_i) are one object, and r_alpha w = w r_i; f
+        # lies in (1 - e^beta) for every other root beta, so only the pairs
+        # joining w and w r_i can see psi^v(w) + f
+        datum, eng, els, pairs = big_torus("A2~", 3)
+        v, w, wri = next((v, w, wri) for v, w, wri in shared_steps(els)
+                         if eng.psi_right(v, w))
+        assert eng.psi_right(v, w) is eng.psi_right(v, wri)
+        roots = {a for a, _ in pairs}
+        alpha = next(a for a in roots if weyl.left_reflection(a, w) == wri)
+        one = LaurentPoly.one(datum)
+        f = one
+        for beta in roots - {alpha}:
+            f = f * (one - LaurentPoly.monomial(beta))
+        assert not divisible_by_one_minus_e(f, alpha)
+
+        def bad(x):
+            p = eng.psi_right(v, x)
+            return p + f if x == w else p
+        assert not gkm_check_big(bad, pairs)
+        assert not TestGKMBig._pairwise(bad, pairs)
+        assert TestGKMBig._pairwise(bad, [(a, y) for a, y in pairs if a != alpha])
+
+    @pytest.mark.parametrize("name, ceiling",
+                             [("A2~", 960), ("C2~", 913), ("G2~", 828)])
+    def test_reduction_ceiling(self, monkeypatch, name, ceiling):
+        # one reduction per distinct (nonzero value, alpha); keyed per point
+        # (x, alpha) these were 2,184, 2,106 and 1,881
+        datum, eng, els, pairs = big_torus(name, 3)
+        calls = self._count_reductions(monkeypatch)
+        for v in els:
+            assert gkm_check_big(lambda x, v=v: eng.psi_right(v, x), pairs)
+        assert len(calls) <= ceiling
+
+    def test_psi_right_shares_the_step_value(self):
+        # the sharing the memo saves on: psi^v(w) is psi^v(w r_i) itself
+        datum, eng, els, pairs = big_torus("A2~", 3)
+        steps = list(shared_steps(els))
+        assert steps
+        for v, w, wri in steps:
+            assert eng.psi_right(v, w) is eng.psi_right(v, wri)
 
 
 class TestSmallGKM:

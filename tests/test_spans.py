@@ -24,10 +24,10 @@ print(json.dumps({"missing": tracer.missing,
 NOT_FROM_SPANS = {"host.calib_s", "trace.overhead_ratio"}
 
 
-def test_tracer_reports_every_per_layer_metric():
+def test_tracer_reports_every_per_layer_metric(child_env):
     out = subprocess.run(
         [sys.executable, "-c", PROBE], capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": f"{ROOT / 'src'}:{ROOT / 'perfbench'}"})
+        env=child_env(ROOT / "src", ROOT / "perfbench"))
     probe = json.loads(out.stdout)
     assert probe["missing"] == []
     bench = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
