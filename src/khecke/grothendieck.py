@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .cartan import RootDatum, VerificationError
 from . import weyl
-from .hecke import HeckeElt, int_mul
+from .hecke import HeckeElt, times_T
 from .symfunc import (SymFunc, TensorSym, convert, make_partition, multiply,
                       partitions_of, partitions_up_to, peel, spread)
 
@@ -88,15 +88,20 @@ class GrothendieckEngine:
 
     def _kappa_times(self, r: int, terms: dict) -> dict:
         """{w: int} of kappa_r * sum c_x T_x: a ``spread`` of the rows kappa_r
-        T_x, each folded once per engine.  Every 0-Hecke product here is kappa_r
-        times something, so these rows are the folds that repeat."""
-        kappa = self.kappa_product((r,))
-        rows = self._rows.setdefault(r, {})
+        T_x, each folded once per engine (every 0-Hecke product here is kappa_r
+        times something).  Row x is row(x r_d) T_d for the smallest right
+        descent d of x, climbed down by a loop to the nearest remembered row
+        (row e is kappa_r) and built back up one letter at a time."""
+        rows = self._rows.setdefault(r, {weyl.identity(self.datum): self.kappa_product((r,))})
 
         def row(x):
-            out = rows.get(x)
-            if out is None:
-                out = rows[x] = int_mul(kappa, {x: 1})
+            path = []
+            while x not in rows:
+                path.append((x, d := weyl.smallest_right_descent(x)))
+                x = weyl.right_simple(x, d)
+            out = rows[x]
+            for x, d in reversed(path):
+                out = rows[x] = times_T(out, (d,))
             return out.items()
         return spread(terms, row)
 

@@ -3,22 +3,23 @@
 Elements are finitely supported maps WeylElt -> LaurentPoly with the scalar
 on the left: ``cartan.Combination``s whose ring is (datum, coefficient
 lattice).  The public constructors drop zero coefficients; sums, negatives
-and multiples wrap their dict with ``_new``.  Products fold one generator at
-a time through the two rules
+and multiples wrap their dict with ``_new``.  The two rules
 
-    T_i T_w = T_{r_i w}  (r_i w > w)   or   -T_w  (r_i w < w)
+    T_w T_i = T_{w r_i}  (w r_i > w)   or   -T_w  (w r_i < w)
     T_i q   = (T_i . q) + (r_i . q) T_i
 
-The first rule lives only in ``fold_T``; every product of pure T's (the
-right tensor slot, the Pieri rule, structure constants, Graham-Willems
-subwords) goes through it, walking the edges r_i w that each Weyl element
-caches (``weyl.left_simple``), so a letter costs one lookup once its edge
-is known.  ``int_mul`` is the product of integer elements {WeylElt: int},
-with no LaurentPoly wrapping, and remembers nothing: the folds that repeat
-are the rows kappa_r T_x, which ``GrothendieckEngine`` keeps; ``t_mul``
-over R(T) is its test oracle.  The products over R(T) (``_gen_mul``,
-``t_mul``, ``tensor_mul``, ``coproduct``) each sum their rows with one
-``cartan.spread`` over their left factor's terms.
+are the K-NilHecke ring at q = 0 (Kostant-Kumar).  The first lives only in
+``times_T``, the one product of integer elements {WeylElt: int}: it folds a
+word, which need not be reduced, onto the right of a sum of T's one letter
+at a time, reading the right edge w r_i that each Weyl element caches
+(``weyl.right_simple``), so a term costs one lookup per letter once its
+edge is known.  Every product of pure T's (the kappa_r rows, the right
+tensor slot, structure constants, Graham-Willems subwords) goes through
+it, and it remembers nothing: the folds that repeat are the rows kappa_r
+T_x, which ``GrothendieckEngine`` keeps.  The products over R(T)
+(``_gen_mul``, ``t_mul``, ``tensor_mul``, ``coproduct``) each sum their
+rows with one ``cartan.spread`` over their left factor's terms; ``t_mul``
+is the oracle of ``times_T``.
 
 ``group_elt_to_T``, ``y_elt`` and ``structure_constants_c`` take R(T) to be
 ``RootDatum.coefficient_lattice()``: the level-zero (finite) lattice on
@@ -107,33 +108,25 @@ class HeckeElt(_RCombination):
 # -- products -------------------------------------------------------------------
 
 
-def fold_T(word, v: WeylElt) -> tuple[int, WeylElt]:
-    """T_{i_1} ... T_{i_k} T_v = sign * T_w for ``word`` = (i_1, ..., i_k),
-    which need not be reduced."""
-    sign, w = 1, v
-    for i in reversed(word):
-        riw = weyl.left_simple(i, w)
-        if riw.length > w.length:
-            w = riw
-        else:
-            sign = -sign
-    return sign, w
-
-
-def int_mul(a: dict, b: dict) -> dict:
-    """Product of integer elements {WeylElt: int} of the 0-Hecke ring.
-
-    Not a ``spread``: it is the inner loop of every kappa_r row."""
-    out = {}
-    for u, c in a.items():
-        for v, d in b.items():
-            sign, w = fold_T(u.word, v)
-            s = out.get(w, 0) + sign * c * d
-            if s:
-                out[w] = s
+def times_T(terms: dict, word) -> dict:
+    """(sum c_z T_z) T_{i_1} ... T_{i_k} as {WeylElt: int} for ``word`` =
+    (i_1, ..., i_k), which need not be reduced; an empty word returns
+    ``terms`` itself.  Not a ``spread``: it is the inner loop of every
+    kappa_r row."""
+    for d in word:
+        out = {}
+        for z, c in terms.items():
+            zd = weyl.right_simple(z, d)
+            if zd.length > z.length:
+                z = zd
             else:
-                out.pop(w, None)
-    return out
+                c = -c
+            if s := out.get(z, 0) + c:
+                out[z] = s
+            else:
+                out.pop(z, None)
+        terms = out
+    return terms
 
 
 def _gen_mul(i, a: HeckeElt) -> HeckeElt:
@@ -143,7 +136,8 @@ def _gen_mul(i, a: HeckeElt) -> HeckeElt:
 
     def row(w):
         q = a.terms[w]
-        sign, z = fold_T((i,), w)
+        riw = weyl.left_simple(i, w)  # T_i T_w = -T_w when r_i w < w
+        z, sign = (riw, 1) if riw.length > w.length else (w, -1)
         if q.is_constant():  # T_i . q = 0 and r_i . q = q
             return [(z, sign * q)]
         return [(w, demazure(datum, i, q)),
@@ -226,7 +220,7 @@ def tensor_mul(A: TensorElt, B: TensorElt) -> TensorElt:
     def row(uv):
         u, v = uv
         for (u2, v2), q in B.terms.items():
-            sign, vv = fold_T(v.word, v2)
+            (vv, sign), = times_T({v: 1}, v2.word).items()
             left = t_word_mul(u.word, HeckeElt(A.datum, A.coeffs, {u2: q}))
             for z, c in left.terms.items():
                 yield (z, vv), sign * c

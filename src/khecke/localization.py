@@ -35,7 +35,7 @@ from .cartan import (LaurentPoly, RootDatum, divisible_by_one_minus_e, eta,
                      exact_divide_one_minus_e, residue_mod_one_minus_e,
                      weyl_reflect_poly)
 from . import weyl
-from .hecke import fold_T
+from .hecke import times_T
 from .weyl import WeylElt
 
 
@@ -136,8 +136,8 @@ class PsiEngine:
             # subword's 0-Hecke fold must hit +-T_v; the fold sign
             # (-1)^{|b| - l(v)} is the summand sign
             picked = [k for k in range(n) if mask >> k & 1]
-            sign, elt = fold_T([word[k] for k in picked], e)
-            if elt != v:
+            sign = times_T({e: 1}, [word[k] for k in picked]).get(v)
+            if sign is None:
                 continue
             prod = LaurentPoly.const(self.coeffs, sign)
             for k in picked:

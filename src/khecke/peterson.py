@@ -14,7 +14,7 @@ import json
 from .cartan import LaurentPoly, RootDatum, VerificationError, solve_exact
 from . import weyl
 from .grothendieck import GrothendieckEngine
-from .hecke import HeckeElt, int_mul, phi0_hecke, t_mul
+from .hecke import HeckeElt, phi0_hecke, t_mul, times_T
 from .localization import (PsiEngine, grassmannian_expansion, sl2_sigma,
                            wrongway)
 from .symfunc import make_partition, peel
@@ -122,16 +122,16 @@ def structure_d(engine: GrothendieckEngine, lam, mu) -> dict:
     g-basis coordinates of g_lam g_mu in Lambda_(n), which is K-homology of
     the affine Grassmannian with the Schubert class of u going to g_lam.
 
-    The formula folds T_x T_v for each x in phi_0(k_u) = varphi(g_lam), read
-    from the Pieri-built table ``varphi_g``; ``g_multiply`` multiplies g_lam
-    g_mu in the h basis and pairs through the Grassmannian-restricted
-    columns.  Neither forms a full kappa product.  The product route,
-    ``expand_in_fs_basis(int_mul(k_u, k_v))``, is a third and costlier one,
-    kept as a test oracle."""
+    The formula folds the word of v onto the right of phi_0(k_u) =
+    varphi(g_lam), read from the Pieri-built table ``varphi_g``;
+    ``g_multiply`` multiplies g_lam g_mu in the h basis and pairs through the
+    Grassmannian-restricted columns.  Neither forms a full kappa product.
+    The product route, ``expand_in_fs_basis`` of the 0-Hecke product k_u
+    k_v, is a third and costlier one, and a test oracle."""
     lam, mu = make_partition(lam), make_partition(mu)
     # d^w_{uv} = sum_x k^x_u [T_w] T_x T_v over Grassmannian w
     via_formula = engine.grassmannian_terms(
-        int_mul(engine.varphi_g(lam), {engine.grassmannian(mu): 1}))
+        times_T(engine.varphi_g(lam), engine.grassmannian(mu).word))
     via_hopf = engine.g_multiply(lam, mu)
     if via_formula != via_hopf:
         raise VerificationError(

@@ -14,13 +14,14 @@ A product or inverse is computed as a key and looked up (``_intern``).  The
 first time a key is met its word is derived by walking down smallest left
 descents only as far as the first interned element; each step r_j x is the
 product of windows in affine type A, else r_j applied to x(rho).
-Each element also remembers its edges: the left edges r_i w
-(``left_simple``), so the 0-Hecke fold, the Bruhat walk and
-``psi_left`` multiply once per (w, i); the right edges w r_i
-(``right_simple``) and the smallest right descent for ``psi_right``; and the
-root edges r_alpha w (``left_reflection``) for the GKM checks.
-Elements stay immutable values: the memo is derived from the element alone,
-and interning makes each edge one object.  No 0-Hecke fold is kept here:
+Each element also remembers its edges, each multiplied once per (w, i):
+the right edges w r_i (``right_simple``) for the 0-Hecke fold
+``hecke.times_T`` and, with the smallest right descent, for the kappa_r
+rows and ``psi_right``; the left edges r_i w (``left_simple``) for
+``hecke._gen_mul``, the Bruhat walk and ``psi_left``; and the root edges
+r_alpha w (``left_reflection``) for the GKM checks.  Elements stay
+immutable values: the memo is derived from the element alone, and
+interning makes each edge one object.  No 0-Hecke fold is kept here:
 ``GrothendieckEngine`` keeps the rows kappa_r T_x it folds.
 
 Equality is identity.  ``_DatumOps.__init__`` and ``_intern`` are the only

@@ -821,6 +821,14 @@ STDOUT_CONTRACT = [
      "cf9313edc7ded20028a29bb3e15d7fdbb6f001c8abcea7b3ccbeb5cec0ff27d0"),
     ("gkm-check --mode big --n 4 --max-len 3", 0,
      "c648072514bdb5e079e6398dbf08e5db224d079f527cf1bdf901d7e3fccaac11"),
+    ("psi --n 3 --v 01 --w 012010 --algorithm gw --format json", 0,
+     "3688be993e9304bfb359cc0de66ea1a5d02f81ff49e5fb3f5a2b760a0d22aa9f"),
+    ("psi --type G2 --v 12 --w 212121 --algorithm gw", 0,
+     "e026af8487bc4005f95d4ff0b116d7b3c550f05eb9c51cb60bbb70b5532c4560"),
+    ("structure --n 5 --u 32 --v 211", 0,
+     "06c3ec04ed3cc92e99928df0214a60aab7d8251cfbfad003934dfc261a3132b1"),
+    ("pieri --n 5 --i 3 --partition 431", 0,
+     "1647fe355f08af5ece02d31a65765e7ab733d6f1408b8d7df13b778be3bbc17c"),
 ]
 
 

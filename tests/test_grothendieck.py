@@ -1,16 +1,19 @@
 import hashlib
 import random
+import sys
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from khecke import hecke, weyl
+from khecke import weyl
 from khecke.cartan import VerificationError
 from khecke.grothendieck import GrothendieckEngine
-from khecke.hecke import fold_T, int_mul, t_mul
+from khecke.hecke import t_mul
 from khecke.symfunc import (SymFunc, coproduct_h, hall_pair, multiply,
                             partitions_of, partitions_up_to, spread)
+
+from hecke_oracle import int_mul
 
 
 class TestKappa:
@@ -72,17 +75,28 @@ class TestKappaRows:
     def test_second_call_folds_nothing(self, monkeypatch):
         engine = GrothendieckEngine(4)
         x = weyl.from_word(engine.datum, (1, 0))
-        calls = []
+        right_simple, calls = weyl.right_simple, []
 
-        def counted(word, v):
-            calls.append(v)
-            return fold_T(word, v)
-        monkeypatch.setattr(hecke, "fold_T", counted)
+        def counted(w, i):
+            calls.append(w)
+            return right_simple(w, i)
+        monkeypatch.setattr(weyl, "right_simple", counted)
         first = engine._kappa_times(2, {x: 1})
-        assert len(calls) == len(engine.kappa_product((2,)))
+        assert first == int_mul(engine.kappa_product((2,)), {x: 1})
+        # down x -> r_1 -> e, then up one letter per row: rows r_1 and x
+        r1 = weyl.simple(engine.datum, 1)
+        assert len(calls) == 2 + len(engine.kappa_product((2,))) + len(engine._rows[2][r1])
         calls.clear()
         assert engine._kappa_times(2, {x: 3}) == {w: 3 * c for w, c in first.items()}
         assert calls == []
+
+    def test_long_climb_is_a_loop(self):
+        # a row 3,000 letters above the nearest remembered one: more steps
+        # than the recursion limit allows frames
+        engine = GrothendieckEngine(2)
+        x = weyl.from_word(engine.datum, (0, 1) * 1500)
+        assert x.length == 3000 > sys.getrecursionlimit()
+        assert engine._kappa_times(1, {x: 1}) == int_mul(engine.kappa_product((1,)), {x: 1})
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_unbounded_r_is_a_value_error(self, r):
@@ -93,7 +107,8 @@ class TestKappaRows:
 
 
 class TestKappaLayerPins:
-    """Values of the kappa layer at n = 6, where the other tests pin counts."""
+    """Values of the kappa layer at n = 5 and 6, where the other tests pin
+    counts."""
 
     @staticmethod
     def digest(rows):
@@ -106,6 +121,15 @@ class TestKappaLayerPins:
         assert len(rows) == 60
         assert self.digest(rows) == \
             "fe9832af7a6e3ae2f08e0187fbc5cdf8192745f7a78f5fd2e185949d3ecd4d26"
+
+    def test_kappa_product_pinned(self):
+        # the full products, rows at non-Grassmannian x included, at n = 5
+        engine = GrothendieckEngine(5)
+        rows = [(lam, sorted((w.word, c) for w, c in engine.kappa_product(lam).items()))
+                for lam in engine.bounded(7)]
+        assert (len(rows), sum(len(terms) for _, terms in rows)) == (38, 8676)
+        assert self.digest(rows) == \
+            "a1954aaa3810f66234a4ec7eed80a8cf21676c2a14ed208aefddb69d81b986e8"
 
     def test_g_coproduct_pinned(self):
         engine = GrothendieckEngine(6)

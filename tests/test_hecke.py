@@ -2,11 +2,13 @@ import random
 
 from hypothesis import given, strategies as st
 
-from khecke.cartan import LaurentPoly, RootDatum, demazure, phi0
+from khecke.cartan import LaurentPoly, RootDatum, demazure, phi0, spread
 from khecke import weyl
 from khecke.hecke import (HeckeElt, TensorElt, coproduct, coproduct_T_simple,
-                          fold_T, group_elt_to_T, int_mul, phi0_hecke,
-                          structure_constants_c, t_mul, tensor_mul, y_elt)
+                          group_elt_to_T, phi0_hecke, structure_constants_c,
+                          t_mul, tensor_mul, times_T, y_elt)
+
+from hecke_oracle import fold_T, int_mul
 
 
 def rand_poly(datum, rng, size=2, box=1):
@@ -31,14 +33,27 @@ def int_elements(draw, datum, max_len):
 
 
 class TestFold:
-    """fold_T and int_mul against t_mul over R(T)."""
+    """times_T against the left-fold oracles fold_T and int_mul, and all
+    three against t_mul over R(T)."""
 
     def test_square_and_identity(self, af2):
         e, r0 = weyl.identity(af2), weyl.simple(af2, 0)
-        assert fold_T((), r0) == (1, r0)
-        assert fold_T((0,), e) == (1, r0)
-        assert fold_T((0, 0), e) == (-1, r0)
-        assert fold_T((1, 0, 0, 1), e) == (-1, weyl.from_word(af2, (1, 0, 1)))
+        assert times_T({r0: 1}, ()) == {r0: 1}
+        assert times_T({e: 1}, (0,)) == {r0: 1}
+        assert times_T({e: 1}, (0, 0)) == {r0: -1}
+        assert times_T({e: 1}, (1, 0, 0, 1)) == {weyl.from_word(af2, (1, 0, 1)): -1}
+
+    def test_empty_word_returns_its_input(self, af2):
+        terms = {weyl.simple(af2, 0): 2, weyl.from_word(af2, (1, 0)): -1}
+        assert times_T(terms, ()) is terms
+
+    @given(st.integers(2, 4), st.data())
+    def test_matches_left_fold_oracle(self, n, data):
+        datum = RootDatum.affine_sl(n)
+        a = int_elements(data.draw, datum, 3)
+        word = data.draw(st.lists(st.sampled_from(datum.nodes), max_size=6))
+        s, w = fold_T(word, weyl.identity(datum))
+        assert times_T(a, word) == int_mul(a, {w: s})
 
     @given(st.integers(2, 4), st.data())
     def test_int_mul_matches_t_mul(self, n, data):
@@ -56,7 +71,7 @@ class TestFold:
         b = int_elements(data.draw, datum, 4)
         want = t_mul(HeckeElt.from_int_terms(datum, datum.finite, a),
                      HeckeElt.from_int_terms(datum, datum.finite, b)).int_terms()
-        assert int_mul(a, b) == want
+        assert spread(b, lambda v: times_T(a, v.word).items()) == want
 
     @given(st.integers(2, 4), st.data())
     def test_fold_matches_generator_products(self, n, data):
