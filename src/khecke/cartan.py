@@ -47,6 +47,7 @@ the package.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from typing import Mapping
@@ -97,18 +98,14 @@ class RootDatum:
         self._actions = {}  # coefficient lattice -> simple_action
 
     # -- construction ------------------------------------------------------
-    # sl / affine_sl / of_type return canonical shared instances: weights and
-    # Weyl elements compare by datum identity.
-
-    _sl_cache: dict = {}
-    _affine_cache: dict = {}
-    _type_cache: dict = {}
+    # sl / affine_sl / of_type return canonical shared instances, because
+    # weights and Weyl elements compare by datum identity: functools.cache
+    # keeps one per argument (of_type's stripped), and caches no error.
 
     @staticmethod
+    @functools.cache
     def sl(n: int) -> "RootDatum":
         """SL_n root datum: Z^n mod the all-ones vector."""
-        if n in RootDatum._sl_cache:
-            return RootDatum._sl_cache[n]
         if n < 2:
             raise ValueError("sl(n) needs n >= 2")
         nodes = tuple(range(1, n))
@@ -116,16 +113,13 @@ class RootDatum:
         roots = {i: tuple(a - b for a, b in zip(e(i - 1), e(i))) for i in nodes}
         coroots = dict(roots)  # pairing <alpha_i^vee, .> = x_i - x_{i+1}
         fund = {i: tuple(1 if t < i else 0 for t in range(n)) for i in nodes}
-        datum = RootDatum(f"A{n-1}:sl{n}", nodes, roots, coroots, fund,
-                          quotient_vector=(1,) * n)
-        RootDatum._sl_cache[n] = datum
-        return datum
+        return RootDatum(f"A{n-1}:sl{n}", nodes, roots, coroots, fund,
+                         quotient_vector=(1,) * n)
 
     @staticmethod
+    @functools.cache
     def affine_sl(n: int) -> "RootDatum":
         """Affine SL_n datum on coordinates (Z^n mod ones, level, degree)."""
-        if n in RootDatum._affine_cache:
-            return RootDatum._affine_cache[n]
         if n < 2:
             raise ValueError("affine_sl(n) needs n >= 2")
         fin = RootDatum.sl(n)
@@ -145,7 +139,6 @@ class RootDatum:
                           quotient_vector=(1,) * n + (0, 0), marks=marks,
                           finite=fin)
         datum.window_n = n
-        RootDatum._affine_cache[n] = datum
         return datum
 
     @staticmethod
@@ -192,15 +185,11 @@ class RootDatum:
     def of_type(typ: str) -> "RootDatum":
         """Datum by name: 'A2', 'B2', 'G2', ..., 'A2~' for affine SL_3, or
         'C2~'/'G2~' (affine GCM data without a finite companion)."""
-        typ = typ.strip()
-        if typ in RootDatum._type_cache:
-            return RootDatum._type_cache[typ]
-        datum = RootDatum._of_type_uncached(typ)
-        RootDatum._type_cache[typ] = datum
-        return datum
+        return RootDatum._of_type(typ.strip())
 
     @staticmethod
-    def _of_type_uncached(typ: str) -> "RootDatum":
+    @functools.cache
+    def _of_type(typ: str) -> "RootDatum":
         if typ.endswith("~"):
             base = typ[:-1]
             if _TYPE_A.fullmatch(base):

@@ -11,10 +11,10 @@ time on Grassmannian elements only: T_x T_u = +-T_z has u a right suffix of
 z, and every right suffix of a Grassmannian element is Grassmannian.  The
 dual family g_v in Z[h_1, ..., h_{n-1}] is peeled against the columns from
 the top degree down, and the g/k-Schur expansions are sparse sums over
-them.  The k-Schur function of v is read off as the top homogeneous
-component of g_v, not solved for again.  phi_0(k_lam) =
-varphi(g_lam) and the g-coproduct Delta(g_lam) are built by the K-homology
-Pieri rule, one h_{lam_1} times the image of g_{lam[1:]} per partition; the
+them, checked once, by the peel's own residual.  The k-Schur function of v
+is the top homogeneous component of g_v.  phi_0(k_lam) = varphi(g_lam) and
+Delta(g_lam) are built by the K-homology Pieri rule in one skeleton,
+``_by_pieri``: h_{lam_1} times the image of g_{lam[1:]} per partition; the
 full products and the h (x) h coproduct stay as their oracles.  Every
 unitriangular system goes through ``symfunc.peel`` along a fixed key order,
 and every sum of rows through ``spread`` (defined in ``cartan``, imported
@@ -45,9 +45,8 @@ class GrothendieckEngine:
         self._rows: dict[int, dict] = {}  # r -> {x: kappa_r T_x}
         self._cols: dict[tuple, dict] = {(): {(): 1}}
         self._fs: dict[tuple, dict] = {(): {weyl.identity(self.datum): 1}}
-        self._fs_open: set[tuple] = set()
         self._dg: dict[tuple, dict] = {(): {((), ()): 1}}
-        self._dg_open: set[tuple] = set()
+        self._open: set[tuple] = set()  # (what, lam) in _by_pieri
         self._pieri: dict[tuple, dict] = {}
         self._g: dict[tuple, SymFunc] = {}
 
@@ -159,32 +158,28 @@ class GrothendieckEngine:
     def g_of(self, lam) -> SymFunc:
         """K-k-Schur function g_lam: the h-expression with <g_lam, G_u> = delta,
         peeled against the columns from degree |lam| down, lex-ascending
-        within a degree (column mu holds [T_{u_mu}] kappa_mu = 1; what the
-        peel leaves on labels already passed is caught by the duality check)."""
+        within a degree (column mu holds [T_{u_mu}] kappa_mu = 1).  The peel's
+        residual is {lam: 1} - expand_in_g(g_lam): it must be empty."""
         lam = make_partition(lam)
         if lam not in self._g:
             if lam and lam[0] >= self.n:
                 raise ValueError(f"partition must be {self.n - 1}-bounded")
             order = [mu for d in range(sum(lam), -1, -1)
                      for mu in sorted(partitions_of(d, self.n - 1))]
-            coeffs, _ = peel({lam: 1}, order, lambda mu: self._column(mu).items())
-            out = SymFunc._trusted("h", coeffs, self.n)
-            pairings = self.expand_in_g(out)
-            if pairings != {lam: 1}:
-                raise VerificationError(f"duality failed for {lam}: pairings {pairings}")
-            self._g[lam] = out
+            coeffs, residual = peel({lam: 1}, order, lambda mu: self._column(mu).items())
+            if residual:
+                raise VerificationError(f"duality failed for {lam}: residual {residual}")
+            self._g[lam] = SymFunc._trusted("h", coeffs, self.n)
         return self._g[lam]
 
     def kschur_of(self, lam) -> SymFunc:
-        """k-Schur function: the top homogeneous component of g_lam.  As
-        G_mu = F_mu + higher degrees and g_lam has no degree above |lam|,
-        <g_lam, G_mu> = delta for |mu| = |lam| says <top, F_mu> = delta."""
+        """k-Schur function: the top homogeneous component of g_lam, unchecked
+        as it cannot fail once ``g_of`` has: column(nu)[mu] != 0 only when
+        |mu| <= |nu| (kappa_r T_x has no term longer than r + l(x)), and g_lam
+        has no degree above |lam|, where its peel starts.  So
+        expand_in_kschur(top) = expand_in_g(g_lam) on |mu| = |lam| = delta."""
         lam = make_partition(lam)
-        out = self.g_of(lam).degree_part(sum(lam))
-        pairings = self.expand_in_kschur(out)
-        if pairings != {lam: 1}:
-            raise VerificationError(f"duality failed for {lam}: pairings {pairings}")
-        return out
+        return self.g_of(lam).degree_part(sum(lam))
 
     # -- expansions in the dual families -------------------------------------------------------
 
@@ -214,18 +209,15 @@ class GrothendieckEngine:
     # -- coproduct and product on the g basis ----------------------------------------------------
 
     def g_coproduct(self, lam) -> TensorSym:
-        """Delta(g_lam) over g (x) g, by the K-homology Pieri rule.  The terms
-        are ``_delta_g``'s memo, not to be mutated.  A failing scan lists its
-        C:g2 violations in their order: as ``spread`` first meets them, walking
-        the Pieri row h_r g_nu for lam = (r, nu) and taking, at each g_mu in
-        it, Delta(h_r) Delta(g_nu) if mu = lam and Delta(g_mu) otherwise."""
-        return TensorSym._trusted(("g", "g"), self._delta_g(make_partition(lam)), self.n)
-
-    def _delta_g(self, lam: tuple) -> dict:
-        """{(mu, nu): c} of Delta(g_lam).  Delta is multiplicative and
-        Delta(h_r) = sum_j h_j (x) h_{r-j}, so Delta(h_r) Delta(g_nu) spreads
-        each g_a (x) g_b over the Pieri rows h_j g_a (x) h_{r-j} g_b.  Checked
-        on each result: the counit on either side, and cocommutativity."""
+        """Delta(g_lam) over g (x) g, by the K-homology Pieri rule.  Delta is
+        multiplicative and Delta(h_r) = sum_j h_j (x) h_{r-j}, so
+        Delta(h_r) Delta(g_nu) spreads each g_a (x) g_b over the Pieri rows
+        h_j g_a (x) h_{r-j} g_b.  Checked on each result: the counit on either
+        side, and cocommutativity.  The terms are a memo, not to be mutated.
+        A failing scan lists its C:g2 violations in their order: as ``spread``
+        first meets them, walking the Pieri row h_r g_nu for lam = (r, nu) and
+        taking, at each g_mu in it, Delta(h_r) Delta(g_nu) if mu = lam and
+        Delta(g_mu) otherwise."""
         def times_h(r, delta_nu):
             return spread(delta_nu, lambda ab: [
                 ((mu, nu), x * y) for j in range(r + 1)
@@ -239,8 +231,9 @@ class GrothendieckEngine:
             if any(delta.get((b, a)) != c for (a, b), c in delta.items()):
                 raise VerificationError(f"Delta(g_{lam}) is not cocommutative")
 
-        return self._by_pieri(self._dg, self._dg_open, lam, "Delta(g_{})",
-                              self._pieri_row, times_h, check)
+        return TensorSym._trusted(("g", "g"), self._by_pieri(
+            self._dg, make_partition(lam), "Delta(g_{})", self._pieri_row, times_h,
+            check), self.n)
 
     def g_multiply(self, lam, mu) -> dict:
         """g_lam g_mu expanded in the g basis."""
@@ -261,13 +254,10 @@ class GrothendieckEngine:
     def varphi_g(self, lam) -> dict:
         """{w: int} terms of varphi(g_lam) = phi_0(k_w), w of partition lam,
         memoised per partition: callers must not mutate the returned dict.
-        ``varphi(g_of(lam))`` is its oracle."""
-        return self._phi_g(make_partition(lam))
-
-    def _phi_g(self, lam: tuple) -> dict:
-        """varphi_g by the K-homology Pieri rule: varphi(h_r) = kappa_r.  The
+        Built by the K-homology Pieri rule, varphi(h_r) = kappa_r: the
         coordinates of h_r g_nu are read in Lambda_(n), through the columns,
-        and checked against the Pieri rule in the 0-Hecke ring."""
+        and checked against the Pieri rule in the 0-Hecke ring.
+        ``varphi(g_of(lam))`` is its oracle."""
         def coords(r, nu):
             c = spread(self.g_of(nu).terms,
                        lambda a: self._column(make_partition((r,) + a)).items())
@@ -276,7 +266,7 @@ class GrothendieckEngine:
                                         f"Pieri rule gives {self._pieri_row(r, nu)}")
             return c
 
-        return self._by_pieri(self._fs, self._fs_open, lam, "phi_0(k_{})", coords,
+        return self._by_pieri(self._fs, make_partition(lam), "phi_0(k_{})", coords,
                               self._kappa_times)
 
     def _pieri_row(self, j: int, a: tuple) -> dict:
@@ -288,35 +278,38 @@ class GrothendieckEngine:
                 j, {weyl.grassmannian_from_partition(self.datum, a): 1}))
         return self._pieri[j, a]
 
-    def _by_pieri(self, memo: dict, open_: set, lam: tuple, what: str, coords,
-                  times_h, check=None) -> dict:
+    def _by_pieri(self, memo: dict, lam: tuple, what: str, coords, times_h,
+                  check=None) -> dict:
         """memo[lam], the image of g_lam under a ring map on Lambda_(n).  For
         lam = (r, nu), h_r g_nu = sum_mu c_mu g_mu (c = coords(r, nu)) has
         c_lam = 1 and every other mu of lower degree or lex-greater, so
         image(g_lam) = times_h(r, image(g_nu)) - sum_{mu != lam} c_mu image(g_mu);
-        image(g_nu) comes first, so each part of lam is one level of recursion."""
-        if lam in memo:
-            return memo[lam]
-        if lam in open_:
-            raise VerificationError(
-                f"Pieri recursion for {what.format(lam)} met {lam} again")
-        open_.add(lam)
-        try:
-            r, nu = lam[0], lam[1:]
-            c = coords(r, nu)
-            if c.get(lam) != 1:
+        image(g_nu) comes first, so each part of lam is one level of recursion;
+        meeting a (what, mu) still in ``self._open`` again raises."""
+        def image(lam):
+            if lam in memo:
+                return memo[lam]
+            key = (what, lam)
+            if key in self._open:
                 raise VerificationError(
-                    f"coefficient of g_{lam} in h_{r} g_{nu} is {c.get(lam, 0)}, not 1")
-            top = times_h(r, self._by_pieri(memo, open_, nu, what, coords, times_h, check))
-            out = spread({mu: 1 if mu == lam else -a for mu, a in c.items()},
-                         lambda mu: (top if mu == lam else self._by_pieri(
-                             memo, open_, mu, what, coords, times_h, check)).items())
-            if check:
-                check(lam, out)
-            memo[lam] = out
-        finally:
-            open_.discard(lam)
-        return memo[lam]
+                    f"Pieri recursion for {what.format(lam)} met {lam} again")
+            self._open.add(key)
+            try:
+                r, nu = lam[0], lam[1:]
+                c = coords(r, nu)
+                if c.get(lam) != 1:
+                    raise VerificationError(
+                        f"coefficient of g_{lam} in h_{r} g_{nu} is {c.get(lam, 0)}, not 1")
+                top = times_h(r, image(nu))
+                out = spread({mu: 1 if mu == lam else -a for mu, a in c.items()},
+                             lambda mu: (top if mu == lam else image(mu)).items())
+                if check:
+                    check(lam, out)
+                memo[lam] = out
+            finally:
+                self._open.discard(key)
+            return out
+        return image(lam)
 
     # -- G-basis expansions ----------------------------------------------------------------------------
 

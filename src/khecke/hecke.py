@@ -96,13 +96,12 @@ class HeckeElt(_RCombination):
 
     def __repr__(self):
         bits = [f"({p!r})T[{weyl.word_str(w.word) or 'id'}]"
-                for w, p in sorted(self.terms.items(), key=lambda t: (t[0].length, t[0].word))]
+                for w, p in sorted(self.terms.items())]
         return " + ".join(bits) if bits else "0"
 
     def to_json(self) -> list[dict]:
         return [{"word": list(w.word), "coefficient": p.to_json()}
-                for w, p in sorted(self.terms.items(),
-                                   key=lambda t: (t[0].length, t[0].word))]
+                for w, p in sorted(self.terms.items())]
 
 
 # -- products -------------------------------------------------------------------
@@ -204,9 +203,7 @@ class TensorElt(_RCombination):
 
     def __repr__(self):
         bits = [f"({p!r})T[{weyl.word_str(u.word) or 'id'}]xT[{weyl.word_str(v.word) or 'id'}]"
-                for (u, v), p in sorted(
-                    self.terms.items(),
-                    key=lambda t: (t[0][0].length, t[0][0].word, t[0][1].length, t[0][1].word))]
+                for (u, v), p in sorted(self.terms.items())]
         return " + ".join(bits) if bits else "0"
 
 

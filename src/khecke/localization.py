@@ -324,7 +324,6 @@ def grassmannian_expansion(engine: PsiEngine, psi_of, max_len: int):
     """
     datum = engine.datum
     grass = [u for u in weyl.all_elements(datum, max_len) if weyl.is_grassmannian(u)]
-    grass.sort(key=lambda u: (u.length, u.word))
     coeffs: dict[WeylElt, LaurentPoly] = {}
     for u in grass:
         residual = psi_of(u)

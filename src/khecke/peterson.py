@@ -53,8 +53,7 @@ def expand_in_fs_basis(engine: GrothendieckEngine, b) -> dict:
             raise ValueError("expansion needs integer coefficients")
         b = b.int_terms()
     coeffs, residual = peel(
-        b, sorted((w for w in b if weyl.is_grassmannian(w)),
-                  key=lambda w: (w.length, w.word)),
+        b, sorted(w for w in b if weyl.is_grassmannian(w)),
         lambda w: engine.varphi_g(weyl.partition_of_grassmannian(w)).items())
     if residual:
         raise ValueError("element is not in the Fomin-Stanley subalgebra "

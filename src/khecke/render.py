@@ -58,8 +58,7 @@ def render_hecke(a) -> str:
         c = p.constant_value()
         return c < 0, ("" if abs(c) == 1 else f"{abs(c)}*") + label
 
-    return _signed_sum(term(w, p) for w, p in sorted(
-        a.terms.items(), key=lambda t: (t[0].length, t[0].word)))
+    return _signed_sum(term(w, p) for w, p in sorted(a.terms.items()))
 
 
 _PREFIX = {"m": "m", "h": "h", "s": "s", "F": "F", "G": "G", "g": "g",

@@ -145,6 +145,11 @@ class WeylElt:
     def __repr__(self):
         return f"W[{''.join(map(str, self.word)) or 'id'}]"
 
+    def __lt__(self, other):
+        """Display order: by length, then canonical word.  Not the Bruhat
+        order (``bruhat_leq``); it only makes ``sorted`` deterministic."""
+        return (self.length, self.word) < (other.length, other.word)
+
     def is_identity(self) -> bool:
         return not self.word
 
@@ -379,7 +384,7 @@ def bruhat_ideal(w: WeylElt) -> list[WeylElt]:
     seen = {identity(w.datum)}
     for i in reversed(w.word):
         seen |= {left_simple(i, v) for v in seen}
-    return sorted(seen, key=lambda v: (v.length, v.word))
+    return sorted(seen)
 
 
 def prefix_roots(datum, word) -> list[Weight]:
@@ -435,13 +440,12 @@ def elements_up_to_length(datum, max_len: int) -> list[list[WeylElt]]:
     """Elements grouped by length 0..max_len (BFS over right products)."""
     layers = [[identity(datum)]]
     for ell in range(1, max_len + 1):
-        nxt = {}
+        nxt = set()
         for w in layers[ell - 1]:
             for i in datum.nodes:
                 if not has_right_descent(w, i):
-                    wi = right_simple(w, i)
-                    nxt[wi.word] = wi
-        layers.append(sorted(nxt.values(), key=lambda v: v.word))
+                    nxt.add(right_simple(w, i))
+        layers.append(sorted(nxt))
     return layers
 
 

@@ -50,6 +50,17 @@ class TestRootDatum:
         assert len(RootDatum.of_type("A1").nodes) == 1
         assert len(RootDatum.of_type("A10").nodes) == 10
 
+    def test_constructors_share_one_datum_per_argument(self):
+        assert RootDatum.sl(3) is RootDatum.sl(3)
+        assert RootDatum.of_type(" A2~ ") is RootDatum.affine_sl(3)
+        assert RootDatum.of_type("B2") is RootDatum.of_type(" B2 ")
+
+    @pytest.mark.parametrize("make", [RootDatum.sl, RootDatum.affine_sl])
+    def test_constructor_errors_are_not_cached(self, make):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="needs n >= 2"):
+                make(1)
+
     def test_affine_marks_null_root(self, af2, af3):
         for datum in (af2, af3):
             delta = null_root(datum)

@@ -829,6 +829,10 @@ STDOUT_CONTRACT = [
      "06c3ec04ed3cc92e99928df0214a60aab7d8251cfbfad003934dfc261a3132b1"),
     ("pieri --n 5 --i 3 --partition 431", 0,
      "1647fe355f08af5ece02d31a65765e7ab733d6f1408b8d7df13b778be3bbc17c"),
+    ("kappa --n 5 --i 3 --format json", 0,
+     "a980277e13fa59f0fedfb508db8a4f154c6a9793e6ebb9fbc398f0c0127f208d"),
+    ("expand-group --type B2 --word 2121 --format latex-table", 0,
+     "365e7a4fe1f4ed05ac44c8a467635b30eb245b5dfef2b04b001af2ceb14fd244"),
 ]
 
 

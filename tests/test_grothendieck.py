@@ -327,7 +327,7 @@ class TestGCoproductByPieri:
         engine = GrothendieckEngine(n)
         for lam in engine.bounded(7):
             assert engine.g_coproduct(lam).terms == g_coproduct_via_h(engine, lam), lam
-        assert not engine._dg_open
+        assert not engine._open
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_pieri_rows_match_lambda_side(self, n):
@@ -356,7 +356,7 @@ class TestCoproductRecursionChecks:
     def refused(engine, lam, match):
         with pytest.raises(VerificationError, match=match):
             engine.g_coproduct(lam)
-        assert lam not in engine._dg and not engine._dg_open
+        assert lam not in engine._dg and not engine._open
 
     def test_leading_coefficient_not_one(self, monkeypatch):
         engine = GrothendieckEngine(3)
@@ -577,7 +577,7 @@ class TestFastPathOracles:
         engine = GrothendieckEngine(n)
         for lam in engine.bounded(7):
             assert engine.varphi_g(lam) == engine._varphi_int(engine.g_of(lam)), lam
-        assert not engine._fs_open
+        assert not engine._open
 
 
 class TestPieriRecursionChecks:
@@ -589,7 +589,7 @@ class TestPieriRecursionChecks:
         monkeypatch.setattr(engine, "g_of", lambda lam: g_of(lam).scaled(2))
         with pytest.raises(VerificationError, match=r"h_1 g_\(\) is 2, not 1"):
             engine.varphi_g((1,))
-        assert (1,) not in engine._fs and not engine._fs_open
+        assert (1,) not in engine._fs and not engine._open
 
     def test_pieri_rule_mismatch(self, monkeypatch):
         engine = GrothendieckEngine(3)
@@ -600,7 +600,7 @@ class TestPieriRecursionChecks:
                             lambda t: {**terms(t), (): 7})
         with pytest.raises(VerificationError, match="Pieri rule gives"):
             engine.varphi_g((1,))
-        assert (1,) not in engine._fs and not engine._fs_open
+        assert (1,) not in engine._fs and not engine._open
 
     def test_partition_met_again(self, monkeypatch):
         engine = GrothendieckEngine(3)
@@ -612,7 +612,50 @@ class TestPieriRecursionChecks:
         monkeypatch.setattr(engine, "g_of", reentrant_g_of)
         with pytest.raises(VerificationError, match=r"met \(2, 1\) again"):
             engine.varphi_g((2, 1))
-        assert (2, 1) not in engine._fs and not engine._fs_open
+        assert (2, 1) not in engine._fs and not engine._open
+
+
+class TestOneGuard:
+    """One in-progress set serves both Pieri recursions: each refusal leaves
+    it empty, and the engine goes on to the right values."""
+
+    def test_phi0_then_coproduct_refused(self, monkeypatch):
+        engine = GrothendieckEngine(3)
+        g_of, row = engine.g_of, engine._pieri_row
+
+        def reentrant_g_of(lam):
+            engine.varphi_g((2, 1))
+            return g_of(lam)
+
+        def reentrant_row(j, a):
+            if (j, a) == (2, (1,)):
+                engine.g_coproduct((2, 1))
+            return row(j, a)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "g_of", reentrant_g_of)
+            with pytest.raises(VerificationError, match=r"phi_0\(k_\(2, 1\)\) met"):
+                engine.varphi_g((2, 1))
+        assert not engine._open
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_pieri_row", reentrant_row)
+            with pytest.raises(VerificationError, match=r"Delta\(g_\(2, 1\)\) met"):
+                engine.g_coproduct((2, 1))
+        assert not engine._open
+        fresh = GrothendieckEngine(3)
+        for lam in engine.bounded(4):
+            assert engine.varphi_g(lam) == fresh._varphi_int(fresh.g_of(lam)), lam
+            assert engine.g_coproduct(lam).terms == g_coproduct_via_h(fresh, lam), lam
+
+
+class TestGOfCheck:
+    def test_corrupt_column_fails_duality(self, monkeypatch):
+        engine = GrothendieckEngine(3)
+        column = engine._column
+        monkeypatch.setattr(engine, "_column", lambda nu: (
+            {**column(nu), (1,): 2} if nu == (1,) else column(nu)))
+        with pytest.raises(VerificationError, match=r"duality failed for \(1,\)"):
+            engine.g_of((1,))
+        assert (1,) not in engine._g
 
 
 def dual_solve_by_g_coeff(engine, lam, top_only):

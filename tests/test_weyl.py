@@ -459,25 +459,14 @@ class TestInterning:
 
 
 def fresh_datum(typ):
-    """A new datum of type ``typ``, with nothing interned yet; "sl4" is
-    ``RootDatum.sl(4)`` on its quotient lattice."""
+    """A new datum of type ``typ``, with nothing interned yet, built past the
+    constructors' caches; "sl4" is ``RootDatum.sl(4)`` on its quotient
+    lattice."""
     if typ.startswith("sl"):
-        n = int(typ[2:])
-        cached = RootDatum._sl_cache.pop(n, None)
-        try:
-            return RootDatum.sl(n)
-        finally:
-            if cached is not None:
-                RootDatum._sl_cache[n] = cached
+        return RootDatum.sl.__wrapped__(int(typ[2:]))
     if typ.startswith("A"):
-        n = int(typ[1:-1]) + 1
-        cached = RootDatum._affine_cache.pop(n, None)
-        try:
-            return RootDatum.affine_sl(n)
-        finally:
-            if cached is not None:
-                RootDatum._affine_cache[n] = cached
-    return RootDatum._of_type_uncached(typ)
+        return RootDatum.affine_sl.__wrapped__(int(typ[1:-1]) + 1)
+    return RootDatum._of_type.__wrapped__(typ)
 
 
 class TestCanonicalWords:
@@ -538,6 +527,17 @@ class TestIdentityEquality:
     @given(st.sampled_from(["B2", "G2", "C2~", "sl4"]), st.data())
     def test_matrix_path(self, typ, data):
         self.check(fresh_datum(typ), data.draw, 6)
+
+
+class TestDisplayOrder:
+    """``WeylElt.__lt__`` is the (length, word) key every sort site used."""
+
+    @given(st.sampled_from(["A2~", "C2~", "B2", "sl4"]), st.data())
+    def test_matches_length_word_key(self, typ, data):
+        datum = RootDatum.sl(4) if typ == "sl4" else RootDatum.of_type(typ)
+        els = [weyl.from_word(datum, data.draw(st.lists(
+            st.sampled_from(datum.nodes), max_size=7))) for _ in range(8)]
+        assert sorted(els) == sorted(els, key=lambda w: (w.length, w.word))
 
 
 def grassmannian_oracle(w):
