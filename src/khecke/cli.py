@@ -3,9 +3,9 @@
 Subcommands: psi, expand-group, kappa, g, G, kschur, pieri, coproduct,
 structure, k-sl2, tables, check-conjectures, gkm-check.  Words are digit
 strings read left to right ("210" = r2 r1 r0); partitions are comma lists
-("2,1") or digit strings ("21").  Exit codes: 0 success, 1 domain error,
-2 verification failure (conjecture violation, golden-table mismatch, or a
-library cross-check raising VerificationError).
+("2,1") or digit strings ("21").  Exit codes: 0 success, 1 domain error (a
+ValueError), 2 verification failure (conjecture violation, golden-table
+mismatch, or a library cross-check raising VerificationError).
 """
 
 from __future__ import annotations
@@ -22,18 +22,13 @@ from .grothendieck import GrothendieckEngine
 from .hecke import group_elt_to_T
 from .localization import (PsiEngine, gkm_check_big, small_gkm_check,
                            small_gkm_grassmannian_check)
-from .peterson import (ConjectureReport, SupportTruncationError,
-                       conjecture_scan, cross_k_scan, equivariant_k_sl2, pieri,
-                       structure_d)
+from .peterson import (ConjectureReport, conjecture_scan, cross_k_scan,
+                       equivariant_k_sl2, pieri, structure_d)
 from .render import (render_hecke, render_int_map, render_poly,
                      render_symfunc, render_tensor)
 from .symfunc import SymFunc, convert
 
 USAGE_ERROR, VERIFY_ERROR = 1, 2
-
-
-class DomainError(ValueError):
-    pass
 
 
 def parse_partition(text: str) -> tuple:
@@ -46,10 +41,10 @@ def parse_partition(text: str) -> tuple:
         else:
             parts = tuple(int(ch) for ch in text)
     except ValueError:
-        raise DomainError(f"malformed partition {text!r}")
+        raise ValueError(f"malformed partition {text!r}")
     if any(p <= 0 for p in parts) or any(parts[i] < parts[i + 1]
                                          for i in range(len(parts) - 1)):
-        raise DomainError(f"{text!r} is not a partition")
+        raise ValueError(f"{text!r} is not a partition")
     return parts
 
 
@@ -57,7 +52,7 @@ def parse_word_arg(text: str) -> tuple:
     try:
         return weyl.parse_word(text)
     except ValueError:
-        raise DomainError(f"malformed word {text!r}")
+        raise ValueError(f"malformed word {text!r}")
 
 
 def partition_label(lam) -> str:
@@ -66,12 +61,12 @@ def partition_label(lam) -> str:
 
 def _validate_bounds(args):
     if getattr(args, "n", None) is not None and args.n < 2:
-        raise DomainError("--n must be >= 2")
+        raise ValueError("--n must be >= 2")
     for attr, low in (("max_len", 0), ("max_degree", 0), ("max_d", 1),
                       ("cutoff", 0), ("r", 0)):
         bound = getattr(args, attr, None)
         if bound is not None and bound < low:
-            raise DomainError(f"--{attr.replace('_', '-')} must be >= {low}")
+            raise ValueError(f"--{attr.replace('_', '-')} must be >= {low}")
 
 
 def _engine(args) -> GrothendieckEngine:
@@ -93,11 +88,11 @@ def _emit(args, text_value, json_value, latex_value=None):
 def _datum_for(args, default_n=None) -> RootDatum:
     if args.type:
         if args.n is not None:
-            raise DomainError("give --type or --n, not both")
+            raise ValueError("give --type or --n, not both")
         return RootDatum.of_type(args.type)
     n = default_n if args.n is None else args.n
     if n is None:
-        raise DomainError("need --type or --n")
+        raise ValueError("need --type or --n")
     return RootDatum.affine_sl(n)
 
 
@@ -174,7 +169,7 @@ def cmd_G(args):
         engine = _engine(args)
         v = engine.grassmannian(lam)
         if args.max_degree < v.length:
-            raise DomainError("--max-degree is below the partition size")
+            raise ValueError("--max-degree is below the partition size")
         G = engine.G_of(v, args.max_degree)
         return (engine.m_to_F(G) if args.basis == "F" else G).to_json()
     _emit_symfunc(args, _cached(args, compute, partition=lam))
@@ -209,7 +204,7 @@ def cmd_structure(args):
 
 def cmd_k_sl2(args):
     if (args.r is None) == (args.partition is None):
-        raise DomainError("k-sl2 needs exactly one of --r and --partition")
+        raise ValueError("k-sl2 needs exactly one of --r and --partition")
     lam_or_r = parse_partition(args.partition) if args.partition is not None else args.r
     elt = equivariant_k_sl2(lam_or_r, cutoff=args.cutoff)
     _emit(args, render_hecke(elt), elt.to_json())
@@ -281,11 +276,11 @@ def cmd_check_conjectures(args):
 def cmd_gkm_check(args):
     if args.mode == "big":
         if args.max_d is not None:
-            raise DomainError("--max-d is for --mode small; big mode checks "
-                              "divisibility by (1 - e^alpha) alone")
+            raise ValueError("--max-d is for --mode small; big mode checks "
+                             "divisibility by (1 - e^alpha) alone")
         if args.max_len < 1:
-            raise DomainError("--max-len must be >= 1 for --mode big: the "
-                              "identity alone has no root to check")
+            raise ValueError("--max-len must be >= 1 for --mode big: the "
+                             "identity alone has no root to check")
         datum = _datum_for(args, default_n=2)
         engine = PsiEngine(datum, "big")
         els = weyl.all_elements(datum, args.max_len)
@@ -297,31 +292,27 @@ def cmd_gkm_check(args):
         checked = len(els) ** 2 * len(roots)
     else:
         if args.type:
-            raise DomainError("--type is for --mode big; small mode runs on "
-                              "affine SL_n, chosen by --n")
+            raise ValueError("--type is for --mode big; small mode runs on "
+                             "affine SL_n, chosen by --n")
         datum = _datum_for(args, default_n=2)
         n = len(datum.nodes)
         engine = PsiEngine(datum, "level-zero")
-        fin = engine.coeffs
         ok = True
         checked = 0
         els = weyl.all_elements(datum, args.max_len)
         grass = [v for v in els if weyl.is_grassmannian(v)]
-        roots = [(tuple((1 if t == i else 0) - (1 if t == j else 0)
-                        for t in range(n)), i, j)
-                 for i in range(n) for j in range(n) if i != j]
+        coroots = [tuple((1 if t == i else 0) - (1 if t == j else 0) for t in range(n))
+                   for i in range(n) for j in range(n) if i != j]
         max_d = 3 if args.max_d is None else args.max_d
         for v in grass:
             psi_of = lambda x, v=v: engine.psi_right(v, x)
-            for avee, i, j in roots:
-                alpha = fin.weight(avee)
+            for avee in coroots:
                 for d in range(1, max_d + 1):
                     for w in els:
                         checked += 1
-                        if not small_gkm_grassmannian_check(psi_of, datum, avee,
-                                                            alpha, d, w):
+                        if not small_gkm_grassmannian_check(psi_of, datum, avee, d, w):
                             ok = False
-                        if not small_gkm_check(psi_of, datum, avee, alpha, d, w):
+                        if not small_gkm_check(psi_of, datum, avee, d, w):
                             ok = False
     _emit(args, f"gkm {args.mode}: {'PASS' if ok else 'FAIL'} [{checked} checks]",
           {"mode": args.mode, "passed": ok, "checked": checked})
@@ -457,7 +448,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR
-    except (DomainError, ValueError, SupportTruncationError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except RecursionError:

@@ -36,8 +36,6 @@ class GrothendieckEngine:
     _instances: dict[int, "GrothendieckEngine"] = {}
 
     def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("need n >= 2")
         self.n = n
         self.datum = RootDatum.affine_sl(n)
         self.fin = self.datum.coefficient_lattice()

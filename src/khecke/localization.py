@@ -17,7 +17,9 @@ residue {} unreduced, and no difference is formed.  ``psi_right`` reads
 each w(alpha_i) from the engine's memo (``PsiEngine.root_image``) and
 takes one product per step, by the one-term factor e^{-w(alpha_i)}, which
 ``LaurentPoly`` multiplies as a shift.  The small-torus conditions, modulo
-(1 - e^alpha)^d, test line moments (``cartan.divisible_by_one_minus_e``).
+(1 - e^alpha)^d, take the coroot alpha^vee alone (in type A it is also the
+root alpha, read in the level-zero lattice) and test line moments
+(``cartan.divisible_by_one_minus_e``, which alone checks d >= 1).
 
 Flavors: "big" works over the datum's own lattice (R(T) or R(T_af));
 "level-zero" (affine data with a finite companion) projects every root to
@@ -206,10 +208,10 @@ def gkm_check_big(psi_of, pairs) -> bool:
     return True
 
 
-def _translation_sum(psi_of, datum: RootDatum, alpha_vee, lattice, m: int,
+def _translation_sum(psi_of, datum: RootDatum, alpha_vee, m: int,
                      x: WeylElt) -> LaurentPoly:
-    """sum_{k=0}^m (-1)^k C(m, k) psi(t_{k alpha^vee} x), over ``lattice``."""
-    total = LaurentPoly.zero(lattice)
+    """sum_{k=0}^m (-1)^k C(m, k) psi(t_{k alpha^vee} x), over R(T) level zero."""
+    total = LaurentPoly.zero(datum.coefficient_lattice("level-zero"))
     for k in range(m + 1):
         t = weyl.translation(datum, tuple(k * c for c in alpha_vee))
         val = psi_of(weyl.multiply(t, x))
@@ -217,34 +219,29 @@ def _translation_sum(psi_of, datum: RootDatum, alpha_vee, lattice, m: int,
     return total
 
 
-def small_gkm_grassmannian_check(psi_of, datum: RootDatum, alpha_vee, alpha,
-                                 d: int, w: WeylElt) -> bool:
+def small_gkm_grassmannian_check(psi_of, datum: RootDatum, alpha_vee, d: int,
+                                 w: WeylElt) -> bool:
     """psi((1 - t_{alpha^vee})^d w) in (1 - e^alpha)^d R(T) (level zero).
 
-    ``alpha_vee`` is the coroot as an integer vector (sum zero), ``alpha``
-    the corresponding finite root weight.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    total = _translation_sum(psi_of, datum, alpha_vee, alpha.datum, d, w)
-    return divisible_by_one_minus_e(total, alpha, d)
+    ``alpha_vee`` is the coroot as an integer vector (sum zero); in type A
+    it is also the root alpha, a weight of the level-zero lattice."""
+    total = _translation_sum(psi_of, datum, alpha_vee, d, w)
+    return divisible_by_one_minus_e(total, total.datum.weight(alpha_vee), d)
 
 
-def small_gkm_check(psi_of, datum: RootDatum, alpha_vee, alpha, d: int,
+def small_gkm_check(psi_of, datum: RootDatum, alpha_vee, d: int,
                     w: WeylElt) -> bool:
     """psi((1 - t_{alpha^vee})^{d-1} (1 - r_alpha) w) in (1-e^alpha)^d R(T).
 
     r_alpha is the reflection in the level-zero real root alpha^vee (type A:
     root and coroot agree), taken positive, as r_alpha = r_{-alpha}."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
     root = datum.weight(tuple(alpha_vee) + (0, 0))
     if next(c for c in alpha_vee if c) < 0:
         root = -root
     r_alpha_w = weyl.left_reflection(root, w)
-    total = _translation_sum(psi_of, datum, alpha_vee, alpha.datum, d - 1, w) \
-        - _translation_sum(psi_of, datum, alpha_vee, alpha.datum, d - 1, r_alpha_w)
-    return divisible_by_one_minus_e(total, alpha, d)
+    total = _translation_sum(psi_of, datum, alpha_vee, d - 1, w) \
+        - _translation_sum(psi_of, datum, alpha_vee, d - 1, r_alpha_w)
+    return divisible_by_one_minus_e(total, total.datum.weight(alpha_vee), d)
 
 
 # -- affine SL_2 closed forms -------------------------------------------------------

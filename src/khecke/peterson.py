@@ -28,11 +28,11 @@ def fomin_stanley_elt(engine: GrothendieckEngine, lam) -> HeckeElt:
     return HeckeElt.from_int_terms(engine.datum, engine.fin, engine.varphi_g(lam))
 
 
-def l0_membership(b: HeckeElt, n: int) -> bool:
-    """phi_0(b (e^{+-omega_j} - 1)) = 0 for j = 1..n-1 certifies b in L_0."""
+def l0_membership(b: HeckeElt) -> bool:
+    """phi_0(b (e^{+-omega_j} - 1)) = 0 at each node j of b.coeffs: b in L_0."""
     fin = b.coeffs
     base = phi0_hecke(b)
-    for j in range(1, n):
+    for j in fin.nodes:
         for sign in (1, -1):
             om = fin.fundamental_weight(j)
             scal = HeckeElt.scalar(b.datum, fin,
@@ -142,7 +142,7 @@ def structure_d(engine: GrothendieckEngine, lam, mu) -> dict:
 # -- equivariant k_w for affine SL_2 ------------------------------------------------------
 
 
-class SupportTruncationError(RuntimeError):
+class SupportTruncationError(ValueError):
     """The requested cutoff cannot certify that the T-support of k_w closed."""
 
 

@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
-from .cartan import LaurentPoly, RootDatum
+from .cartan import LaurentPoly
 from . import weyl
 from .symfunc import SymFunc, TensorSym
 
 
-def render_exponent(datum: RootDatum, w) -> str:
-    """Weight as a simple-root combination: 'a1+2a2', or raw coords."""
-    coords = datum.root_coords(w)
+def render_exponent(w) -> str:
+    """Weight as a simple-root combination of its datum: 'a1+2a2', or raw coords."""
+    coords = w.datum.root_coords(w)
     if coords is None:
         return "[" + ",".join(map(str, w.coords)) + "]"
     bits = []
-    for node, c in zip(datum.nodes, coords):
+    for node, c in zip(w.datum.nodes, coords):
         if c == 0:
             continue
         name = f"a{node}"
@@ -44,7 +44,7 @@ def render_poly(p: LaurentPoly) -> str:
         if w.is_zero():
             return str(abs(c))
         mag = "" if abs(c) == 1 else f"{abs(c)}"
-        return f"{mag}e^({render_exponent(p.datum, w)})"
+        return f"{mag}e^({render_exponent(w)})"
 
     return _signed_sum((c < 0, term(w, c)) for w, c in sorted(
         p.terms.items(), key=lambda t: (not t[0].is_zero(), t[0].coords)))

@@ -21,7 +21,7 @@ partitions.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Mapping
 
 from .cartan import Combination, spread
@@ -90,7 +90,7 @@ def dominates(lam: Partition, mu: Partition) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@cache
 def kostka(lam: Partition, mu: Partition) -> int:
     """Number of SSYT of shape lam and content mu."""
     if sum(lam) != sum(mu):
@@ -128,6 +128,14 @@ def _horizontal_strips_below(lam: Partition, size: int):
 
 
 _BASES = ("m", "h", "s", "F", "G", "g", "kschur")
+
+
+def _bound_host(f, g):
+    """The operand of a sum whose bound context ``n`` the sum keeps: one that
+    has one; two different ones raise ValueError."""
+    if f.n != g.n and f.n is not None and g.n is not None:
+        raise ValueError("bound-context mismatch")
+    return f if f.n else g
 
 
 class SymFunc(Combination):
@@ -170,9 +178,7 @@ class SymFunc(Combination):
         if self.basis != other.basis:
             raise ValueError(f"basis mismatch {self.basis!r} vs {other.basis!r}"
                              " (convert explicitly)")
-        if self.n != other.n and self.n is not None and other.n is not None:
-            raise ValueError("bound-context mismatch")
-        return self if self.n else other
+        return _bound_host(self, other)
 
     def max_degree(self) -> int:
         return max((sum(lam) for lam in self.terms), default=0)
@@ -209,14 +215,14 @@ class SymFunc(Combination):
 # -- transition matrices -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cache
 def _s_to_m_row(lam: Partition) -> tuple:
     d = sum(lam)
     return tuple(sorted((mu, kostka(lam, mu)) for mu in partitions_of(d)
                         if kostka(lam, mu)))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _h_to_s_row(mu: Partition) -> tuple:
     """h_mu = sum_lam K_{lam mu} s_lam."""
     d = sum(mu)
@@ -333,7 +339,7 @@ class TensorSym(Combination):
     def _compat(self, other):
         if self.bases != other.bases:
             raise ValueError("tensor basis mismatch")
-        return self if self.n else other
+        return _bound_host(self, other)
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -346,7 +352,7 @@ class TensorSym(Combination):
         return " + ".join(bits) if bits else "0"
 
 
-@lru_cache(maxsize=None)
+@cache
 def _delta_h(lam: Partition) -> tuple:
     """Delta(h_lam) as an item tuple of ((left, right), coefficient)."""
     acc = {((), ()): 1}

@@ -112,21 +112,18 @@ def test_criterion_05_localization_cross_validation():
 def test_criterion_06_sl2_closed_forms_and_small_gkm():
     with _Timer(30) as t:
         af2 = RootDatum.affine_sl(2)
-        fin = af2.finite
         lz = PsiEngine(af2, "level-zero")
         for m in range(-10, 11):
             for j in range(-10, 11):
                 assert sl2_psi_closed(m, j) == \
                     lz.psi_right(sl2_sigma(af2, m), sl2_sigma(af2, j))
-        alpha = fin.simple_root(1)
         for m in range(-10, 11):
             psi_of = lambda x, m=m: lz.psi_right(sl2_sigma(af2, m), x)
             for d in (1, 2, 3):
                 for j in range(-10, 11):
                     w = sl2_sigma(af2, j)
-                    assert small_gkm_grassmannian_check(psi_of, af2, (1, -1),
-                                                        alpha, d, w)
-                    assert small_gkm_check(psi_of, af2, (1, -1), alpha, d, w)
+                    assert small_gkm_grassmannian_check(psi_of, af2, (1, -1), d, w)
+                    assert small_gkm_check(psi_of, af2, (1, -1), d, w)
     report(6, t, "sl2 closed forms match the recurrence (|m|,|j| <= 10); "
                  "small-torus GKM divisibility exact for d <= 3")
 

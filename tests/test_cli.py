@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,18 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert "Traceback" not in err
         assert "unrecognized arguments: --n 5" in err
+
+    @pytest.mark.parametrize("argv", [("kappa", "--n", "30", "--i", "15"),
+                                      ("g", "--n", "30", "--partition", "15,1")],
+                             ids=lambda argv: argv[0])
+    def test_kappa_too_large_refused_at_once(self, capsys, tmp_path, argv):
+        # kappa_15 of affine SL_30 has C(30, 15) = 155,117,520 terms, which
+        # once ran until the process was killed
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert time.perf_counter() - start < 5
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("error: kappa_15 of affine SL_30 has 155117520 terms")
 
     def test_ksl2_cutoff_too_small(self, capsys):
         code, out, err = run(capsys, "k-sl2", "--r", "3", "--cutoff", "5")

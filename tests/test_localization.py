@@ -350,48 +350,46 @@ class TestGKMBigResidueMemo:
 
 class TestSmallGKM:
     def test_d_validation(self, af2, lz2):
-        alpha = af2.finite.simple_root(1)
         with pytest.raises(ValueError):
             small_gkm_grassmannian_check(lambda w: LaurentPoly.one(af2.finite),
-                                         af2, (1, -1), alpha, 0,
-                                         weyl.identity(af2))
+                                         af2, (1, -1), 0, weyl.identity(af2))
+
+    def test_d_validation_reflected(self, af2):
+        # the bound d >= 1 is checked once, by divisible_by_one_minus_e
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            small_gkm_check(lambda w: LaurentPoly.one(af2.finite),
+                            af2, (1, -1), 0, weyl.identity(af2))
 
     def test_constant_passes(self, af2):
         one = LaurentPoly.one(af2.finite)
-        alpha = af2.finite.simple_root(1)
         for d in (1, 2, 3):
             assert small_gkm_grassmannian_check(lambda w: one, af2, (1, -1),
-                                                alpha, d, sl2_sigma(af2, 3))
+                                                d, sl2_sigma(af2, 3))
 
     def test_sl2_psi_windows(self, af2, lz2):
-        alpha = af2.finite.simple_root(1)
         for m in range(-4, 5):
             psi_of = lambda x, m=m: lz2.psi_right(sl2_sigma(af2, m), x)
             for d in (1, 2, 3):
                 for j in range(-6, 7):
                     w = sl2_sigma(af2, j)
                     assert small_gkm_grassmannian_check(
-                        psi_of, af2, (1, -1), alpha, d, w), (m, d, j)
+                        psi_of, af2, (1, -1), d, w), (m, d, j)
                     assert small_gkm_check(
-                        psi_of, af2, (1, -1), alpha, d, w), (m, d, j)
+                        psi_of, af2, (1, -1), d, w), (m, d, j)
 
     def test_n3_spot_checks(self, af3):
         # Grassmannian psi's satisfy both small-torus conditions (spot range)
         engine = PsiEngine(af3, "level-zero")
-        fin = af3.finite
         grass = [v for v in weyl.all_elements(af3, 3) if weyl.is_grassmannian(v)]
         els = weyl.all_elements(af3, 3)
         avees = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
         for v in grass:
             psi_of = lambda x, v=v: engine.psi_right(v, x)
             for avee in avees:
-                alpha = fin.weight(avee)
                 for d in (1, 2):
                     for w in els[:8]:
-                        assert small_gkm_grassmannian_check(
-                            psi_of, af3, avee, alpha, d, w)
-                        assert small_gkm_check(
-                            psi_of, af3, avee, alpha, d, w)
+                        assert small_gkm_grassmannian_check(psi_of, af3, avee, d, w)
+                        assert small_gkm_check(psi_of, af3, avee, d, w)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_reflects_by_the_transposition(self, n):
@@ -410,7 +408,7 @@ class TestSmallGKM:
                 for w in weyl.all_elements(datum, 3):
                     seen = []
                     assert small_gkm_check(lambda x: seen.append(x) or zero, datum,
-                                           avee, datum.finite.weight(avee), 1, w)
+                                           avee, 1, w)
                     assert seen == [w, weyl.multiply(r_alpha, w)]
 
     @pytest.mark.parametrize("n, avee", [(2, (-1, 1)), (3, (0, -1, 1)),
@@ -418,13 +416,12 @@ class TestSmallGKM:
     def test_negative_coroot(self, n, avee):
         datum = RootDatum.affine_sl(n)
         engine = PsiEngine(datum, "level-zero")
-        alpha = datum.finite.weight(avee)
         els = weyl.all_elements(datum, 3)
         for v in [v for v in els if weyl.is_grassmannian(v)]:
             psi_of = lambda x, v=v: engine.psi_right(v, x)
             for d in (1, 2):
                 for w in els[:8]:
-                    assert small_gkm_check(psi_of, datum, avee, alpha, d, w)
+                    assert small_gkm_check(psi_of, datum, avee, d, w)
 
 
 class TestSl2ClosedForms:

@@ -57,7 +57,7 @@ class TestFominStanley:
     def test_membership(self, e3, e4):
         for engine, cap in ((e3, 5), (e4, 4)):
             for lam in engine.bounded(cap):
-                assert l0_membership(fomin_stanley_elt(engine, lam), engine.n)
+                assert l0_membership(fomin_stanley_elt(engine, lam))
 
     def test_linear_system_oracle(self, e2, e3):
         for engine in (e2, e3):
@@ -95,18 +95,18 @@ class TestFominStanleyMemo:
 
 class TestL0Membership:
     def test_one(self, e2):
-        assert l0_membership(HeckeElt.one(e2.datum, e2.fin), 2)
+        assert l0_membership(HeckeElt.one(e2.datum, e2.fin))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_kappa(self, n):
         engine = GrothendieckEngine.get(n)
         for i in range(1, n):
-            assert l0_membership(engine.kappa(i), n)
+            assert l0_membership(engine.kappa(i))
 
     def test_bare_T0_fails(self, e2):
         bad = HeckeElt.from_int_terms(e2.datum, e2.fin,
                                       {weyl.simple(e2.datum, 0): 1})
-        assert not l0_membership(bad, 2)
+        assert not l0_membership(bad)
 
 
 class TestExpansion:
@@ -293,6 +293,11 @@ class TestEquivariantSl2:
 
     def test_cutoff_failure_is_loud(self):
         with pytest.raises(SupportTruncationError):
+            equivariant_k_sl2(5, cutoff=5)
+
+    def test_cutoff_failure_is_a_domain_error(self):
+        # one domain-error type: the CLI maps every ValueError to exit 1
+        with pytest.raises(ValueError):
             equivariant_k_sl2(5, cutoff=5)
 
     def test_non_central_element_rejected(self, af2):

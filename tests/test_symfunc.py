@@ -347,6 +347,23 @@ class TestTrustedConstructors:
         assert t == TensorSym(("h", "h"), pairs, 4) and t.n == 4
 
 
+class TestBoundContext:
+    """One rule for SymFunc and TensorSym sums: two different bound contexts
+    raise, and a sum keeps the one bound context its operands have."""
+
+    @pytest.mark.parametrize("make", [
+        lambda c, n: SymFunc("g", {(1,): c}, n),
+        lambda c, n: TensorSym(("g", "g"), {((1,), ()): c}, n)],
+        ids=["SymFunc", "TensorSym"])
+    def test_sum_across_contexts(self, make):
+        with pytest.raises(ValueError, match="bound-context mismatch"):
+            make(1, 3) + make(2, 4)
+        for left, right in ((3, None), (None, 3), (3, 3)):
+            total = make(1, left) + make(2, right)
+            assert total == make(3, 3) and total.n == 3
+        assert (make(1, None) + make(2, None)).n is None
+
+
 class TestCauchy:
     def test_degree_zero(self, e2):
         assert e2.cauchy_check(0)

@@ -251,6 +251,14 @@ class TestCyclicallyDecreasing:
         with pytest.raises(ValueError):
             weyl.cyclically_decreasing(af3, 3)
 
+    def test_too_many_to_list_refused(self, af3, af4, monkeypatch):
+        # counted by math.comb before any element is built, against the one
+        # enumeration bound the package has
+        monkeypatch.setattr(weyl, "MAX_PARTITIONS", 3)
+        assert len(weyl.cyclically_decreasing(af3, 1)) == 3
+        with pytest.raises(ValueError, match="kappa_2 of affine SL_4 has 6 terms"):
+            weyl.cyclically_decreasing(af4, 2)
+
 
 class TestWindowVsGenericPath:
     @pytest.mark.parametrize("n", [2, 3])
@@ -698,9 +706,10 @@ class TestReflectionMemo:
             assert weyl.apply(r_alpha, alpha) == -alpha
 
     def test_rejects_non_roots(self, af2):
+        stored = weyl.reflection_for_root.cache_info().currsize
         with pytest.raises(ValueError):
             weyl.reflection_for_root(af2, af2.fundamental_weight(0))
-        assert af2.fundamental_weight(0) not in weyl._DatumOps.of(af2).reflections
+        assert weyl.reflection_for_root.cache_info().currsize == stored
 
     @pytest.mark.parametrize("typ, nodes", [("A2~", (1,)), ("A2~", (1, 2)),
                                             ("G2~", (1, 2))])
@@ -708,10 +717,11 @@ class TestReflectionMemo:
         datum = RootDatum.of_type(typ)
         alpha = sum((datum.simple_root(i) for i in nodes[1:]), datum.simple_root(nodes[0]))
         assert weyl.apply(weyl.reflection_for_root(datum, alpha), alpha) == -alpha
+        stored = weyl.reflection_for_root.cache_info().currsize
         for _ in range(2):
             with pytest.raises(ValueError, match="positive root"):
                 weyl.reflection_for_root(datum, -alpha)
-            assert -alpha not in weyl._DatumOps.of(datum).reflections
+            assert weyl.reflection_for_root.cache_info().currsize == stored
 
 
 DESCENT_DATA = [RootDatum.of_type(t) for t in ("B2", "G2", "C2~", "G2~")] + [
