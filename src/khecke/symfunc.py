@@ -131,8 +131,8 @@ _BASES = ("m", "h", "s", "F", "G", "g", "kschur")
 
 
 def _bound_host(f, g):
-    """The operand of a sum whose bound context ``n`` the sum keeps: one that
-    has one; two different ones raise ValueError."""
+    """The operand whose bound context ``n`` a sum keeps, the one that has
+    one (SymFunc and TensorSym alike); two different ones raise ValueError."""
     if f.n != g.n and f.n is not None and g.n is not None:
         raise ValueError("bound-context mismatch")
     return f if f.n else g

@@ -528,8 +528,9 @@ def cyclically_decreasing(datum, ell: int) -> list[WeylElt]:
     """One element per size-ell subset of Z/nZ, indices multiplied in
     cyclically decreasing order.  Refuses with ValueError to list more than
     MAX_PARTITIONS = 10^6 of them.  The largest list it accepts, C(22, 11) =
-    705,432 elements, takes minutes and near 1 GB: an element costs about
-    125 us and 0.9 KB at n = 16, and 160 us and 1.0 KB at n = 18."""
+    705,432 elements, takes about 90 s and 0.7 GB, extrapolated from n = 16
+    and 18 (110-125 us and 0.8-1.0 KB per element on a 2-vCPU Xeon); a whole
+    ``kappa`` query holds about 2.4 KB per term, near 1.7 GB."""
     n = _require_window(datum)
     if not 0 <= ell <= n - 1:
         raise ValueError("need 0 <= ell <= n-1")
