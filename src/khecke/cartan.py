@@ -570,7 +570,7 @@ class LaurentPoly(Combination):
     # -- products ---------------------------------------------------------------
 
     def __mul__(self, other):
-        """Summed over coordinate tuples, not ``spread``: GKM checks' hot path."""
+        """Summed over coordinate tuples, not ``spread``, which is slower."""
         if isinstance(other, int):
             return self.scaled(other)
         self._compat(other)
@@ -595,6 +595,27 @@ class LaurentPoly(Combination):
                           for key, c in acc.items() if c})
 
     __rmul__ = __mul__
+
+    def blend(self, other, mu: Weight) -> "LaurentPoly":
+        """self + e^mu (other - self), summed over coordinate tuples: the psi step."""
+        if other.datum is not self.datum or mu.datum is not self.datum:
+            raise DatumMismatchError("polynomials over different lattices")
+        m, datum = mu.coords, self.datum
+        diff = {tuple([a + b for a, b in zip(w.coords, m)]): c
+                for w, c in other.terms.items()}
+        for w, c in self.terms.items():
+            y = tuple([a + b for a, b in zip(w.coords, m)])
+            diff[y] = diff.get(y, 0) - c
+        out = dict(self.terms)
+        for y, c in diff.items():
+            if c:
+                lam = Weight._canonical(datum, y)
+                c += out.get(lam, 0)
+                if c:
+                    out[lam] = c
+                else:
+                    del out[lam]
+        return self._new(out)
 
     def is_constant(self) -> bool:
         return all(w.is_zero() for w in self.terms)

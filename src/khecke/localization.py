@@ -13,13 +13,13 @@ The big-torus GKM condition psi(r_alpha w) = psi(w) mod (1 - e^alpha) is
 tested by comparing residues in Z[P]/(1 - e^alpha) = Z[P/Z alpha]
 (``cartan.residue_mod_one_minus_e``): each nonzero psi value is reduced
 once per root, keyed by the value and not the point, a zero value has
-residue {} unreduced, and no difference is formed.  ``psi_right`` reads
-each w(alpha_i) from the engine's memo (``PsiEngine.root_image``) and
-takes one product per step, by the one-term factor e^{-w(alpha_i)}, which
-``LaurentPoly`` multiplies as a shift.  The small-torus conditions, modulo
-(1 - e^alpha)^d, take the coroot alpha^vee alone (in type A it is also the
-root alpha, read in the level-zero lattice) and test line moments
-(``cartan.divisible_by_one_minus_e``, which alone checks d >= 1).
+residue {} unreduced, and no difference is formed.  Both recurrences take
+each step as one ``LaurentPoly.blend`` (``psi_right`` reads w(alpha_i)
+from ``PsiEngine.root_image``); every zero value is the engine's ``zero``,
+so a pair of zeros is skipped as one object.  The small-torus conditions,
+modulo (1 - e^alpha)^d, take the coroot alpha^vee alone (in type A it is
+also the root alpha, read in the level-zero lattice) and test line
+moments (``cartan.divisible_by_one_minus_e``, which alone checks d >= 1).
 
 Flavors: "big" works over the datum's own lattice (R(T) or R(T_af));
 "level-zero" (affine data with a finite companion) projects every root to
@@ -42,7 +42,7 @@ from .weyl import WeylElt
 
 
 class PsiEngine:
-    """Memoized psi^v(w) values for one datum and flavor."""
+    """Memoized psi^v(w) values for one datum and flavor; every zero is ``zero``."""
 
     def __init__(self, datum: RootDatum, flavor: str = "big"):
         self.datum = datum
@@ -51,14 +51,10 @@ class PsiEngine:
         self._right: dict = {}
         self._left: dict = {}
         self._roots: dict = {}
+        self.zero = LaurentPoly.zero(self.coeffs)
+        self.one = LaurentPoly.one(self.coeffs)
 
     # -- helpers ---------------------------------------------------------------
-
-    def _zero(self):
-        return LaurentPoly.zero(self.coeffs)
-
-    def _one(self):
-        return LaurentPoly.one(self.coeffs)
 
     def root_image(self, w: WeylElt, i) -> "Weight":
         """w(alpha_i) in the coefficient lattice: ``weyl.simple_root_image``
@@ -70,18 +66,19 @@ class PsiEngine:
         return lam
 
     def act(self, i, p: LaurentPoly) -> LaurentPoly:
-        return weyl_reflect_poly(self.datum, i, p)
+        return weyl_reflect_poly(self.datum, i, p) if p else p
 
     # -- the three algorithms -----------------------------------------------------
 
     def psi_right(self, v: WeylElt, w: WeylElt) -> LaurentPoly:
-        """Right-hand recurrence on (v, w), smallest right descent of w."""
+        """Right-hand recurrence on (v, w), smallest right descent of w; a
+        step on one object (as on two zeros) returns it, else blends."""
         key = (v, w)
         val = self._right.get(key)
         if val is not None:
             return val
         if w.is_identity():
-            val = self._one() if v.is_identity() else self._zero()
+            val = self.one if v.is_identity() else self.zero
         else:
             i = weyl.smallest_right_descent(w)
             wri = weyl.right_simple(w, i)
@@ -89,22 +86,20 @@ class PsiEngine:
             if vri.length > v.length:
                 val = self.psi_right(v, wri)
             else:
-                # (1 - m) psi^{vr_i}(w) + m psi^v(wr_i), m = e^{-w(alpha_i)},
-                # with one product
-                m = LaurentPoly.monomial(-self.root_image(w, i))
-                a = self.psi_right(vri, w)
-                val = a + m * (self.psi_right(v, wri) - a)
+                # (1 - m) psi^{vr_i}(w) + m psi^v(wr_i), m = e^{-w(alpha_i)}
+                a, b = self.psi_right(vri, w), self.psi_right(v, wri)
+                val = a if a is b else a.blend(b, -self.root_image(w, i))
         self._right[key] = val
         return val
 
     def psi_left(self, v: WeylElt, w: WeylElt) -> LaurentPoly:
-        """Left-hand recurrence on (v, w), smallest left descent of w."""
+        """Left-hand recurrence on (v, w), smallest left descent of w, by psi_right's step."""
         key = (v, w)
         val = self._left.get(key)
         if val is not None:
             return val
         if w.is_identity():
-            val = self._one() if v.is_identity() else self._zero()
+            val = self.one if v.is_identity() else self.zero
         else:
             i = w.word[0]
             riw = weyl.left_simple(i, w)
@@ -112,9 +107,9 @@ class PsiEngine:
             if riv.length > v.length:
                 val = self.act(i, self.psi_left(v, riw))
             else:
-                ea = LaurentPoly.monomial(self._action[i][1])
-                val = ea * self.act(i, self.psi_left(v, riw)) \
-                    + (self._one() - ea) * self.act(i, self.psi_left(riv, riw))
+                # e^{alpha_i} x + (1 - e^{alpha_i}) y
+                x, y = (self.act(i, self.psi_left(u, riw)) for u in (v, riv))
+                val = y if x is y else y.blend(x, self._action[i][1])
         self._left[key] = val
         return val
 
@@ -130,8 +125,7 @@ class PsiEngine:
         # the prefix roots of the word, independent of the subword
         betas = [LaurentPoly.monomial(datum.to_lattice(beta, self.coeffs))
                  for beta in weyl.prefix_roots(datum, word)]
-        one = self._one()
-        total = self._zero()
+        total = self.zero
         n = len(word)
         e = weyl.identity(datum)
         for mask in range(1 << n):
@@ -143,7 +137,7 @@ class PsiEngine:
                 continue
             prod = LaurentPoly.const(self.coeffs, sign)
             for k in picked:
-                prod = prod * (one - betas[k])
+                prod = prod * (self.one - betas[k])
             total = total + prod
         return total
 
@@ -151,7 +145,7 @@ class PsiEngine:
 
     def psi_kk(self, v: WeylElt, w: WeylElt) -> LaurentPoly:
         """Kostant-Kumar variant: sum_{v <= u <= w} (-1)^{l(u)-l(v)} psi^u(w)."""
-        total = self._zero()
+        total = self.zero
         for u in weyl.bruhat_ideal(w):
             if weyl.bruhat_leq(v, u):
                 term = self.psi_right(u, w)
@@ -167,10 +161,10 @@ class PsiEngine:
 
     def diagonal(self, v: WeylElt) -> LaurentPoly:
         """psi^v(v) = prod over Inv(v) of (1 - e^alpha)."""
-        out = self._one()
+        out = self.one
         for alpha in weyl.inversions(v):
             alpha = self.datum.to_lattice(alpha, self.coeffs)
-            out = out * (self._one() - LaurentPoly.monomial(alpha))
+            out = out * (self.one - LaurentPoly.monomial(alpha))
         return out
 
 
@@ -187,9 +181,9 @@ def gkm_check_big(psi_of, pairs) -> bool:
     ideal exactly when psi(r_alpha w) and psi(w) have the same residue in
     Z[P/Z alpha].  Residues are memoised per (id of the value, alpha) within
     the call, stored beside the value so that no id is reused; a pair whose
-    ends are one object (``psi_right`` shares psi^v(w r_i) = psi^v(w) when
-    l(v r_i) > l(v)) is skipped, a zero value has residue {} unreduced, and
-    r_alpha w is the edge remembered on w (``weyl.left_reflection``).
+    ends are one object (``psi_right``'s psi^v(w r_i) = psi^v(w), or zeros)
+    is skipped, an unshared zero has residue {} unreduced, and r_alpha w is
+    the edge remembered on w (``weyl.left_reflection``).
     """
     residues = {}
 

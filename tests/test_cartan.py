@@ -652,6 +652,43 @@ class TestRingOracle:
         assert LaurentPoly(sl3, {sl3.zero(): 0}).terms == {}
 
 
+# the big A2~ lattice and affine SL_3's level-zero one
+BLEND_LATTICES = [RootDatum.affine_sl(3),
+                  RootDatum.affine_sl(3).coefficient_lattice("level-zero")]
+
+
+class TestBlendOracle:
+    """``LaurentPoly.blend`` against its three-operation form a + e^mu (b - a)."""
+
+    @given(st.sampled_from(BLEND_LATTICES), terms_st, terms_st, coords_st,
+           st.sampled_from(["apart", "same", "zero a", "zero b", "cancel"]))
+    def test_matches_three_operations(self, lattice, at, bt, x, case):
+        a, b = build(lattice, at), build(lattice, bt)
+        mu = lattice.weight(cut(lattice, x))
+        e = LaurentPoly.monomial
+        if case == "same":
+            b = a
+        elif case == "zero a":
+            a = LaurentPoly.zero(lattice)
+        elif case == "zero b":
+            b = LaurentPoly.zero(lattice)
+        elif case == "cancel":
+            # b = (1 - e^{-mu}) a: every term of the blend cancels
+            b = a - e(-mu) * a
+        got = a.blend(b, mu)
+        assert as_oracle(got) == as_oracle(a + e(mu) * (b - a))
+        if case == "cancel":
+            assert got.terms == {}
+
+    def test_lattices_must_agree(self):
+        big, small = BLEND_LATTICES
+        p, q = LaurentPoly.one(big), LaurentPoly.one(small)
+        for a, b, mu in [(p, q, big.zero()), (q, p, small.zero()),
+                         (p, p, small.zero())]:
+            with pytest.raises(DatumMismatchError):
+                a.blend(b, mu)
+
+
 def root_direction(datum, combo):
     return datum.weight(tuple(
         sum(c * datum.simple_root(i).coords[k] for c, i in zip(combo, datum.nodes))

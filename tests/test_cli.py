@@ -846,6 +846,12 @@ STDOUT_CONTRACT = [
      "a980277e13fa59f0fedfb508db8a4f154c6a9793e6ebb9fbc398f0c0127f208d"),
     ("expand-group --type B2 --word 2121 --format latex-table", 0,
      "365e7a4fe1f4ed05ac44c8a467635b30eb245b5dfef2b04b001af2ceb14fd244"),
+    ("psi --n 3 --v 01 --w 0120 --algorithm left", 0,
+     "874d9c70cb91c0c83dddb0af5fcbd6be1461d86518858c3b232542852f039703"),
+    ("psi --n 3 --v 01 --w 0120 --flavor big --algorithm left --format json", 0,
+     "4bf1af38860b5e0e14c7274da08dcec8944edd24d3deb53101a77b316ddcfbc5"),
+    ("gkm-check --mode big --type C2~ --max-len 4", 0,
+     "3f17dd6136789bf12736c4fb480f2705e2fb7f05f0d12788a8b8aa3275535f94"),
 ]
 
 

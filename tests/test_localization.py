@@ -347,6 +347,33 @@ class TestGKMBigResidueMemo:
         for v, w, wri in steps:
             assert eng.psi_right(v, w) is eng.psi_right(v, wri)
 
+    def test_every_zero_is_the_engine_zero(self):
+        # psi^v(x) = 0 exactly when v is not below x, and then it is the
+        # engine's one zero object, from either recurrence
+        datum, eng, els, pairs = big_torus("A2~", 3)
+        points = {x for a, w in pairs for x in (weyl.left_reflection(a, w), w)}
+        zeros = 0
+        for v in els:
+            for x in points:
+                if weyl.bruhat_leq(v, x):
+                    assert eng.psi_right(v, x) and eng.psi_left(v, x), (v, x)
+                else:
+                    assert eng.psi_right(v, x) is eng.zero, (v, x)
+                    assert eng.psi_left(v, x) is eng.zero, (v, x)
+                    zeros += 1
+        assert zeros
+
+    def test_zero_pairs_skip_by_identity(self):
+        # gkm_check_big skips a pair whose ends are one object: the shared
+        # step values and, since the zero is shared, every pair of zeros
+        # (840 of the 3,249 pairs while each zero was its own object)
+        datum, eng, els, pairs = big_torus("A2~", 3)
+        ends = [(eng.psi_right(v, weyl.left_reflection(a, w)), eng.psi_right(v, w))
+                for v in els for a, w in pairs]
+        skipped = sum(p is q for p, q in ends)
+        assert len(ends) == 3249 and skipped >= 1710
+        assert all(p is q for p, q in ends if not p and not q)
+
 
 class TestSmallGKM:
     def test_d_validation(self, af2, lz2):
@@ -557,7 +584,7 @@ class TestGrassmannianExpansion:
             grassmannian_expansion(lz2, lambda w: one if w.is_identity() else zero, 1)
 
 
-# -- psi_right's one-product step against its slow paths ---------------------------
+# -- psi_right's one-pass step against its slow paths ---------------------------
 
 
 def psi_right_two_products(engine, v, w, memo):
@@ -566,7 +593,7 @@ def psi_right_two_products(engine, v, w, memo):
     if key in memo:
         return memo[key]
     if w.is_identity():
-        val = engine._one() if v.is_identity() else engine._zero()
+        val = engine.one if v.is_identity() else engine.zero
     else:
         datum = engine.datum
         i = next(i for i in datum.nodes if weyl.has_right_descent(w, i))
@@ -576,7 +603,7 @@ def psi_right_two_products(engine, v, w, memo):
             val = psi_right_two_products(engine, v, wri, memo)
         else:
             m = LaurentPoly.monomial(-engine.root_image(w, i))
-            val = (engine._one() - m) * psi_right_two_products(engine, vri, w, memo) \
+            val = (engine.one - m) * psi_right_two_products(engine, vri, w, memo) \
                 + m * psi_right_two_products(engine, v, wri, memo)
     memo[key] = val
     return val
